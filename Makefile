@@ -11,8 +11,7 @@ test:
 	$(PYTHON) -m pytest tests/
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only \
-		--benchmark-json BENCH_PR9.json
+	$(PYTHON) -m bench run
 
 figures:
 	$(PYTHON) -m repro figures

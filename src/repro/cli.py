@@ -19,41 +19,18 @@ Commands
     Pretty-print a run manifest: stage timings, cache hit rates,
     chosen clusterings, error tables, bias tables, histogram
     quantiles.
+``sweep <benchmark> [--sizes N,N,...]``
+    Run the full experiment at each interval size and print the
+    paper's per-size table: interval count, chosen k, and FLI/VLI CPI
+    and speedup error. Sizes fan out over ``--jobs`` workers; with a
+    cache, a killed sweep reruns from the cache, re-simulating only
+    what had not finished.
 ``ledger log|list|diff|check``
     Cross-run observability: append manifests to an append-only JSONL
     run ledger, list logged runs, diff two runs field by field, and
     gate on accuracy/performance drift (``check`` exits non-zero when
-    an error table worsens, a chosen k flips, a stage/cache metric
-    degrades beyond tolerance, or job failure/retry rates exceed their
-    bounds — see ``repro ledger check --help``).
-``submit <benchmark> [--sizes N,N,...] [--queue DIR]``
-    Queue benchmark experiment jobs (one per interval size) on the
-    persistent file-backed work queue. Submission is idempotent: a
-    cell whose successful receipt already exists is not queued again.
-``serve [--queue DIR] [--workers N]``
-    Drain the queue with a pool of worker processes. Workers that die
-    mid-job lose their lease; their jobs are reclaimed and retried up
-    to the queue's attempt budget. Exits non-zero if any job ended
-    failed or exhausted.
-``jobs [--queue DIR]``
-    Show the queue's pending/active tallies and its receipts.
-``top [--queue DIR] [--once] [--json] [--interval S]``
-    Live fleet dashboard over a queue: pending depth, active leases
-    with ages, live/stale workers (journal heartbeats), throughput,
-    failure/retry rates, and queue-wait/execution/lease-age
-    quantiles. Refreshes every ``--interval`` seconds until
-    interrupted; ``--once`` prints one frame, ``--json`` one
-    machine-readable snapshot (for scripting and CI).
-``report sweep [--queue DIR] [--benchmark NAME]``
-    Receipt-driven sweep progress: every benchmark cell the spool has
-    seen, joined against its receipt — completion, attempts, wall
-    seconds, and the paper's per-interval-size error columns (chosen
-    k, average FLI/VLI CPI error) loaded from finished artifacts.
-
-Queue commands accept ``--events`` (env ``REPRO_EVENTS``) to journal
-every queue/worker/sweep transition to ``<queue>/events.jsonl`` as
-``repro.events/v1`` lines — what ``top`` uses for worker liveness and
-queue-wait quantiles. Disabled by default at zero cost.
+    an error table worsens, a chosen k flips, or a stage/cache metric
+    degrades beyond tolerance — see ``repro ledger check --help``).
 
 Matching
 --------
@@ -373,116 +350,18 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
         return 2
 
 
-def _resolve_queue(args: argparse.Namespace):
-    from repro.jobs.queue import JobQueue
-    from repro.jobs.service import default_queue_root
-
-    return JobQueue(
-        args.queue or default_queue_root(),
-        lease_seconds=args.lease_seconds,
-        max_attempts=args.max_attempts,
-        events=getattr(args, "events", None),
-    )
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    import json
-    import time
-
-    from repro.observability.status import queue_status, render_status
-
-    queue = _resolve_queue(args)
-    if args.json:
-        print(json.dumps(queue_status(queue).to_payload(), sort_keys=True))
-        return 0
-    if args.once:
-        print(render_status(queue_status(queue)))
-        return 0
-    try:
-        while True:
-            frame = render_status(queue_status(queue))
-            # Clear screen + home, one whole frame per refresh.
-            sys.stdout.write(f"\x1b[2J\x1b[H{frame}\n")
-            sys.stdout.flush()
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.jobs.service import render_sweep_report, sweep_report
-
-    queue = _resolve_queue(args)
-    report = sweep_report(
-        queue, args.benchmark, load_errors=not args.no_errors
-    )
-    if args.json:
-        print(json.dumps(report.to_payload(), sort_keys=True))
-        return 0
-    print(render_sweep_report(report))
-    return 0
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments.reporting import render_interval_size_sweep
     from repro.experiments.runner import ExperimentConfig
-    from repro.jobs.service import submit_benchmark
+    from repro.experiments.sweeps import sweep_interval_sizes
 
-    queue = _resolve_queue(args)
     sizes = (
         [int(size) for size in args.sizes.split(",")]
         if args.sizes
         else [ExperimentConfig().interval_size]
     )
-    for size in sizes:
-        config = ExperimentConfig(interval_size=size)
-        job_id = submit_benchmark(
-            queue, args.benchmark, config, retry=args.retry
-        )
-        receipt = queue.receipt(job_id)
-        state = f"done ({receipt.status})" if receipt else "queued"
-        print(
-            f"{job_id[:12]}  {args.benchmark} interval_size={size}  "
-            f"{state}"
-        )
-    print(f"queue: {queue.root}")
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.jobs.service import (
-        ensure_default_executors,
-        render_receipts,
-    )
-    from repro.jobs.worker import run_worker_pool
-
-    ensure_default_executors()
-    queue = _resolve_queue(args)
-    run_worker_pool(queue, args.workers)
-    receipts = queue.receipts()
-    print(render_receipts(receipts))
-    bad = [receipt for receipt in receipts if not receipt.ok]
-    counts = queue.counts()
-    print(
-        f"\ndrained: {counts['ok']} ok, {counts['failed']} failed, "
-        f"{counts['exhausted']} exhausted"
-    )
-    return 1 if bad else 0
-
-
-def _cmd_jobs(args: argparse.Namespace) -> int:
-    from repro.jobs.service import render_receipts
-
-    queue = _resolve_queue(args)
-    counts = queue.counts()
-    print(
-        f"queue: {queue.root}\n"
-        f"pending: {counts['pending']}  active: {counts['active']}  "
-        f"ok: {counts['ok']}  failed: {counts['failed']}  "
-        f"exhausted: {counts['exhausted']}\n"
-    )
-    print(render_receipts(queue.receipts()))
+    points = sweep_interval_sizes(args.benchmark, sizes)
+    print(render_interval_size_sweep(args.benchmark, points))
     return 0
 
 
@@ -690,104 +569,16 @@ def build_parser() -> argparse.ArgumentParser:
              "instead of the rendered view",
     )
 
-    queue_common = argparse.ArgumentParser(add_help=False)
-    queue_common.add_argument(
-        "--queue", default=None, metavar="DIR",
-        help="work-queue directory (default: REPRO_QUEUE or "
-             "./repro-queue)",
-    )
-    queue_common.add_argument(
-        "--lease-seconds", type=float, default=300.0, metavar="S",
-        help="lease timeout before a dead worker's job is reclaimed "
-             "(default 300)",
-    )
-    queue_common.add_argument(
-        "--max-attempts", type=int, default=3, metavar="N",
-        help="executions allowed per job before it is marked "
-             "exhausted (default 3)",
-    )
-    queue_common.add_argument(
-        "--events", action="store_const", const=True, default=None,
-        help="journal queue/worker lifecycle events to "
-             "<queue>/events.jsonl (default: REPRO_EVENTS, else off)",
-    )
-
-    submit = sub.add_parser(
-        "submit",
-        help="queue benchmark experiment jobs for repro serve",
-        parents=[common, queue_common],
-    )
-    submit.add_argument("benchmark", choices=benchmark_names())
-    submit.add_argument(
-        "--sizes", default=None, metavar="N,N,...",
-        help="comma-separated interval sizes, one job per size "
-             "(default: one job at the standard interval size)",
-    )
-    submit.add_argument(
-        "--retry", action="store_true",
-        help="requeue jobs whose previous attempt ended failed or "
-             "exhausted (successful jobs are never re-run)",
-    )
-
-    serve = sub.add_parser(
-        "serve",
-        help="drain the work queue with a pool of worker processes",
-        parents=[common, queue_common],
-    )
-    serve.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes (default: --jobs / REPRO_JOBS)",
-    )
-
-    jobs_cmd = sub.add_parser(
-        "jobs",
-        help="show queue status and job receipts",
-        parents=[common, queue_common],
-    )
-    del jobs_cmd  # flags only; the handler reads the shared options
-
-    top = sub.add_parser(
-        "top",
-        help="live fleet dashboard for a work queue",
-        parents=[common, queue_common],
-    )
-    top.add_argument(
-        "--once", action="store_true",
-        help="render a single frame and exit instead of refreshing",
-    )
-    top.add_argument(
-        "--json", action="store_true",
-        help="emit one machine-readable status snapshot and exit",
-    )
-    top.add_argument(
-        "--interval", type=float, default=2.0, metavar="S",
-        help="seconds between dashboard refreshes (default 2)",
-    )
-
-    report = sub.add_parser(
-        "report",
-        help="receipt-driven reports over a work queue",
+    sweep = sub.add_parser(
+        "sweep",
+        help="interval-size sweep: chosen k and FLI/VLI error per size",
         parents=[common],
     )
-    rsub = report.add_subparsers(dest="report_command", required=True)
-    report_sweep = rsub.add_parser(
-        "sweep",
-        help="per-cell progress, ETA, and error tables for a "
-             "--via-jobs sweep",
-        parents=[queue_common],
-    )
-    report_sweep.add_argument(
-        "--benchmark", default=None, choices=benchmark_names(),
-        help="restrict the report to one benchmark's cells",
-    )
-    report_sweep.add_argument(
-        "--json", action="store_true",
-        help="emit the report as machine-readable JSON",
-    )
-    report_sweep.add_argument(
-        "--no-errors", action="store_true",
-        help="skip loading result artifacts for the k/CPI-error "
-             "columns (faster on large queues)",
+    sweep.add_argument("benchmark", choices=benchmark_names())
+    sweep.add_argument(
+        "--sizes", default=None, metavar="N,N,...",
+        help="comma-separated interval sizes "
+             "(default: the standard interval size)",
     )
 
     ledger = sub.add_parser(
@@ -888,23 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default 0.05)",
     )
     ledger_check.add_argument(
-        "--max-job-failure-rate", type=float, default=None, metavar="X",
-        dest="max_job_failure_rate",
-        help="max fraction of jobs ending failed/exhausted "
-             "(default 0.0 — any failed job is drift)",
-    )
-    ledger_check.add_argument(
-        "--max-job-retry-rate", type=float, default=None, metavar="X",
-        dest="max_job_retry_rate",
-        help="max job retries per completed job (default 0.25)",
-    )
-    ledger_check.add_argument(
-        "--max-queue-wait-p95", type=float, default=None, metavar="S",
-        dest="max_queue_wait_p95",
-        help="absolute ceiling on the candidate's p95 job queue-wait "
-             "seconds (default: off — needs the event journal)",
-    )
-    ledger_check.add_argument(
         "--min-sim-hit-rate", type=float, default=None, metavar="X",
         dest="min_sim_hit_rate",
         help="minimum sim-result reuse ratio the candidate must reach "
@@ -933,12 +707,8 @@ _COMMANDS = {
     "figures": _cmd_figures,
     "validate": _cmd_validate,
     "inspect": _cmd_inspect,
+    "sweep": _cmd_sweep,
     "ledger": _cmd_ledger,
-    "submit": _cmd_submit,
-    "serve": _cmd_serve,
-    "jobs": _cmd_jobs,
-    "top": _cmd_top,
-    "report": _cmd_report,
 }
 
 

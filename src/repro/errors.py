@@ -50,7 +50,3 @@ class FileFormatError(ReproError):
 
 class CacheError(ReproError):
     """The profile cache is misconfigured or cannot store a value."""
-
-
-class JobError(ReproError):
-    """The job service was given an unusable job, queue, or payload."""

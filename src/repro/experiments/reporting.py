@@ -97,6 +97,32 @@ def render_cache_stats(stats) -> str:
     return "Profile cache\n" + _render_grid(header, [row])
 
 
+def render_interval_size_sweep(benchmark: str, points: Mapping) -> str:
+    """Render :func:`~repro.experiments.sweeps.sweep_interval_sizes`
+    results: one row per interval size, in the order they were given.
+    """
+    header = [
+        "size", "intervals", "k", "FLI CPI err", "VLI CPI err",
+        "FLI speedup err", "VLI speedup err",
+    ]
+    body = [
+        [
+            f"{point.interval_size:,}",
+            str(point.n_intervals),
+            str(point.k),
+            f"{point.fli_cpi_error:.2%}",
+            f"{point.vli_cpi_error:.2%}",
+            f"{point.fli_speedup_error:.2%}",
+            f"{point.vli_speedup_error:.2%}",
+        ]
+        for point in points.values()
+    ]
+    return (
+        f"{benchmark}: interval-size sweep (speedup 32u->32o)\n"
+        + _render_grid(header, body)
+    )
+
+
 def render_phase_comparison(comparison: PhaseComparison) -> str:
     """Render a Tables-2/3-style phase comparison."""
     lines = [

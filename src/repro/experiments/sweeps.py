@@ -12,16 +12,19 @@ estimates from the cached detailed-simulation statistics, so they cost
 milliseconds; sweeps that change the *interval structure* (interval
 size) must re-run the full experiment per setting. Those full
 experiments consult the content-keyed sim-result cache
-(:mod:`repro.cmpsim.simcache`) through the runner — on both the direct
-and ``via_jobs`` paths — so a re-run sweep only re-simulates cells
-whose inputs actually changed, and a warm sweep costs profiling plus
-clustering only.
+(:mod:`repro.cmpsim.simcache`) through the runner, so a re-run sweep
+only re-simulates cells whose inputs actually changed, and a warm
+sweep costs profiling plus clustering only. The same cache makes an
+interval-size sweep crash-resumable: every finished detailed
+simulation is stored atomically as it completes, so rerunning a killed
+sweep against the same cache directory re-simulates only what had not
+finished and prints byte-identical tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.analysis.estimate import estimate_from_points
 from repro.cmpsim.simulator import IntervalStats
@@ -63,22 +66,14 @@ def sweep_interval_sizes(
     speedup_pair: Tuple[str, str] = ("32u", "32o"),
     *,
     jobs: Optional[int] = None,
-    via_jobs=None,
 ) -> Dict[int, IntervalSizeSweepPoint]:
     """Run the full experiment at several interval sizes.
 
     Each size is an independent full experiment, so with ``jobs`` > 1
     the settings fan out over worker processes; finished runs land in
-    the runner's in-process memo either way.
-
-    ``via_jobs`` routes the cells through the persistent job service
-    instead of a transient process pool: pass a
-    :class:`~repro.jobs.queue.JobQueue` (or a queue directory path) and
-    the cells are submitted as jobs, executed by a worker pool with
-    per-job receipts, and — because submission is idempotent and
-    receipts are exactly-once — an interrupted sweep rerun against the
-    same queue resumes from its finished cells. Results are
-    bit-identical to the direct path.
+    the runner's in-process memo either way. With an active cache, a
+    sweep killed part-way resumes on rerun: every detailed simulation
+    that finished is a cache hit, so only the unfinished ones run again.
     """
     if not sizes:
         raise SimulationError("no interval sizes given")
@@ -89,19 +84,7 @@ def sweep_interval_sizes(
     with trace.span(
         "sweep_interval_sizes", benchmark=benchmark, settings=len(sizes)
     ):
-        if via_jobs is not None:
-            from repro.jobs.queue import JobQueue
-            from repro.jobs.service import run_sweep_via_jobs
-
-            queue = (
-                via_jobs
-                if isinstance(via_jobs, JobQueue)
-                else JobQueue(via_jobs)
-            )
-            runs_by_size = run_sweep_via_jobs(
-                benchmark, sizes, base_config, queue, workers=jobs
-            )
-        elif resolve_jobs(jobs) > 1 and len(sizes) > 1:
+        if resolve_jobs(jobs) > 1 and len(sizes) > 1:
             cache = active_cache()
             cache_root = cache.root if cache is not None else None
             task_results = parallel_map(

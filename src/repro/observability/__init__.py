@@ -28,12 +28,7 @@ submodules, not re-exported):
 * :mod:`repro.observability.ledger` — an append-only JSONL index of
   every logged run, keyed by run id and config fingerprint;
 * :mod:`repro.observability.diff` — the structured run differ and the
-  threshold-driven drift sentinel behind ``repro ledger check``;
-* :mod:`repro.observability.events` — the crash-safe job-service
-  event journal (``repro.events/v1``) behind ``--events`` /
-  ``REPRO_EVENTS``;
-* :mod:`repro.observability.status` — the queue/fleet snapshot folder
-  behind ``repro top``.
+  threshold-driven drift sentinel behind ``repro ledger check``.
 """
 
 from __future__ import annotations

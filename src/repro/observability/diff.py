@@ -14,12 +14,11 @@ On top of the diff, :func:`check_drift` applies
 — an *accuracy* violation when any error-table entry or bias row
 worsens beyond tolerance (or the cross-binary matcher's coverage or
 weakest-marker confidence falls), a *decision* violation when a chosen k
-flips, a *performance* violation when a stage (or the total) slows
-down or the cache hit rate drops beyond tolerance, and a *reliability*
-violation when the candidate run's receipt-derived job counters show a
-failure or retry rate above its bounds. ``repro ledger check`` exits
-non-zero when any violation fires, which is what lets CI gate on
-drift.
+flips, and a *performance* violation when a stage (or the total)
+slows down, the cache hit rate drops beyond tolerance, or a
+content-keyed reuse ratio falls below its armed floor. ``repro ledger
+check`` exits non-zero when any violation fires, which is what lets CI
+gate on drift.
 
 Timing tolerances are deliberately asymmetric and guarded by an
 absolute floor: wall-clock jitter on shared runners is real, so a
@@ -231,12 +230,6 @@ class DriftThresholds:
     marker's confidence may fall — together they make a matcher
     regression (markers silently dropping out, or surviving only at
     lower confidence) trip ``repro ledger check``.
-    ``max_job_failure_rate`` / ``max_job_retry_rate`` gate on the job
-    service's receipt-derived counters in the *candidate* run: the
-    fraction of jobs ending failed/exhausted, and retries per finished
-    job (the default 0.0 failure tolerance means any failed job is
-    drift; retries below a quarter per job are tolerated because a
-    reclaimed lease is recovery working, not silent corruption).
     ``min_sim_hit_rate`` is an absolute floor on the candidate run's
     sim-result reuse ratio (``cache: sim.reuse_ratio``). It is off by
     default — cold runs legitimately have ratio 0 — and is meant for
@@ -244,12 +237,6 @@ class DriftThresholds:
     collapsing although nothing changed) should read as drift.
     ``min_clustering_hit_rate`` is the same floor for the clustering
     reuse ratio (``cache: clustering.reuse_ratio``).
-    ``max_queue_wait_p95`` is an absolute ceiling (seconds) on the
-    candidate run's p95 job queue-wait, read from the
-    ``jobs.queue_wait_seconds`` histogram the event journal feeds into
-    manifests. Off by default — the figure only exists when a
-    ``--via-jobs`` run had events enabled; a candidate without the
-    histogram is not a violation (there is nothing to bound).
     """
 
     max_error_increase: float = 0.002
@@ -261,18 +248,15 @@ class DriftThresholds:
     forbid_k_change: bool = True
     max_coverage_drop: float = 0.02
     max_confidence_drop: float = 0.05
-    max_job_failure_rate: float = 0.0
-    max_job_retry_rate: float = 0.25
     min_sim_hit_rate: Optional[float] = None
     min_clustering_hit_rate: Optional[float] = None
-    max_queue_wait_p95: Optional[float] = None
 
 
 @dataclass(frozen=True)
 class Violation:
     """One threshold breach, naming the offending field and delta."""
 
-    kind: str  # "accuracy" | "decision" | "performance" | "reliability"
+    kind: str  # "accuracy" | "decision" | "performance"
     delta: Delta
     message: str
 
@@ -398,8 +382,6 @@ def check_drift(
             "clustering",
         )
     )
-    violations.extend(_job_rate_violations(diff, limits))
-    violations.extend(_queue_wait_violations(diff, limits))
     return violations
 
 
@@ -411,9 +393,9 @@ def _reuse_ratio_violations(
 ) -> List[Violation]:
     """Absolute floor on a candidate content-keyed reuse ratio.
 
-    Like the job-rate gates this bounds the *new* run, not a delta: a
-    warm CI run whose reuse ratio collapsed is a cache-key bust no
-    matter what the baseline did. A candidate that recorded no such
+    This bounds the *new* run, not a delta: a warm CI run whose reuse
+    ratio collapsed is a cache-key bust no matter what the baseline
+    did. A candidate that recorded no such
     block at all (older manifest, or caching disabled) counts as
     ratio 0 — with the floor armed, that is exactly the failure the
     gate exists to surface.
@@ -438,91 +420,6 @@ def _reuse_ratio_violations(
             f"{floor:.1%}",
         )
     ]
-
-
-def _job_counters(diff: RunDiff, side: str) -> dict:
-    values = {}
-    for delta in diff.section("counters"):
-        if delta.field.startswith("jobs."):
-            value = delta.old if side == "old" else delta.new
-            values[delta.field[len("jobs."):]] = value or 0.0
-    return values
-
-
-def _job_rates(counters: Mapping[str, float]) -> Tuple[Optional[float], Optional[float]]:
-    """(failure_rate, retry_rate) over a run's terminal job receipts."""
-    finished = (
-        counters.get("completed", 0.0)
-        + counters.get("failed", 0.0)
-        + counters.get("exhausted", 0.0)
-    )
-    if finished <= 0:
-        return None, None
-    bad = counters.get("failed", 0.0) + counters.get("exhausted", 0.0)
-    return bad / finished, counters.get("retries", 0.0) / finished
-
-
-def _job_rate_violations(
-    diff: RunDiff, limits: DriftThresholds
-) -> List[Violation]:
-    """Reliability gates over the candidate's receipt-derived counters.
-
-    Unlike the other gates these are absolute bounds on the *new* run,
-    not deltas: a failed or endlessly-retried job is a problem even if
-    the baseline was equally unhealthy.
-    """
-    old_failure, old_retry = _job_rates(_job_counters(diff, "old"))
-    new_failure, new_retry = _job_rates(_job_counters(diff, "new"))
-    violations: List[Violation] = []
-    if new_failure is not None and new_failure > limits.max_job_failure_rate:
-        violations.append(
-            Violation(
-                "reliability",
-                Delta("counters", "jobs.failure_rate", old_failure, new_failure),
-                f"job failure rate {new_failure:.1%} exceeds "
-                f"{limits.max_job_failure_rate:.1%}",
-            )
-        )
-    if new_retry is not None and new_retry > limits.max_job_retry_rate:
-        violations.append(
-            Violation(
-                "reliability",
-                Delta("counters", "jobs.retry_rate", old_retry, new_retry),
-                f"job retry rate {new_retry:.2f}/job exceeds "
-                f"{limits.max_job_retry_rate:.2f}/job",
-            )
-        )
-    return violations
-
-
-def _queue_wait_violations(
-    diff: RunDiff, limits: DriftThresholds
-) -> List[Violation]:
-    """Absolute ceiling on the candidate's p95 job queue-wait seconds.
-
-    Like the job-rate gates this bounds the *new* run only: jobs
-    sitting in queue is a fleet-health problem regardless of the
-    baseline. A candidate that recorded no queue-wait histogram (events
-    disabled, or no ``--via-jobs`` run) produces no violation — unlike
-    the reuse-ratio floors, absence here means "not measured", not
-    "measured as bad".
-    """
-    ceiling = limits.max_queue_wait_p95
-    if ceiling is None:
-        return []
-    for delta in diff.section("histograms"):
-        if delta.field != "jobs.queue_wait_seconds.p95":
-            continue
-        if delta.new is not None and delta.new > ceiling:
-            return [
-                Violation(
-                    "reliability",
-                    delta,
-                    f"p95 queue wait {delta.new:.2f}s exceeds "
-                    f"{ceiling:.2f}s",
-                )
-            ]
-    return []
 
 
 def _time_violation(

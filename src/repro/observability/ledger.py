@@ -175,8 +175,7 @@ def _flatten_cache(block: Mapping[str, Any]) -> Dict[str, float]:
                 flat[f"{kind}.{key}"] = float(value)
     # Summaries flatten after the kind rows, so where the "clustering"
     # summary shares key names with the "clustering" kind row, the
-    # summary (metric-counter-derived, --via-jobs-receipt-inclusive)
-    # values win.
+    # summary (metric-counter-derived, worker-inclusive) values win.
     for summary in ("sim", "clustering"):
         for key, value in (block.get(summary) or {}).items():
             if isinstance(value, (int, float)) and not isinstance(

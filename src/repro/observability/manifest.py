@@ -114,7 +114,7 @@ def build_manifest(
     reuse tallies and per-run reuse ratios, derived from the
     ``cache.sim.*`` / ``cache.clustering.*`` metric counters — the
     metrics registry is the one place those arrive from every
-    execution path, including ``--via-jobs`` receipts).
+    execution path, including worker processes).
     ``bias`` maps ``name -> cluster -> row`` where each row carries the
     phase's ``weight``, ``true_cpi``, ``sp_cpi``, and signed ``bias``.
     ``matching`` maps program name to the cross-binary matcher summary

@@ -1,10 +1,9 @@
 """Advisory file locks and atomic line appends.
 
-The append-only stores in this codebase — the run ledger and the
-job-queue submission spool — are plain JSONL files shared by
-concurrent writer processes. POSIX guarantees that a *single*
-``write(2)`` through an ``O_APPEND`` descriptor lands contiguously for
-ordinary files, but ``open("a")`` + buffered writes can split one
+The run ledger is an append-only JSONL file shared by concurrent
+writer processes. POSIX guarantees that a *single* ``write(2)``
+through an ``O_APPEND`` descriptor lands contiguously for ordinary
+files, but ``open("a")`` + buffered writes can split one
 logical line across several syscalls once it outgrows the buffer (or
 ``PIPE_BUF``-sized atomicity folklore), interleaving records. The
 helpers here make the contract explicit:

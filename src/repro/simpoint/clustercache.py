@@ -3,9 +3,9 @@
 With profiling compiled (PR 4) and detailed simulation content-keyed
 (PR 8), the `choose_clustering` sweep — k-means at every probed k,
 restarted ``n_init`` times — is the dominant recomputed cost whenever
-the same profile is clustered again: repeated sweeps, selector
-comparisons, and ``--via-jobs`` reruns all cluster identical projected
-BBVs with identical knobs. This module keys the whole
+the same profile is clustered again: repeated or resumed sweeps and
+selector comparisons all cluster identical projected BBVs with
+identical knobs. This module keys the whole
 :class:`~repro.simpoint.select.ClusteringChoice` by *content* and
 stores it as a dedicated :data:`CLUSTERING_KIND` kind in the
 :class:`~repro.runtime.cache.ProfileCache`.

@@ -84,3 +84,15 @@ class TestCommands:
         assert "Speedup error, cross platform" in out
         # gcc/apsi tables are skipped when those benchmarks are absent.
         assert "phase comparison" not in out
+
+    def test_sweep_prints_one_row_per_size(self, capsys):
+        assert main([
+            "sweep", "art", "--sizes", "30000,60000",
+            "--no-cache", "--jobs", "1",
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "art: interval-size sweep (speedup 32u->32o)"
+        assert "VLI speedup err" in lines[1]
+        assert [line.split()[0] for line in lines[3:]] == [
+            "30,000", "60,000",
+        ]

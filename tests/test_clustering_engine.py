@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ClusteringError
-from repro.jobs.receipts import JobReceipt
 from repro.observability import metrics
 from repro.observability.diff import (
     DriftThresholds,
@@ -398,15 +397,3 @@ class TestObservabilitySurface:
             "clustering reuse: 1 of 2 clustering lookups (50.0%)"
             in rendered
         )
-
-    def test_receipt_roundtrips_clustering_tallies(self):
-        receipt = JobReceipt(
-            job_id="job-1", kind="benchmark", status="ok", attempt=1,
-            clustering_cache={"hits": 2, "misses": 1},
-        )
-        loaded = JobReceipt.from_record(receipt.to_record())
-        assert loaded.clustering_cache == {"hits": 2, "misses": 1}
-        # Receipts written before the field existed still load.
-        record = receipt.to_record()
-        del record["clustering_cache"]
-        assert JobReceipt.from_record(record).clustering_cache == {}

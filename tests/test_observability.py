@@ -436,6 +436,19 @@ class TestInspectCommand:
         assert err.count("\n") == 1  # one line, not a traceback
         assert "repro.manifest/v99" in err and MANIFEST_SCHEMA in err
 
+    def test_cli_inspect_json_roundtrips_manifest(self, tmp_path, capsys):
+        from repro.cli import main
+
+        manifest = build_manifest(
+            total_seconds=1.0, stages={"profile": 1.0},
+            metrics_snapshot={}, clusterings={}, errors={},
+            config_fingerprint="abc123", command=["summary"],
+        )
+        path = write_manifest(tmp_path / "manifest.json", manifest)
+        assert main(["inspect", str(path), "--json"]) == 0
+        emitted = json.loads(capsys.readouterr().out)
+        assert emitted == json.loads(json.dumps(manifest))
+
     def test_inspect_renders_empty_sections(self):
         manifest = build_manifest(
             total_seconds=0.0,

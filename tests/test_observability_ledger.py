@@ -1,6 +1,8 @@
 """Run ledger, manifest diffing, and the drift sentinel."""
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -38,12 +40,9 @@ def _manifest(
     coverage=0.9,
     min_confidence=0.8,
     created_at=None,
-    jobs=None,
 ):
     registry = Registry()
     registry.counter("simpoint.kmeans_runs").inc(7)
-    for name, value in (jobs or {}).items():
-        registry.counter(f"jobs.{name}").inc(value)
     for value in (1.0, 3.0, 5.0, 17.0):
         registry.histogram("trace.replay_batch_events").observe(value)
     manifest = build_manifest(
@@ -303,88 +302,25 @@ class TestDriftSentinel:
         assert thresholds.max_bias_shift == DriftThresholds().max_bias_shift
 
 
-class TestReliabilityDrift:
-    """The job service's receipt-derived counters gate the sentinel."""
+_FORK = multiprocessing.get_context("fork")
 
-    def _diff(self, old_jobs=None, new_jobs=None):
-        return diff_runs(
-            entry_from_manifest(_manifest("run-a", jobs=old_jobs)),
-            entry_from_manifest(_manifest("run-b", jobs=new_jobs)),
-        )
 
-    def test_clean_job_counters_pass(self):
-        diff = self._diff(
-            new_jobs={"completed": 8, "failed": 0, "retries": 1}
-        )
-        assert check_drift(diff) == []
+def _hammer_ledger(path, run_id):
+    RunLedger(path).log_manifest(_manifest(run_id))
 
-    def test_any_failed_job_is_reliability_drift(self):
-        diff = self._diff(new_jobs={"completed": 7, "failed": 1})
-        violations = check_drift(diff)
-        assert [v.kind for v in violations] == ["reliability"]
-        assert violations[0].delta.field == "jobs.failure_rate"
-        assert "failure rate" in violations[0].message
 
-    def test_exhausted_jobs_count_as_failures(self):
-        diff = self._diff(new_jobs={"completed": 7, "exhausted": 1})
-        assert [v.kind for v in check_drift(diff)] == ["reliability"]
-
-    def test_excessive_retries_are_reliability_drift(self):
-        diff = self._diff(new_jobs={"completed": 4, "retries": 3})
-        violations = check_drift(diff)
-        assert [v.delta.field for v in violations] == ["jobs.retry_rate"]
-
-    def test_bounds_are_absolute_not_deltas(self):
-        # An equally-unhealthy baseline does not excuse the candidate.
-        diff = self._diff(
-            old_jobs={"completed": 7, "failed": 1},
-            new_jobs={"completed": 7, "failed": 1},
-        )
-        assert [v.kind for v in check_drift(diff)] == ["reliability"]
-
-    def test_runs_without_job_counters_are_exempt(self):
-        assert check_drift(self._diff()) == []
-
-    def test_thresholds_are_tunable(self):
-        diff = self._diff(new_jobs={"completed": 7, "failed": 1})
-        relaxed = check_drift(
-            diff, DriftThresholds(max_job_failure_rate=0.2)
-        )
-        assert relaxed == []
-
-    def test_thresholds_from_options_picks_up_job_rates(self):
-        thresholds = thresholds_from_options({
-            "max_job_failure_rate": 0.1,
-            "max_job_retry_rate": 2.0,
-        })
-        assert thresholds.max_job_failure_rate == 0.1
-        assert thresholds.max_job_retry_rate == 2.0
-
-    def test_cli_check_gates_on_job_failures(self, tmp_path, capsys):
-        ledger = str(tmp_path / "ledger.jsonl")
-        baseline = _write(tmp_path, "a.json", _manifest("run-a"))
-        unreliable = _write(
-            tmp_path, "bad.json",
-            _manifest("run-bad", jobs={"completed": 7, "failed": 1}),
-        )
-        assert main(["ledger", "--ledger", ledger, "log", str(baseline)]) == 0
-        capsys.readouterr()
-        assert main([
-            "ledger", "--ledger", ledger, "check", str(unreliable)
-        ]) == 1
-        assert "failure rate" in capsys.readouterr().out
-        # The CLI flag relaxes the tolerance.
-        assert main([
-            "ledger", "--ledger", ledger, "check",
-            "--max-job-failure-rate", "0.2", str(unreliable),
-        ]) == 0
+def _race_duplicate_run_id(path, index, outcome_dir):
+    try:
+        RunLedger(path).log_manifest(_manifest("contested-run"))
+    except FileFormatError:
+        return
+    open(os.path.join(outcome_dir, f"won-{index}"), "w").close()
 
 
 class TestAppendLocking:
     """Regression: the ledger used to append via a buffered write that
     the OS could interleave with a concurrent writer's; it now goes
-    through a single O_APPEND write under an advisory lock. (The
-    multi-process hammering lives in tests/test_runtime_jobs.py.)"""
+    through a single O_APPEND write under an advisory lock."""
 
     def test_append_line_is_one_newline_terminated_write(self, tmp_path):
         from repro.runtime.locking import append_line
@@ -415,6 +351,50 @@ class TestAppendLocking:
         assert len(lines) == 2
         for line in lines:
             json.loads(line)  # each line parses on its own
+
+    def test_one_ledger_hammered_by_concurrent_writers(self, tmp_path):
+        """No interleaved or corrupt lines under concurrent appends."""
+        path = tmp_path / "ledger.jsonl"
+        writers = [
+            _FORK.Process(
+                target=_hammer_ledger, args=(str(path), f"run-{index:03d}")
+            )
+            for index in range(8)
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join()
+        assert all(writer.exitcode == 0 for writer in writers)
+        # Every line must parse on its own (entries() raises on any
+        # corrupt line) and every run id must have landed exactly once.
+        entries = RunLedger(path).entries()
+        assert sorted(e.run_id for e in entries) == [
+            f"run-{index:03d}" for index in range(8)
+        ]
+        for line in path.read_text().splitlines():
+            json.loads(line)
+
+    def test_duplicate_run_id_refusal_is_race_free(self, tmp_path):
+        """Exactly one of many concurrent same-run-id logs may win."""
+        path = tmp_path / "ledger.jsonl"
+        outcome = tmp_path / "outcome"
+        outcome.mkdir()
+        racers = [
+            _FORK.Process(
+                target=_race_duplicate_run_id,
+                args=(str(path), index, str(outcome)),
+            )
+            for index in range(6)
+        ]
+        for racer in racers:
+            racer.start()
+        for racer in racers:
+            racer.join()
+        assert all(racer.exitcode == 0 for racer in racers)
+        entries = RunLedger(path).entries()
+        assert [e.run_id for e in entries] == ["contested-run"]
+        assert len(list(outcome.glob("won-*"))) == 1
 
 
 class TestMatchingDrift:

@@ -1,6 +1,8 @@
 """Tests for the runtime profile cache and content fingerprints."""
 
 import dataclasses
+import multiprocessing
+import os
 import pickle
 import time
 
@@ -357,3 +359,49 @@ class TestCrossPipelineCaching:
         before = cache.stats.misses
         run_cross_binary_simpoint(micro_binary_list, scaled, cache=cache)
         assert cache.stats.misses > before
+
+
+# -- multiprocessing stress: one shared cache key ---------------------
+
+_FORK = multiprocessing.get_context("fork")
+
+
+def _hammer_cache_key(root, barrier_dir, index):
+    """One writer process: everyone races get_or_compute on ONE key."""
+    cache = cache_from_root(root)
+    value = cache.get_or_compute(
+        "stress", ("shared-key",), lambda: {"payload": list(range(200))}
+    )
+    assert value == {"payload": list(range(200))}
+    open(os.path.join(barrier_dir, f"done-{index}"), "w").close()
+
+
+class TestConcurrencyStress:
+    def test_one_cache_key_hammered_by_concurrent_writers(self, tmp_path):
+        """Many processes race one key — including over a stale entry
+        that unpickles to a missing module — and all must succeed."""
+        root = tmp_path / "cache"
+        cache = ProfileCache(root)
+        # Seed the address with a stale pickle referencing a module
+        # that no longer exists (the refactor scenario).
+        cache.get_or_compute("stress", ("shared-key",), lambda: "seed")
+        digest_path = next(root.rglob("*.pkl"))
+        digest_path.write_bytes(b"cgone_module_xyz\nKlass\n.")
+        workers = [
+            _FORK.Process(
+                target=_hammer_cache_key,
+                args=(str(root), str(tmp_path), index),
+            )
+            for index in range(6)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        assert all(worker.exitcode == 0 for worker in workers)
+        assert len(list(tmp_path.glob("done-*"))) == 6
+        # The stale entry was evicted and rewritten with a good value.
+        fresh = cache_from_root(root)
+        assert fresh.get_or_compute(
+            "stress", ("shared-key",), lambda: "unused"
+        ) == {"payload": list(range(200))}

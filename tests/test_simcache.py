@@ -2,15 +2,23 @@
 
 Covers the key schema (stability and sensitivity), full-run and
 per-region reuse with bit-identity against the uncached path, the
-escape hatches, sweep-level reuse on both the direct and ``--via-jobs``
-paths, and the observability surface (manifest sim block, ledger
-flattening, drift gate).
+escape hatches, sweep-level reuse, crash-resume of a SIGKILLed sweep
+from the cache, and the observability surface (manifest sim block,
+ledger flattening, drift gate).
 """
 
 import dataclasses
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.cmpsim.config import TABLE1_CONFIG
 from repro.cmpsim.simcache import (
@@ -27,7 +35,6 @@ from repro.core.vli import collect_vli_bbvs
 from repro.errors import SimulationError
 from repro.experiments.runner import ExperimentConfig, clear_cache
 from repro.experiments.sweeps import sweep_interval_sizes
-from repro.jobs import JobQueue, ensure_default_executors
 from repro.observability import metrics
 from repro.observability.diff import (
     DriftThresholds,
@@ -304,37 +311,72 @@ class TestSweepReuse:
             == cold_counters["cache.sim.misses"]
         )
 
-    def test_via_jobs_sweep_reuses_and_receipts_count_hits(self,
-                                                           tmp_path):
+    def test_killed_sweep_resumes_from_the_cache(self, tmp_path):
+        """SIGKILL a direct sweep mid-run: the rerun against the same
+        cache prints the uninterrupted tables and re-simulates exactly
+        the simulations that had not finished."""
         sizes = [30_000, 60_000]
-        ensure_default_executors()
-        cache = ProfileCache(tmp_path / "cache")
-        queue = JobQueue(tmp_path / "q")
-        with runtime_session(cache=cache):
+        simulations = len(sizes) * len(_FAST_CONFIG.targets)
+        cache_dir = tmp_path / "cache"
+        child = subprocess.Popen(
+            [sys.executable, "-c", _SWEEP_CHILD, str(cache_dir)],
+            env={
+                **os.environ,
+                "PYTHONPATH": str(Path(repro.__file__).parents[1]),
+            },
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            # Its own process group, so one killpg takes the pool
+            # workers down with it.
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not list(cache_dir.glob("simresult/**/*.pkl")):
+                assert child.poll() is None, "sweep exited before a kill"
+                assert time.monotonic() < deadline, "no simresult entry"
+                time.sleep(0.005)
+            os.killpg(child.pid, signal.SIGKILL)
+        finally:
+            child.wait()
+        done = len(list(cache_dir.glob("simresult/**/*.pkl")))
+        assert 0 < done < simulations
+        for entry in cache_dir.rglob("*.pkl"):
+            pickle.loads(entry.read_bytes())  # no torn entries
+
+        with runtime_session(cache=None):
             clear_cache()
-            direct = sweep_interval_sizes(
+            uninterrupted = sweep_interval_sizes(
                 "art", sizes, _FAST_CONFIG, jobs=1
             )
+        cache = ProfileCache(cache_dir)
+        with runtime_session(cache=cache):
             clear_cache()
-            with metrics.scoped_registry() as local:
-                via_jobs = sweep_interval_sizes(
-                    "art", sizes, _FAST_CONFIG, jobs=2, via_jobs=queue
-                )
+            resumed = sweep_interval_sizes(
+                "art", sizes, _FAST_CONFIG, jobs=2
+            )
         clear_cache()
-        assert via_jobs == direct  # bit-identical tables, warm or not
-        receipts = queue.receipts()
-        assert receipts and all(receipt.ok for receipt in receipts)
-        hits = sum(
-            receipt.sim_cache.get("hits", 0) for receipt in receipts
-        )
-        misses = sum(
-            receipt.sim_cache.get("misses", 0) for receipt in receipts
-        )
-        assert hits > 0 and misses == 0  # the direct pass primed it all
-        counters = local.snapshot()["counters"]
-        # record_job_metrics folds receipt tallies into the parent's
-        # counters exactly once.
-        assert counters["cache.sim.hits"] == hits
+        assert resumed == uninterrupted
+        stats = cache.stats.for_kind(SIMRESULT_KIND)
+        assert stats.misses == simulations - done
+        assert stats.hits == done
+
+
+#: A direct two-size sweep of ``_FAST_CONFIG`` into the cache at argv[1].
+_SWEEP_CHILD = """
+import sys
+
+from repro.experiments.runner import ExperimentConfig
+from repro.experiments.sweeps import sweep_interval_sizes
+from repro.runtime import ProfileCache, runtime_session
+from repro.simpoint.simpoint import SimPointConfig
+
+config = ExperimentConfig(
+    interval_size=40_000, simpoint=SimPointConfig(max_k=3, n_init=2)
+)
+with runtime_session(cache=ProfileCache(sys.argv[1])):
+    sweep_interval_sizes("art", [30_000, 60_000], config, jobs=2)
+"""
 
 
 class TestObservabilitySurface:
