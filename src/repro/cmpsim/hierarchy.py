@@ -22,12 +22,17 @@ victim back before probing the next level, and a next-line prefetch
 fires only after the triggering access finishes its whole chain.
 Prefetch ops propagate through every outer level unconditionally
 (matching the scalar install loop) and are dropped at DRAM.
+
+:meth:`MemoryHierarchy.warm_many` is the batched form of
+:meth:`MemoryHierarchy.warm_access` (functional warming): the same
+replay with every statistic saved before and restored after, so there
+is one replay engine whether or not a batch counts.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -229,6 +234,20 @@ class MemoryHierarchy:
                 break
         if serviced > 0 and self._prefetch_enabled:
             self._prefetch(line + 1, count=False)
+
+    def warm_many(self, lines: np.ndarray, writes: np.ndarray) -> None:
+        """Functionally warm with a whole batch of references.
+
+        Bit-identical in state to calling :meth:`warm_access` once per
+        reference in order (because :meth:`access_many` is to
+        :meth:`access`); every statistic is left exactly as it was.
+        """
+        saved = [replace(cache.stats) for cache in self.caches]
+        counters = (self.dram_reads, self.dram_writebacks, self.prefetches)
+        self.access_many(lines, writes)
+        for cache, stats in zip(self.caches, saved):
+            cache.stats = stats
+        self.dram_reads, self.dram_writebacks, self.prefetches = counters
 
     def snapshot(self) -> HierarchyStats:
         """Freeze the current statistics into a :class:`HierarchyStats`."""

@@ -15,10 +15,25 @@ in-order CPI model. Two kinds of run are supported:
   functionally or left untouched, for the warmup ablation) and collect
   detailed statistics only inside the regions.
 
+Both run on the same deferred-batch machinery: references are generated
+in bulk, queued, and replayed through
+:meth:`~repro.cmpsim.hierarchy.MemoryHierarchy.access_many` in large
+flushes, with cycle accounting drained afterwards in exact event order.
+A region run is cut into *windows* at the region boundaries and flushes
+at every boundary that changes the active region: detailed windows
+replay through ``access_many``, warm fast-forward windows through the
+state-only :meth:`~repro.cmpsim.hierarchy.MemoryHierarchy.warm_many`,
+and cold fast-forward windows generate no references at all (address
+cursors jump ahead with :func:`~repro.cmpsim.memory.advance_stream`).
+
 Marker anchor blocks are always overhead blocks (procedure entries,
 loop entries, loop branches) and overhead blocks never touch memory, so
 their per-execution cycles within a chunk are uniform — which makes the
-trackers' bulk-chunk boundary arithmetic exact.
+trackers' bulk-chunk boundary arithmetic exact. It also means only the
+loop branch can fire a marker inside an iteration span, at the end of
+an iteration: region simulation splits a span right after the
+iteration that reaches the next boundary and batches everything else
+whole.
 """
 
 from __future__ import annotations
@@ -390,6 +405,7 @@ class _DetailedConsumer(ExecutionConsumer):
         self.instructions = 0
         self.cycles = 0.0
         self.memory_refs = 0
+        self.dram_accesses = 0
         self._pending_lines: List[np.ndarray] = []
         self._pending_writes: List[np.ndarray] = []
         self._pending_refs = 0
@@ -418,13 +434,15 @@ class _DetailedConsumer(ExecutionConsumer):
                 refs += 1
         cycles = info.base_cycles + penalty
         self.memory_refs += refs
+        self.dram_accesses += dram
         self.instructions += info.instructions
         self.cycles += cycles
         for tracker in self._trackers:
             tracker.on_chunk(block_id, 1, info.instructions, cycles, dram)
 
-    def _queue_block(self, block_id: int, info: _BlockInfo) -> None:
-        """Queue one reference-bearing block execution (batched mode)."""
+    def _queue_refs(self, info: _BlockInfo) -> Tuple[int, int]:
+        """Generate one block execution's references and queue them;
+        returns their ``[start, end)`` range in the pending batch."""
         lines: List[int] = []
         writes: List[bool] = []
         for spec in info.specs:
@@ -435,7 +453,24 @@ class _DetailedConsumer(ExecutionConsumer):
         self._pending_lines.append(np.array(lines, dtype=np.int64))
         self._pending_writes.append(np.array(writes, dtype=np.bool_))
         self._pending_refs = start + len(lines)
-        self.memory_refs += len(lines)
+        return start, self._pending_refs
+
+    def _queue_span_refs(self, plan: _SpanPlan, iterations: int) -> int:
+        """Bulk-generate a span's references and queue them; returns
+        the span's first position in the pending batch."""
+        metrics.counter("cmpsim.bulk_spans").inc()
+        lines, writes = plan.pattern.generate(self._streams, iterations)
+        metrics.counter("cmpsim.bulk_refs").inc(int(lines.size))
+        start = self._pending_refs
+        self._pending_lines.append(lines)
+        self._pending_writes.append(writes)
+        self._pending_refs = start + int(lines.size)
+        return start
+
+    def _queue_block(self, block_id: int, info: _BlockInfo) -> None:
+        """Queue one reference-bearing block execution (batched mode)."""
+        start, end = self._queue_refs(info)
+        self.memory_refs += end - start
         self.instructions += info.instructions
         self._items.append(
             (
@@ -444,7 +479,7 @@ class _DetailedConsumer(ExecutionConsumer):
                 info.instructions,
                 info.base_cycles,
                 start,
-                self._pending_refs,
+                end,
             )
         )
 
@@ -538,16 +573,8 @@ class _DetailedConsumer(ExecutionConsumer):
             self.instructions += plan.instr_per_iter * iterations
             self._items.append((_ITEM_LOOP, plan.chunks, iterations))
         elif iterations * plan.refs_per_iter >= _MIN_BULK_REFS:
-            metrics.counter("cmpsim.bulk_spans").inc()
-            lines, writes = plan.pattern.generate(
-                self._streams, iterations
-            )
-            metrics.counter("cmpsim.bulk_refs").inc(int(lines.size))
-            start = self._pending_refs
-            self._pending_lines.append(lines)
-            self._pending_writes.append(writes)
-            self._pending_refs = start + int(lines.size)
-            self.memory_refs += int(lines.size)
+            start = self._queue_span_refs(plan, iterations)
+            self.memory_refs += self._pending_refs - start
             self.instructions += plan.instr_per_iter * iterations
             self._items.append((_ITEM_SPAN, plan, iterations, start))
         else:
@@ -643,23 +670,29 @@ class _DetailedConsumer(ExecutionConsumer):
         metrics.histogram("cmpsim.flush_items").observe(len(items))
         pen_all = dram_all = None
         if self._pending_refs:
-            if len(self._pending_lines) == 1:
-                lines = self._pending_lines[0]
-                writes = self._pending_writes[0]
-            else:
-                lines = np.concatenate(self._pending_lines)
-                writes = np.concatenate(self._pending_writes)
-            serviced = self._hierarchy.access_many(lines, writes)
+            serviced = self._hierarchy.access_many(*self._take_refs())
             pen_all = self._pen_np[serviced]
             dram_all = serviced == 3
-        self._pending_lines = []
-        self._pending_writes = []
-        self._pending_refs = 0
+            self.dram_accesses += int(np.count_nonzero(dram_all))
         self._items = []
         if self._trackers:
             self._drain_tracked(items, pen_all, dram_all)
         else:
             self._drain_untracked(items, pen_all)
+
+    def _take_refs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The queued references as one ``(lines, writes)`` batch;
+        empties the reference queue."""
+        if len(self._pending_lines) == 1:
+            lines = self._pending_lines[0]
+            writes = self._pending_writes[0]
+        else:
+            lines = np.concatenate(self._pending_lines)
+            writes = np.concatenate(self._pending_writes)
+        self._pending_lines = []
+        self._pending_writes = []
+        self._pending_refs = 0
+        return lines, writes
 
     def _drain_untracked(
         self, items: List[Tuple], pen_all: Optional[np.ndarray]
@@ -803,14 +836,26 @@ class _DetailedConsumer(ExecutionConsumer):
             tracker.finish()
 
 
-class _RegionConsumer(ExecutionConsumer):
+class _SampledConsumer(_DetailedConsumer):
     """Sampled simulation: detail inside regions, fast-forward outside.
 
-    In ``warm`` mode, fast-forwarding still performs every cache access
-    (functional warming), so region statistics match a full run's. In
-    cold mode, the caches are untouched outside regions (address
-    cursors still advance deterministically) and every region starts
-    with whatever the caches held when the previous region ended.
+    Region boundaries cut the run into *windows*, each wholly detailed
+    (one region active) or wholly fast-forwarded; the queue is flushed
+    at every boundary that changes the active region, so one flush
+    never mixes modes. A detailed window queues references and
+    accounting items exactly as ``run_full`` does and replays them
+    through :meth:`MemoryHierarchy.access_many`; its running totals
+    start from zero and become the region's statistics when the window
+    closes. A fast-forward window only counts instructions. In ``warm``
+    mode its references are still queued and replayed state-only
+    through :meth:`MemoryHierarchy.warm_many` (functional warming), so
+    region statistics match a full run's. In cold mode the caches are
+    untouched (address cursors advance in closed form) and every
+    region starts with whatever the previous region left.
+
+    A span whose loop branch reaches the next pending boundary is split
+    right after the firing iteration (see the module docstring); any
+    other span is processed whole.
     """
 
     def __init__(
@@ -822,10 +867,7 @@ class _RegionConsumer(ExecutionConsumer):
         regions: Sequence[RegionSpec],
         warm: bool,
     ) -> None:
-        self._binary = binary
-        self._hierarchy = hierarchy
-        self._penalties = cpi_model.penalties
-        self._streams = AddressStreamState()
+        super().__init__(binary, hierarchy, cpi_model, trackers=())
         self._warm = warm
         self._block_to_marker = table.block_to_marker()
         self._marker_counts: Dict[int, int] = {}
@@ -856,65 +898,107 @@ class _RegionConsumer(ExecutionConsumer):
                 )
         self._next_event = 0
 
-    def _handle_marker(self, marker_id: int, count: int) -> None:
-        while self._next_event < len(self._events):
-            (marker, expected), starting, label = self._events[self._next_event]
-            if marker != marker_id or expected != count:
-                return
-            self._active = label if starting else None
-            self._next_event += 1
+    def _pending_count(self, marker_id: int) -> Optional[int]:
+        """The count at which ``marker_id`` reaches the next pending
+        boundary, or ``None`` if that boundary is another marker's."""
+        if self._next_event < len(self._events):
+            (marker, expected), _, _ = self._events[self._next_event]
+            if marker == marker_id:
+                return expected
+        return None
 
-    def _exec_block(self, block_id: int) -> None:
-        block = self._binary.blocks[block_id]
+    def _fire(self, marker_id: int, count: int) -> None:
+        """Record a marker firing and apply every boundary it reaches."""
+        self._marker_counts[marker_id] = count
         active = self._active
-        detailed = active is not None
-        penalty = 0
-        dram = 0
-        if block.accesses:
-            if detailed:
-                access = self._hierarchy.access
-                penalties = self._penalties
-                for spec in block.accesses:
-                    for line, write in generate_refs(spec, self._streams):
-                        level = access(line, write)
-                        penalty += penalties[level]
-                        if level == 3:
-                            dram += 1
-            elif self._warm:
-                # Functional warming: identical cache state transitions
-                # to a demand access, zero statistics impact.
-                warm = self._hierarchy.warm_access
-                for spec in block.accesses:
-                    for line, write in generate_refs(spec, self._streams):
-                        warm(line, write)
-            else:
-                for spec in block.accesses:
-                    advance_stream(spec, self._streams, 1)
-        if detailed:
-            stats = self.results[active]
-            stats.instructions += block.instructions
-            stats.cycles += block.instructions * block.base_cpi + penalty
-            stats.dram_accesses += dram
-        else:
-            self.fast_forward_instructions += block.instructions
-        marker_id = self._block_to_marker.get(block_id)
-        if marker_id is not None:
-            count = self._marker_counts.get(marker_id, 0) + 1
-            self._marker_counts[marker_id] = count
-            self._handle_marker(marker_id, count)
+        while self._pending_count(marker_id) == count:
+            _, starting, label = self._events[self._next_event]
+            active = label if starting else None
+            self._next_event += 1
+        if active != self._active:
+            self._close_window()
+            self._active = active
+
+    def _close_window(self) -> None:
+        """Flush; a detailed window's totals become its region's."""
+        self._flush()
+        if self._active is not None:
+            self.results[self._active] = IntervalStats(
+                instructions=self.instructions,
+                cycles=self.cycles,
+                dram_accesses=float(self.dram_accesses),
+            )
+        self.instructions = 0
+        self.cycles = 0.0
+        self.dram_accesses = 0
+
+    def _flush(self) -> None:
+        """Drain a detailed window as ``run_full`` does; replay a
+        fast-forward window's references state-only."""
+        if self._active is not None:
+            super()._flush()
+        elif self._pending_refs:
+            self._hierarchy.warm_many(*self._take_refs())
 
     def on_block(self, block_id: int, execs: int = 1) -> None:
+        info = self._info[block_id]
+        marker_id = self._block_to_marker.get(block_id)
         for _ in range(execs):
-            self._exec_block(block_id)
+            if self._active is not None:
+                super().on_block(block_id)
+            else:
+                self.fast_forward_instructions += info.instructions
+                if info.specs and self._warm:
+                    self._queue_refs(info)
+                    self._maybe_flush()
+                elif info.specs:
+                    for spec in info.specs:
+                        advance_stream(spec, self._streams, 1)
+            if marker_id is not None:
+                self._fire(
+                    marker_id, self._marker_counts.get(marker_id, 0) + 1
+                )
 
     def on_iterations(self, loop: LLoop, iterations: int) -> None:
-        profile = iteration_profile(self._binary, loop)
-        for _ in range(iterations):
-            for block_id in profile.body_blocks:
-                self._exec_block(block_id)
-            self._exec_block(profile.branch_block)
+        plan = self._span_plan(loop)
+        marker_id = self._block_to_marker.get(plan.chunks[-1].block_id)
+        if marker_id is not None:
+            count = self._marker_counts.get(marker_id, 0)
+            fire = self._pending_count(marker_id)
+            while fire is not None and count < fire <= count + iterations:
+                self._span(loop, plan, fire - count)
+                iterations -= fire - count
+                count = fire
+                self._fire(marker_id, count)
+                fire = self._pending_count(marker_id)
+            self._marker_counts[marker_id] = count + iterations
+        if iterations:
+            self._span(loop, plan, iterations)
+
+    def _span(self, loop: LLoop, plan: _SpanPlan, iterations: int) -> None:
+        """``iterations`` whole iterations in the current window."""
+        if self._active is not None:
+            super().on_iterations(loop, iterations)
+            return
+        self.fast_forward_instructions += plan.instr_per_iter * iterations
+        if plan.pattern is None:
+            return
+        if not self._warm:
+            for chunk in plan.chunks:
+                for spec in self._info[chunk.block_id].specs:
+                    advance_stream(spec, self._streams, iterations)
+            return
+        if iterations * plan.refs_per_iter >= _MIN_BULK_REFS:
+            self._queue_span_refs(plan, iterations)
+        else:
+            for _ in range(iterations):
+                for chunk in plan.chunks:
+                    if chunk.has_specs:
+                        self._queue_refs(self._info[chunk.block_id])
+        self._maybe_flush()
 
     def finish(self) -> None:
+        self._close_window()
         if self._next_event != len(self._events):
             coord = self._events[self._next_event][0]
             raise SimulationError(
@@ -980,7 +1064,7 @@ class CMPSim:
         if not regions:
             raise SimulationError("run_regions needs at least one region")
         hierarchy = MemoryHierarchy(self._config)
-        consumer = _RegionConsumer(
+        consumer = _SampledConsumer(
             self._binary, hierarchy, self._cpi_model, table, regions, warm
         )
         ExecutionEngine(self._binary, self._input).run(consumer)

@@ -9,12 +9,15 @@ from repro.cmpsim.simulator import (
     RegionSpec,
     VLITracker,
 )
+from repro.compilation.compiler import compile_standard_binaries
+from repro.compilation.targets import TARGET_32O, TARGET_32U
 from repro.core.mapping import interval_boundaries
 from repro.core.matching import find_mappable_points
 from repro.core.vli import collect_vli_bbvs
 from repro.errors import SimulationError
 from repro.execution.engine import run_binary
 from repro.profiling.callbranch import collect_call_branch_profile
+from repro.programs.suite import build_benchmark
 
 from tests.conftest import MICRO_INTERVAL
 
@@ -170,25 +173,55 @@ class TestRegionSimulation:
             for i, interval in enumerate(chosen)
         ]
 
-    def test_warm_regions_match_full_run_intervals(
-        self, micro_binary_32u, marker_set, primary_vlis, regions
-    ):
+    @staticmethod
+    def assert_warm_regions_match_full_run(binary, table, vlis):
         """Warm fast-forward keeps cache state identical to a full run,
-        so region CPIs equal the full run's per-interval CPIs."""
-        vli = VLITracker(
-            marker_set.table_for(micro_binary_32u.name),
-            interval_boundaries(primary_vlis),
-        )
-        CMPSim(micro_binary_32u).run_full(trackers=(vli,))
-        result = CMPSim(micro_binary_32u).run_regions(
-            regions, marker_set.table_for(micro_binary_32u.name), warm=True
-        )
-        expected = {0: 0, 1: 2, 2: len(primary_vlis) - 1}
-        for label, interval_index in expected.items():
-            region_stats = result.region(label)
-            full_stats = vli.intervals[interval_index]
+        so region statistics equal the full run's per-interval
+        statistics bit for bit."""
+        picks = [0, 2, 3, len(vlis) // 2, len(vlis) - 1]
+        regions = [
+            RegionSpec(
+                label=index,
+                start=vlis[index].start_coord,
+                end=vlis[index].end_coord,
+            )
+            for index in picks
+        ]
+        vli = VLITracker(table, interval_boundaries(vlis))
+        CMPSim(binary).run_full(trackers=(vli,))
+        result = CMPSim(binary).run_regions(regions, table, warm=True)
+        for index in picks:
+            region_stats = result.region(index)
+            full_stats = vli.intervals[index]
             assert region_stats.instructions == full_stats.instructions
-            assert region_stats.cycles == pytest.approx(full_stats.cycles)
+            assert region_stats.cycles == full_stats.cycles
+            assert region_stats.dram_accesses == full_stats.dram_accesses
+
+    def test_warm_regions_match_full_run_intervals(
+        self, micro_binary_32u, marker_set, primary_vlis
+    ):
+        self.assert_warm_regions_match_full_run(
+            micro_binary_32u,
+            marker_set.table_for(micro_binary_32u.name),
+            primary_vlis,
+        )
+
+    def test_warm_regions_match_full_run_intervals_on_art(self):
+        compiled = compile_standard_binaries(
+            build_benchmark("art"), (TARGET_32U, TARGET_32O)
+        )
+        binary = compiled[TARGET_32U]
+        markers, _ = find_mappable_points(
+            [
+                (other, collect_call_branch_profile(other))
+                for other in compiled.values()
+            ]
+        )
+        self.assert_warm_regions_match_full_run(
+            binary,
+            markers.table_for(binary.name),
+            collect_vli_bbvs(binary, markers, 100_000),
+        )
 
     def test_cold_regions_differ_from_warm(
         self, micro_binary_32u, marker_set, regions

@@ -1,12 +1,14 @@
 """Functional-warmup correctness: state without statistics.
 
-``MemoryHierarchy.warm_access`` must perform exactly the state
-transitions of a demand access — probes, fills, writebacks, next-line
-prefetches — while leaving every statistic untouched. The seed
-implementation simply called ``access()``, so warm fast-forward
-traffic polluted the demand-access counters; these tests pin the fix.
+``MemoryHierarchy.warm_access`` — and its batched form ``warm_many`` —
+must perform exactly the state transitions of a demand access — probes,
+fills, writebacks, next-line prefetches — while leaving every statistic
+untouched. The seed implementation simply called ``access()``, so warm
+fast-forward traffic polluted the demand-access counters; these tests
+pin the fix.
 """
 
+import numpy as np
 import pytest
 
 from repro.cmpsim.config import PREFETCH_CONFIG, TABLE1_CONFIG
@@ -43,38 +45,81 @@ def zero_stats(hierarchy):
 WORKLOAD = [((line * 131) % 9973, line % 3 == 0) for line in range(5000)]
 
 
+def warm_scalar(hierarchy, workload):
+    for line, write in workload:
+        hierarchy.warm_access(line, write)
+
+
+def warm_batches(size):
+    """``warm_many`` in batches of ``size`` references. Below the cache
+    lane threshold (1024 ops) every level replays in Python; above it
+    L1 runs the 2-way closed form and the outer levels the lanes."""
+
+    def warm(hierarchy, workload):
+        for begin in range(0, len(workload), size):
+            chunk = workload[begin : begin + size]
+            hierarchy.warm_many(
+                np.array([line for line, _ in chunk], dtype=np.int64),
+                np.array([write for _, write in chunk], dtype=np.bool_),
+            )
+
+    return warm
+
+
+#: (id, config, warmer): ``warm_access`` cases are named by config alone.
+WARMERS = [
+    (config_id + suffix, config, warmer)
+    for suffix, warmer in [
+        ("", warm_scalar),
+        ("-warm_many-300", warm_batches(300)),
+        ("-warm_many-2500", warm_batches(2500)),
+    ]
+    for config_id, config in [
+        ("table1", TABLE1_CONFIG),
+        ("prefetch", PREFETCH_CONFIG),
+    ]
+]
+CONFIGS_AND_WARMERS = pytest.mark.parametrize(
+    "config,warm_with",
+    [(config, warmer) for _, config, warmer in WARMERS],
+    ids=[case_id for case_id, _, _ in WARMERS],
+)
+
+
 class TestWarmAccess:
-    @pytest.mark.parametrize(
-        "config", [TABLE1_CONFIG, PREFETCH_CONFIG], ids=["table1", "prefetch"]
-    )
-    def test_updates_state_without_statistics(self, config):
+    @CONFIGS_AND_WARMERS
+    def test_updates_state_without_statistics(self, config, warm_with):
         """Warm and demand twins end in identical cache state, but the
         warm hierarchy's statistics stay exactly zero."""
         warm = MemoryHierarchy(config)
         demand = MemoryHierarchy(config)
+        warm_with(warm, WORKLOAD)
         for line, write in WORKLOAD:
-            warm.warm_access(line, write)
             demand.access(line, write)
         assert hierarchy_cache_state(warm) == hierarchy_cache_state(demand)
         assert zero_stats(warm)
         assert not zero_stats(demand)
 
-    @pytest.mark.parametrize(
-        "config", [TABLE1_CONFIG, PREFETCH_CONFIG], ids=["table1", "prefetch"]
-    )
-    def test_warm_then_demand_behaves_like_all_demand(self, config):
+    @CONFIGS_AND_WARMERS
+    def test_warm_then_demand_behaves_like_all_demand(
+        self, config, warm_with
+    ):
         """After a warm prefix, demand accesses see the same hits and
         victims as they would after a demand prefix."""
         warm = MemoryHierarchy(config)
         demand = MemoryHierarchy(config)
+        warm_with(warm, WORKLOAD[:2500])
         for line, write in WORKLOAD[:2500]:
-            warm.warm_access(line, write)
             demand.access(line, write)
         tail = [demand.access(line, write) for line, write in WORKLOAD[2500:]]
         warm_tail = [warm.access(line, write) for line, write in WORKLOAD[2500:]]
         assert warm_tail == tail
         # Only the tail was counted on the warm hierarchy.
         assert warm.snapshot().level_accesses[0] == len(tail)
+        # Warming on top of counted traffic leaves the counts as they were.
+        counted = warm.snapshot()
+        warm_with(warm, WORKLOAD[:2500])
+        assert warm.snapshot() == counted
 
 
 @pytest.fixture(scope="module")
