@@ -1,17 +1,13 @@
-"""The clustering stage of the gcc sweep: kernels, fan-out, reuse.
+"""The clustering stage of the gcc sweep: compute and reuse.
 
 Stages re-cluster gcc's FLI profile under several ``max_k`` budgets —
 exactly the work :func:`repro.experiments.sweeps.sweep_max_k` redoes
-per cell — through each acceleration in turn:
+per cell:
 
-1. reference kernel, serial, uncached (the pre-engine baseline),
-2. Hamerly-pruned kernel (bit-identical; records the distance-row
-   saving, which at 15 projected dimensions outruns the wall-clock
-   saving because the GEMM it avoids is cheap),
-3. pruned kernel + parallel restart fan-out (bit-identical),
-4. cold content-keyed cache (pays compute, primes the cache),
-5. warm cache (reuse ratio 1.0; the PR's acceptance criterion —
-   the clustering stage at least 2x faster than the reference run).
+1. reference: ``choose_clustering`` uncached,
+2. cold content-keyed cache (pays compute, primes the cache),
+3. warm cache (reuse ratio 1.0; the acceptance criterion — the
+   clustering stage at least 2x faster than the reference run).
 
 Execution order matters (stages share state through the module-level
 ``RESULTS`` dict); pytest-benchmark runs tests in file order, and each
@@ -66,30 +62,26 @@ def shared_cache_dir(tmp_path_factory):
 def _pickled(choices):
     """Per-choice pickles for bit-identity checks.
 
-    Choices that crossed a process pool or the cache are unpickled
-    copies: equal in content, but a *list* of them pickles differently
-    than freshly computed ones (the serial list shares interned
-    dict-key strings, which pickle memoizes). Per-choice pickles are
-    free of that aliasing and compare the actual payload.
+    Choices that came back from the cache are unpickled copies: equal
+    in content, but a *list* of them pickles differently than freshly
+    computed ones (the serial list shares interned dict-key strings,
+    which pickle memoizes). Per-choice pickles are free of that
+    aliasing and compare the actual payload.
     """
     return [pickle.dumps(choice) for choice in choices]
 
 
-def _timed_stage(points, weights, *, use_pruned, jobs, cache=None):
+def _timed_stage(points, weights, cache=None):
     """Re-cluster under every budget; (choices, seconds, counters)."""
     with metrics.scoped_registry() as local:
         start = time.perf_counter()
         choices = [
             cached_choose_clustering(
-                points, weights, max_k=budget, use_pruned=use_pruned,
-                jobs=jobs, cache=cache,
-                use_clustering_cache=cache is not None,
+                points, weights, max_k=budget, cache=cache,
+                use_clustering_cache=True,
             )
             if cache is not None
-            else choose_clustering(
-                points, weights, max_k=budget, use_pruned=use_pruned,
-                jobs=jobs,
-            )
+            else choose_clustering(points, weights, max_k=budget)
             for budget in BUDGETS
         ]
         elapsed = time.perf_counter() - start
@@ -97,68 +89,11 @@ def _timed_stage(points, weights, *, use_pruned, jobs, cache=None):
 
 
 def test_perf_clustering_reference(benchmark, gcc_profile):
-    """Baseline: the reference Lloyd kernel, serial, no cache."""
+    """Baseline: every budget clustered from scratch, no cache."""
     points, weights = gcc_profile
-    choices, elapsed, counters = run_once(
-        benchmark,
-        lambda: _timed_stage(points, weights, use_pruned=False, jobs=1),
+    RESULTS["reference"] = run_once(
+        benchmark, lambda: _timed_stage(points, weights)
     )
-    assert "simpoint.kmeans_pruned_points" not in counters
-    benchmark.extra_info["distance_rows"] = counters[
-        "simpoint.kmeans_distance_rows"
-    ]
-    RESULTS["reference"] = (choices, elapsed, counters)
-
-
-def test_perf_clustering_pruned(benchmark, gcc_profile):
-    """Pruned kernel: bit-identical, fewer distance rows."""
-    if "reference" not in RESULTS:
-        pytest.skip("needs the reference stage first")
-    points, weights = gcc_profile
-    choices, elapsed, counters = run_once(
-        benchmark,
-        lambda: _timed_stage(points, weights, use_pruned=True, jobs=1),
-    )
-    ref_choices, ref_elapsed, ref_counters = RESULTS["reference"]
-    assert _pickled(choices) == _pickled(ref_choices)
-    assert counters["simpoint.kmeans_pruned_points"] > 0
-    assert (
-        counters["simpoint.kmeans_distance_rows"]
-        < ref_counters["simpoint.kmeans_distance_rows"]
-    )
-    benchmark.extra_info["pruned_points"] = counters[
-        "simpoint.kmeans_pruned_points"
-    ]
-    benchmark.extra_info["distance_rows"] = counters[
-        "simpoint.kmeans_distance_rows"
-    ]
-    benchmark.extra_info["row_saving"] = round(
-        1
-        - counters["simpoint.kmeans_distance_rows"]
-        / ref_counters["simpoint.kmeans_distance_rows"],
-        3,
-    )
-    benchmark.extra_info["speedup_vs_reference"] = round(
-        ref_elapsed / elapsed, 2
-    )
-    RESULTS["pruned"] = (choices, elapsed)
-
-
-def test_perf_clustering_parallel(benchmark, gcc_profile):
-    """Pruned kernel + restart fan-out: still bit-identical."""
-    if "reference" not in RESULTS:
-        pytest.skip("needs the reference stage first")
-    points, weights = gcc_profile
-    choices, elapsed, _ = run_once(
-        benchmark,
-        lambda: _timed_stage(points, weights, use_pruned=True, jobs=4),
-    )
-    ref_choices, ref_elapsed, _ = RESULTS["reference"]
-    assert _pickled(choices) == _pickled(ref_choices)
-    benchmark.extra_info["speedup_vs_reference"] = round(
-        ref_elapsed / elapsed, 2
-    )
-    RESULTS["parallel"] = (choices, elapsed)
 
 
 def test_perf_clustering_cold_cache(benchmark, gcc_profile,
@@ -170,8 +105,7 @@ def test_perf_clustering_cold_cache(benchmark, gcc_profile,
     cache = ProfileCache(shared_cache_dir)
     choices, elapsed, counters = run_once(
         benchmark,
-        lambda: _timed_stage(points, weights, use_pruned=True, jobs=1,
-                             cache=cache),
+        lambda: _timed_stage(points, weights, cache=cache),
     )
     ref_choices, _, _ = RESULTS["reference"]
     assert _pickled(choices) == _pickled(ref_choices)
@@ -189,8 +123,7 @@ def test_perf_clustering_warm_cache(benchmark, gcc_profile,
     cache = ProfileCache(shared_cache_dir)
     choices, elapsed, counters = run_once(
         benchmark,
-        lambda: _timed_stage(points, weights, use_pruned=True, jobs=1,
-                             cache=cache),
+        lambda: _timed_stage(points, weights, cache=cache),
     )
     ref_choices, ref_elapsed, _ = RESULTS["reference"]
     assert _pickled(choices) == _pickled(ref_choices)

@@ -20,6 +20,13 @@ from repro.profiling.callbranch import collect_call_branch_profile
 from repro.programs.suite import build_benchmark
 from repro.simpoint.kmeans import weighted_kmeans
 
+from tests.oracles.full import scalar_run_full
+from tests.oracles.profiling import (
+    scalar_fli_bbvs,
+    scalar_interval_counts,
+    scalar_vli_bbvs,
+)
+
 
 @pytest.fixture(scope="module")
 def art_32u():
@@ -113,9 +120,9 @@ def test_perf_detailed_simulation(benchmark, art_32u):
 
 
 def test_perf_detailed_simulation_scalar(benchmark, art_32u):
-    """Full run on the scalar oracle path (``batched=False``)."""
+    """Full run on the scalar oracle (``tests.oracles.full``)."""
     result = benchmark.pedantic(
-        lambda: CMPSim(art_32u).run_full(batched=False),
+        lambda: scalar_run_full(CMPSim(art_32u)),
         rounds=1,
         iterations=1,
     )
@@ -169,28 +176,29 @@ def test_perf_fli_replay(benchmark, art_32u):
 
 def test_perf_fli_scalar(benchmark, art_32u):
     """FLI cutting on the scalar oracle (one engine walk per call)."""
-    intervals = benchmark(
-        collect_fli_bbvs, art_32u, 100_000, use_trace=False
-    )
+    intervals = benchmark(scalar_fli_bbvs, art_32u, 100_000)
     assert len(intervals) > 10
 
 
-def _profile_end_to_end(binaries, marker_set, use_trace):
-    """FLI + VLI + re-measured weights for one binary pair."""
+def _profile_end_to_end(binaries, marker_set, scalar):
+    """FLI + VLI + re-measured weights for one binary pair, through
+    the production replay or (``scalar``) the test oracles."""
     from repro.core.mapping import interval_boundaries
     from repro.core.vli import collect_vli_bbvs
     from repro.core.weights import measure_interval_instructions
 
-    primary = binaries[0]
-    fli = collect_fli_bbvs(primary, 100_000, use_trace=use_trace)
-    vlis = collect_vli_bbvs(
-        primary, marker_set, 100_000, use_trace=use_trace
+    fli_bbvs, vli_bbvs, interval_counts = (
+        (scalar_fli_bbvs, scalar_vli_bbvs, scalar_interval_counts)
+        if scalar
+        else (collect_fli_bbvs, collect_vli_bbvs,
+              measure_interval_instructions)
     )
+    primary = binaries[0]
+    fli = fli_bbvs(primary, 100_000)
+    vlis = vli_bbvs(primary, marker_set, 100_000)
     boundaries = interval_boundaries(vlis)
     counts = [
-        measure_interval_instructions(
-            binary, marker_set, boundaries, use_trace=use_trace
-        )
+        interval_counts(binary, marker_set, boundaries)
         for binary in binaries
     ]
     return fli, vlis, counts
@@ -204,7 +212,7 @@ def test_perf_profiling_end_to_end_trace(
 
     def run():
         clear_trace_memo()
-        return _profile_end_to_end(art_pair, art_marker_set, True)
+        return _profile_end_to_end(art_pair, art_marker_set, False)
 
     fli, vlis, counts = benchmark(run)
     assert len(fli) > 10 and len(vlis) > 10 and len(counts) == 2
@@ -213,8 +221,8 @@ def test_perf_profiling_end_to_end_trace(
 def test_perf_profiling_end_to_end_scalar(
     benchmark, art_pair, art_marker_set
 ):
-    """FLI + VLI + weights on the scalar oracle paths."""
+    """FLI + VLI + weights on the scalar oracles."""
     fli, vlis, counts = benchmark(
-        _profile_end_to_end, art_pair, art_marker_set, False
+        _profile_end_to_end, art_pair, art_marker_set, True
     )
     assert len(fli) > 10 and len(vlis) > 10 and len(counts) == 2

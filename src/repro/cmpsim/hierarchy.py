@@ -122,7 +122,7 @@ class MemoryHierarchy:
         op_lines = np.asarray(lines, dtype=np.int64)
         op_flags = np.asarray(writes, dtype=np.bool_)
         n = op_lines.size
-        metrics.counter("cmpsim.hierarchy_batched_refs").inc(n)
+        metrics.counter("cmpsim.hierarchy_batch_refs").inc(n)
         serviced = np.zeros(n, dtype=np.int64)
         op_kinds: Optional[np.ndarray] = None  # None == all demand
         op_refs = np.arange(n, dtype=np.int64)

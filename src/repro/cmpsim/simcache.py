@@ -165,14 +165,8 @@ def cached_full_run(
     vli_boundaries: Optional[Sequence[ExecutionCoordinate]] = None,
     cache: Optional[ProfileCache] = None,
     use_sim_cache: Optional[bool] = None,
-    batched: bool = True,
 ) -> TrackedRun:
-    """A full detailed run with FLI/VLI trackers, cached by content.
-
-    ``batched`` is deliberately *not* part of the key: the batched and
-    scalar paths are bit-identical (the equivalence tests enforce it),
-    so either may satisfy the other's lookup.
-    """
+    """A full detailed run with FLI/VLI trackers, cached by content."""
 
     def compute() -> TrackedRun:
         trackers = []
@@ -191,7 +185,7 @@ def cached_full_run(
         if vli is not None:
             trackers.append(vli)
         result = CMPSim(binary, memory, program_input).run_full(
-            trackers=tuple(trackers), batched=batched
+            trackers=tuple(trackers)
         )
         return TrackedRun(
             stats=result.stats,

@@ -373,17 +373,17 @@ class _SpanPlan:
 class _DetailedConsumer(ExecutionConsumer):
     """Full detailed simulation with tracker attribution.
 
-    In batched mode nothing touches the hierarchy per event. Reference
-    generation still happens in event order (it owns the address
-    cursors), but the generated arrays are *queued* alongside ordered
-    accounting items and flushed through
-    :meth:`MemoryHierarchy.access_many` once ``_FLUSH_REFS``
-    references accumulate — batches then span many loops and straddle
-    block events, which is what lets every cache level replay
-    vectorized. At flush the item queue is drained in original event
-    order, so float cycle accumulation and tracker ``on_chunk`` calls
-    happen in exactly the scalar sequence: results stay bit-identical
-    to ``batched=False``.
+    Nothing touches the hierarchy per event. Reference generation
+    still happens in event order (it owns the address cursors), but the
+    generated arrays are *queued* alongside ordered accounting items
+    and flushed through :meth:`MemoryHierarchy.access_many` once
+    ``_FLUSH_REFS`` references accumulate — batches then span many
+    loops and straddle block events, which is what lets every cache
+    level replay vectorized. At flush the item queue is drained in
+    original event order, so float cycle accumulation and tracker
+    ``on_chunk`` calls happen in exactly the per-reference sequence:
+    results stay bit-identical to simulating one reference at a time
+    (the scalar oracle in ``tests/oracles/full.py``).
     """
 
     def __init__(
@@ -392,14 +392,11 @@ class _DetailedConsumer(ExecutionConsumer):
         hierarchy: MemoryHierarchy,
         cpi_model: CPIModel,
         trackers: Sequence,
-        batched: bool = True,
     ) -> None:
         self._binary = binary
         self._hierarchy = hierarchy
-        self._penalties = cpi_model.penalties
         self._trackers = tuple(trackers)
         self._streams = AddressStreamState()
-        self._batched = batched
         self._pen_np = np.array(cpi_model.penalties, dtype=np.int64)
         self._span_cache: Dict[int, _SpanPlan] = {}
         self.instructions = 0
@@ -418,27 +415,6 @@ class _DetailedConsumer(ExecutionConsumer):
                 base_cycles=block.instructions * block.base_cpi,
                 specs=block.accesses,
             )
-
-    def _exec_with_refs(self, block_id: int, info: _BlockInfo) -> None:
-        penalty = 0
-        access = self._hierarchy.access
-        penalties = self._penalties
-        refs = 0
-        dram = 0
-        for spec in info.specs:
-            for line, write in generate_refs(spec, self._streams):
-                level = access(line, write)
-                penalty += penalties[level]
-                if level == 3:
-                    dram += 1
-                refs += 1
-        cycles = info.base_cycles + penalty
-        self.memory_refs += refs
-        self.dram_accesses += dram
-        self.instructions += info.instructions
-        self.cycles += cycles
-        for tracker in self._trackers:
-            tracker.on_chunk(block_id, 1, info.instructions, cycles, dram)
 
     def _queue_refs(self, info: _BlockInfo) -> Tuple[int, int]:
         """Generate one block execution's references and queue them;
@@ -468,7 +444,7 @@ class _DetailedConsumer(ExecutionConsumer):
         return start
 
     def _queue_block(self, block_id: int, info: _BlockInfo) -> None:
-        """Queue one reference-bearing block execution (batched mode)."""
+        """Queue one reference-bearing block execution."""
         start, end = self._queue_refs(info)
         self.memory_refs += end - start
         self.instructions += info.instructions
@@ -486,35 +462,26 @@ class _DetailedConsumer(ExecutionConsumer):
     def on_block(self, block_id: int, execs: int = 1) -> None:
         info = self._info[block_id]
         if info.specs:
-            if self._batched:
-                for _ in range(execs):
-                    self._queue_block(block_id, info)
-                self._maybe_flush()
-            else:
-                for _ in range(execs):
-                    self._exec_with_refs(block_id, info)
+            for _ in range(execs):
+                self._queue_block(block_id, info)
+            self._maybe_flush()
             return
         instructions = info.instructions * execs
-        cycles = info.base_cycles * execs
         self.instructions += instructions
-        if self._batched:
-            self._items.append(
-                (_ITEM_PLAIN, block_id, execs, instructions, cycles)
-            )
-            if len(self._items) >= _FLUSH_ITEMS:
-                self._flush()
-            return
-        self.cycles += cycles
-        for tracker in self._trackers:
-            tracker.on_chunk(block_id, execs, instructions, cycles)
+        self._items.append(
+            (_ITEM_PLAIN, block_id, execs, instructions,
+             info.base_cycles * execs)
+        )
+        if len(self._items) >= _FLUSH_ITEMS:
+            self._flush()
 
     def _span_plan(self, loop: LLoop) -> _SpanPlan:
         """Compile (and cache) the batch recipe for one loop.
 
         Loops whose iterations touch no memory get ``pattern=None``.
-        The branch block is a chunk with no reference columns,
-        matching the scalar span loop which never generates references
-        for it.
+        The branch block is a chunk with no reference columns: like
+        every marker anchor, it is an overhead block that never touches
+        memory.
         """
         try:
             return self._span_cache[loop.loop_id]
@@ -565,9 +532,6 @@ class _DetailedConsumer(ExecutionConsumer):
         return plan
 
     def on_iterations(self, loop: LLoop, iterations: int) -> None:
-        if not self._batched:
-            self._scalar_span(loop, iterations)
-            return
         plan = self._span_plan(loop)
         if plan.pattern is None:
             self.instructions += plan.instr_per_iter * iterations
@@ -599,36 +563,6 @@ class _DetailedConsumer(ExecutionConsumer):
                             )
                         )
         self._maybe_flush()
-
-    def _scalar_span(self, loop: LLoop, iterations: int) -> None:
-        """Reference-at-a-time span execution (the oracle path)."""
-        metrics.counter("cmpsim.scalar_spans").inc()
-        profile = iteration_profile(self._binary, loop)
-        body = [
-            (block_id, self._info[block_id])
-            for block_id in profile.body_blocks
-        ]
-        branch_id = profile.branch_block
-        branch = self._info[branch_id]
-        trackers = self._trackers
-        exec_with_refs = self._exec_with_refs
-        for _ in range(iterations):
-            for block_id, info in body:
-                if info.specs:
-                    exec_with_refs(block_id, info)
-                else:
-                    self.instructions += info.instructions
-                    self.cycles += info.base_cycles
-                    for tracker in trackers:
-                        tracker.on_chunk(
-                            block_id, 1, info.instructions, info.base_cycles
-                        )
-            self.instructions += branch.instructions
-            self.cycles += branch.base_cycles
-            for tracker in trackers:
-                tracker.on_chunk(
-                    branch_id, 1, branch.instructions, branch.base_cycles
-                )
 
     def _maybe_flush(self) -> None:
         if (
@@ -699,9 +633,9 @@ class _DetailedConsumer(ExecutionConsumer):
     ) -> None:
         """Fold all queued cycle values left-to-right in event order.
 
-        ``np.add.accumulate`` folds left-to-right, bit-identical to
-        the scalar per-chunk ``cycles +=`` sequence (np.sum is
-        pairwise and is NOT).
+        ``np.add.accumulate`` folds left-to-right, bit-identical to a
+        per-chunk ``cycles +=`` sequence (np.sum is pairwise and is
+        NOT).
         """
         parts: List[np.ndarray] = [
             np.array([self.cycles], dtype=np.float64)
@@ -746,7 +680,7 @@ class _DetailedConsumer(ExecutionConsumer):
         pen_all: Optional[np.ndarray],
         dram_all: Optional[np.ndarray],
     ) -> None:
-        """Replay the exact scalar accounting/on_chunk call sequence
+        """Replay the exact per-chunk accounting/on_chunk call sequence
         with Python numbers; only reference generation and the cache
         replay were batched."""
         trackers = self._trackers
@@ -1024,19 +958,11 @@ class CMPSim:
     def binary(self) -> Binary:
         return self._binary
 
-    def run_full(
-        self, trackers: Sequence = (), batched: bool = True
-    ) -> FullRunResult:
-        """Simulate the whole execution; trackers see every chunk.
-
-        ``batched=False`` forces the scalar reference-at-a-time path;
-        both paths produce bit-identical results (the equivalence tests
-        enforce this), so the flag exists for oracle checks and
-        benchmarking.
-        """
+    def run_full(self, trackers: Sequence = ()) -> FullRunResult:
+        """Simulate the whole execution; trackers see every chunk."""
         hierarchy = MemoryHierarchy(self._config)
         consumer = _DetailedConsumer(
-            self._binary, hierarchy, self._cpi_model, trackers, batched
+            self._binary, hierarchy, self._cpi_model, trackers
         )
         ExecutionEngine(self._binary, self._input).run(consumer)
         stats = SimulationStats(

@@ -38,7 +38,7 @@ from repro.core.pipeline import (
     run_per_binary_simpoint,
     run_per_binary_simpoints,
 )
-from repro.core.vli import VLIBuilder, collect_vli_bbvs
+from repro.core.vli import collect_vli_bbvs
 from repro.core.weights import measure_interval_instructions, phase_weights
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "run_cross_binary_simpoint",
     "run_per_binary_simpoint",
     "run_per_binary_simpoints",
-    "VLIBuilder",
     "collect_vli_bbvs",
     "measure_interval_instructions",
     "phase_weights",

@@ -182,7 +182,7 @@ def run_cross_binary_simpoint(
     # Step 4: SimPoint on the primary binary's VLI BBVs.
     with trace.span("simpoint", intervals=len(intervals)):
         simpoint_result = run_simpoint(
-            intervals, config.simpoint, jobs=jobs, cache=cache
+            intervals, config.simpoint, cache=cache
         )
     # Step 5: map simulation points to all binaries (definitional).
     with trace.span("map_points"):

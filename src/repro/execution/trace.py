@@ -22,10 +22,11 @@ The replay functions in this module consume those arrays in bulk:
 * :func:`replay_call_branch` reduces the whole stream with
   ``np.add.at``.
 
-Every replay is bit-identical to the scalar consumer it replaces (the
-scalar paths are retained as oracles, selected with ``use_trace=False``
-— see ``tests/test_trace_replay_equivalence.py``); the trace encodes
-the exact event order the engine emits, so no ordering semantics are
+Every replay is bit-identical to the scalar event-stream consumer it
+replaces (those consumers are kept as test oracles in
+``tests/oracles/profiling.py`` and compared by
+``tests/test_trace_replay_equivalence.py``); the trace encodes the
+exact event order the engine emits, so no ordering semantics are
 lost.
 """
 
@@ -703,11 +704,10 @@ def replay_fli(
 ) -> List[Interval]:
     """Cut the trace into fixed-length-interval BBVs.
 
-    Bit-identical to
-    :class:`~repro.profiling.bbv.FixedLengthBBVCollector` over the same
-    execution: boundaries fall at exact instruction counts, splitting
-    attribution runs mid-block just as the scalar ``_attribute`` loop
-    does.
+    Bit-identical to the scalar ``FixedLengthBBVCollector`` oracle
+    over the same execution: boundaries fall at exact instruction
+    counts, splitting attribution runs mid-block just as the oracle's
+    ``_attribute`` loop does.
     """
     if interval_size <= 0:
         raise ProfilingError(
@@ -925,7 +925,7 @@ def replay_vli(
 ) -> List[Interval]:
     """Cut the trace into marker-bounded variable-length intervals.
 
-    Bit-identical to :class:`~repro.core.vli.VLIBuilder`: each interval
+    Bit-identical to the scalar ``VLIBuilder`` oracle: each interval
     ends at the first marker firing at or past the target size (the
     firing's instructions included), and a run that ends exactly on an
     emitted boundary re-expresses the final interval as running to
@@ -1121,9 +1121,8 @@ def replay_interval_counts(
 ) -> List[int]:
     """Instructions between mapped boundaries, as a segment sum.
 
-    Bit-identical to
-    :class:`~repro.core.weights.IntervalInstructionCounter`: each
-    boundary must fire, in order, strictly after the previous one; the
+    Bit-identical to the scalar ``IntervalInstructionCounter`` oracle:
+    each boundary must fire, in order, strictly after the previous one; the
     counts are differences of the boundary firing positions (the firing
     block's instructions belong to the interval it closes).
     """
@@ -1191,8 +1190,7 @@ def replay_interval_counts(
 def replay_call_branch(trace: CompiledTrace, binary: Binary):
     """The whole-run call-and-branch profile, by bulk reduction.
 
-    Bit-identical to
-    :class:`~repro.profiling.callbranch.CallBranchProfiler` driven
+    Bit-identical to the scalar ``CallBranchProfiler`` oracle driven
     through the Pin adapter: procedure entries come straight from the
     trace's entry markers, loop entry/iteration counts reduce with
     ``np.add.at`` over block executions and span records.

@@ -215,17 +215,12 @@ def _vli_estimate(
 
 def _outcome_task(task):
     """Worker: one binary's full measurement (profile + detailed sim)."""
-    target, binary, cross, config, cache_root, task_jobs = task
+    target, binary, cross, config, cache_root = task
     cache = cache_from_root(cache_root)
     fli_profile = collect_fli_bbvs(
         binary, config.interval_size, config.program_input, cache=cache
     )
-    # ``task_jobs`` is 1 when the per-binary pool itself fans out, so
-    # the clustering stage's restart fan-out composes with the outer
-    # pool instead of oversubscribing it.
-    fli_simpoint = run_simpoint(
-        fli_profile, config.simpoint, jobs=task_jobs, cache=cache
-    )
+    fli_simpoint = run_simpoint(fli_profile, config.simpoint, cache=cache)
 
     # The detailed simulation — the dominant repeated cost of a sweep —
     # is keyed by content and reused across runs whenever a cache is
@@ -401,16 +396,10 @@ def run_benchmark(
     with trace.span("outcomes", benchmark=name):
         cache = active_cache()
         cache_root = cache.root if cache is not None else None
-        # When the per-binary pool fans out, each worker clusters
-        # serially (nested jobs = 1); when it runs serially, the
-        # clustering stage gets the whole job budget instead.
-        fanned = min(resolve_jobs(jobs), len(config.targets)) > 1
-        task_jobs = 1 if fanned else jobs
         results = parallel_map(
             _outcome_task,
             [
-                (target, binaries[target], cross, config, cache_root,
-                 task_jobs)
+                (target, binaries[target], cross, config, cache_root)
                 for target in config.targets
             ],
             jobs=jobs,
@@ -457,8 +446,6 @@ def run_suite(
     processes (each worker runs its benchmark serially); finished runs
     are installed in the in-process memo so later sweeps reuse them.
     """
-    from repro.runtime.config import resolve_jobs
-
     runs: Dict[str, BenchmarkRun] = {}
     pending = []
     for name in names:

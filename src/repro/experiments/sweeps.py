@@ -176,11 +176,9 @@ class MaxKSweepPoint:
 
 def _recluster_task(task):
     """Worker: re-cluster one profile under one configuration."""
-    intervals, config, cache_root, task_jobs = task
+    intervals, config, cache_root = task
     cache = cache_from_root(cache_root)
-    result = run_simpoint(
-        list(intervals), config, jobs=task_jobs, cache=cache
-    )
+    result = run_simpoint(list(intervals), config, cache=cache)
     return result, (cache.stats if cache is not None else None)
 
 
@@ -193,9 +191,8 @@ def sweep_max_k(
     """Re-cluster a cached run's VLI profile under several budgets.
 
     The re-clusterings are independent, so with ``jobs`` > 1 they fan
-    out over worker processes; a serial sweep instead hands the job
-    budget to each clustering's own (k, restart) fan-out. Either way
-    the content-keyed clustering cache is consulted per cell.
+    out over worker processes. Either way the content-keyed clustering
+    cache is consulted per cell.
     """
     if not budgets:
         raise SimulationError("no budgets given")
@@ -203,13 +200,11 @@ def sweep_max_k(
     with trace.span("sweep_max_k", settings=len(budgets)):
         cache = active_cache()
         cache_root = cache.root if cache is not None else None
-        fanned = min(resolve_jobs(jobs), len(budgets)) > 1
-        task_jobs = 1 if fanned else jobs
         task_results = parallel_map(
             _recluster_task,
             [
                 (run.cross.intervals, SimPointConfig(max_k=budget),
-                 cache_root, task_jobs)
+                 cache_root)
                 for budget in budgets
             ],
             jobs=jobs,
@@ -240,8 +235,6 @@ class EarlySweepPoint:
 def sweep_early_tolerance(
     run: BenchmarkRun,
     tolerances: Sequence[float],
-    *,
-    jobs: Optional[int] = None,
 ) -> Dict[float, EarlySweepPoint]:
     """Early-point tolerance sweep over a cached run's VLI profile."""
     if not tolerances:
@@ -253,8 +246,7 @@ def sweep_early_tolerance(
             # Every tolerance reuses one cached clustering (the key is
             # tolerance-independent); only the first call clusters.
             early = run_early_simpoint(
-                intervals, SimPointConfig(), tolerance=tolerance,
-                jobs=jobs,
+                intervals, SimPointConfig(), tolerance=tolerance
             )
             results[tolerance] = EarlySweepPoint(
                 tolerance=tolerance,

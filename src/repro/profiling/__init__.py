@@ -9,20 +9,17 @@
   counts, and per-loop iteration counts, each tied to debug info.
 """
 
-from repro.profiling.bbv import FixedLengthBBVCollector, collect_fli_bbvs
+from repro.profiling.bbv import collect_fli_bbvs
 from repro.profiling.callbranch import (
     CallBranchProfile,
-    CallBranchProfiler,
     LoopProfile,
     collect_call_branch_profile,
 )
 from repro.profiling.intervals import Interval
 
 __all__ = [
-    "FixedLengthBBVCollector",
     "collect_fli_bbvs",
     "CallBranchProfile",
-    "CallBranchProfiler",
     "LoopProfile",
     "collect_call_branch_profile",
     "Interval",

@@ -17,14 +17,13 @@ information are exactly what the cross-binary matcher
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from repro.compilation.binary import Binary
-from repro.execution.pin import PinTool, run_with_tools
 from repro.programs.inputs import ProgramInput, REF_INPUT
 from repro.programs.ir import SourceLocation
 from repro.runtime.cache import ProfileCache
-from repro.runtime.config import active_cache, trace_replay_enabled
+from repro.runtime.config import active_cache
 
 
 @dataclass(frozen=True)
@@ -62,85 +61,26 @@ class CallBranchProfile:
         )
 
 
-class CallBranchProfiler(PinTool):
-    """Pin tool that accumulates the call-and-branch profile."""
-
-    def __init__(self) -> None:
-        self._binary: Optional[Binary] = None
-        self._proc_entries: Dict[str, int] = {}
-        self._loop_entries: Dict[int, int] = {}
-        self._loop_iterations: Dict[int, int] = {}
-        self._instructions = 0
-
-    def on_program_start(self, binary: Binary) -> None:
-        self._binary = binary
-        self._proc_entries = {name: 0 for name in binary.symbols}
-        self._loop_entries = {loop_id: 0 for loop_id in binary.loops}
-        self._loop_iterations = {loop_id: 0 for loop_id in binary.loops}
-
-    def on_procedure_entry(self, name: str) -> None:
-        self._proc_entries[name] = self._proc_entries.get(name, 0) + 1
-
-    def on_loop_entry(self, loop_id: int) -> None:
-        self._loop_entries[loop_id] += 1
-
-    def on_loop_iterations(self, loop_id: int, iterations: int) -> None:
-        self._loop_iterations[loop_id] += iterations
-
-    def on_block_exec(self, block, execs: int) -> None:
-        self._instructions += block.instructions * execs
-
-    def profile(self) -> CallBranchProfile:
-        """The accumulated profile (call after the run completes)."""
-        assert self._binary is not None, "profiler was never run"
-        loops: Dict[int, LoopProfile] = {}
-        for loop_id, meta in self._binary.loops.items():
-            loops[loop_id] = LoopProfile(
-                loop_id=loop_id,
-                location=meta.location,
-                source_name=meta.source_name,
-                entries=self._loop_entries.get(loop_id, 0),
-                iterations=self._loop_iterations.get(loop_id, 0),
-            )
-        return CallBranchProfile(
-            binary_name=self._binary.name,
-            procedure_entries=dict(self._proc_entries),
-            loops=loops,
-            total_instructions=self._instructions,
-        )
-
-
 def collect_call_branch_profile(
     binary: Binary,
     program_input: ProgramInput = REF_INPUT,
     *,
     cache: Optional[ProfileCache] = None,
-    use_trace: Optional[bool] = None,
 ) -> CallBranchProfile:
-    """Run a binary under the call-and-branch profiler.
+    """The call-and-branch profile of one binary run.
 
-    By default the profile is reduced from the compiled execution
-    trace (:mod:`repro.execution.trace`) with bulk ``np.add.at``
-    accumulation — bit-identical to the scalar Pin-tool run;
-    ``use_trace=False`` (or ``REPRO_NO_TRACE=1``) forces the scalar
-    oracle. With a cache (explicit or the process-wide one), the
-    profile is memoized by ``(binary, input)`` content fingerprint.
+    The profile is reduced from the compiled execution trace
+    (:func:`repro.execution.trace.replay_call_branch`). With a cache
+    (explicit or the process-wide one), it is memoized by ``(binary,
+    input)`` content fingerprint.
     """
-    replay = trace_replay_enabled(use_trace)
     cache = cache if cache is not None else active_cache()
 
     def compute() -> CallBranchProfile:
-        if replay:
-            from repro.execution.trace import (
-                compiled_trace,
-                replay_call_branch,
-            )
+        from repro.execution.trace import compiled_trace, replay_call_branch
 
-            trace = compiled_trace(binary, program_input, cache=cache)
-            return replay_call_branch(trace, binary)
-        profiler = CallBranchProfiler()
-        run_with_tools(binary, (profiler,), program_input)
-        return profiler.profile()
+        trace = compiled_trace(binary, program_input, cache=cache)
+        return replay_call_branch(trace, binary)
 
     if cache is None:
         return compute()

@@ -32,7 +32,6 @@ from repro.runtime.config import (
     active_cache,
     clustering_cache_enabled,
     configure,
-    pruned_kmeans_enabled,
     resolve_jobs,
     runtime_session,
     set_cache,
@@ -54,7 +53,6 @@ __all__ = [
     "configure",
     "fingerprint",
     "parallel_map",
-    "pruned_kmeans_enabled",
     "resolve_jobs",
     "runtime_session",
     "set_cache",

@@ -11,12 +11,6 @@ Resolution order for the job count (first match wins):
 The active cache is ``None`` (disabled) unless :func:`set_cache`
 installed one or ``REPRO_CACHE_DIR`` names a directory;
 ``REPRO_NO_CACHE=1`` disables the environment fallback.
-
-Profiling consumers replay compiled execution traces by default
-(:mod:`repro.execution.trace`); ``REPRO_NO_TRACE=1`` forces every
-consumer onto its scalar event-stream oracle instead (results are
-bit-identical either way — the knob exists for debugging and for
-timing the oracle).
 """
 
 from __future__ import annotations
@@ -171,30 +165,6 @@ def clustering_cache_enabled(enabled: Optional[bool] = None) -> bool:
     if _default_clustering_cache is not None:
         return _default_clustering_cache
     return True
-
-
-def pruned_kmeans_enabled(use_pruned: Optional[bool] = None) -> bool:
-    """Whether the Lloyd iteration should use the Hamerly-pruned kernel.
-
-    An explicit ``use_pruned`` argument wins; otherwise pruning is on
-    unless ``REPRO_NO_PRUNED_KMEANS`` is set in the environment
-    (results are bit-identical either way — the knob exists for
-    debugging and for timing the reference kernel).
-    """
-    if use_pruned is not None:
-        return use_pruned
-    return not os.environ.get("REPRO_NO_PRUNED_KMEANS")
-
-
-def trace_replay_enabled(use_trace: Optional[bool] = None) -> bool:
-    """Whether a profiling consumer should replay a compiled trace.
-
-    An explicit ``use_trace`` argument wins; otherwise trace replay is
-    on unless ``REPRO_NO_TRACE`` is set in the environment.
-    """
-    if use_trace is not None:
-        return use_trace
-    return not os.environ.get("REPRO_NO_TRACE")
 
 
 def configure(

@@ -15,10 +15,7 @@ BBV matrix and interval weights (by shape, dtype, and content digest —
 projection dimensions and seed are therefore covered through the
 matrix itself), the k budget, the BIC threshold, ``n_init`` /
 ``max_iter`` / seed, and the search strategy. The format-version salt
-is applied by the cache on every key. ``jobs`` and ``use_pruned`` are
-deliberately *not* part of the key: pruned/reference and
-parallel/serial paths are bit-identical (the equivalence tests enforce
-it), so any of them may satisfy another's lookup.
+is applied by the cache on every key.
 
 Reuse is on whenever a profile cache is active and can be vetoed per
 call (``use_clustering_cache=False``), per process
@@ -105,8 +102,6 @@ def cached_choose_clustering(
     max_iter: int = 100,
     seed: int = 0,
     k_search: str = "exhaustive",
-    use_pruned: Optional[bool] = None,
-    jobs: Optional[int] = None,
     cache: Optional[ProfileCache] = None,
     use_clustering_cache: Optional[bool] = None,
 ) -> ClusteringChoice:
@@ -137,8 +132,6 @@ def cached_choose_clustering(
             n_init=n_init,
             max_iter=max_iter,
             seed=seed,
-            use_pruned=use_pruned,
-            jobs=jobs,
         )
 
     if cache is None:

@@ -101,8 +101,6 @@ def run_early_simpoint(
     intervals: Sequence[Interval],
     config: SimPointConfig = SimPointConfig(),
     tolerance: float = 0.3,
-    *,
-    jobs: "int | None" = None,
 ) -> EarlySimPointResult:
     """SimPoint with early representative selection.
 
@@ -124,7 +122,6 @@ def run_early_simpoint(
         max_iter=config.max_iter,
         seed=config.kmeans_seed,
         k_search="exhaustive",
-        jobs=jobs,
     )
     early_picks = pick_early_simulation_points(
         projected, vector_set.weights, choice.result, tolerance

@@ -10,60 +10,21 @@ A from-scratch Lloyd's-algorithm k-means with:
 * **empty-cluster repair** — an emptied cluster is reseeded on the
   point farthest from its centroid.
 
-Everything is seeded and deterministic.
-
-Two Lloyd kernels implement the iteration:
-
-* :func:`_lloyd` is the retained **reference** kernel: a full (n x k)
-  distance matrix every iteration, with point norms hoisted out of the
-  loop (computed once per call and shared with seeding and the final
-  inertia pass).
-* :func:`_lloyd_pruned` adds Hamerly-style triangle-inequality bound
-  pruning on top: each point carries an upper bound on the distance to
-  its own centroid and a lower bound on the distance to every other
-  centroid, maintained across iterations from per-centroid movement.
-  Points whose bounds prove the assignment cannot change (strictly,
-  with a conservative floating-point margin) skip distance
-  recomputation entirely; only the rest get fresh distance rows. The
-  margin is strict-inequality-conservative, so exact ties (duplicate
-  points, duplicate centroids) are always recomputed and resolve by
-  the same lowest-index ``argmin`` rule as the reference — the pruned
-  kernel is bit-identical to the reference, which the equivalence
-  suite enforces.
-
-The pruned kernel is the default; ``use_pruned=False`` (or
-``REPRO_NO_PRUNED_KMEANS=1``) is the escape hatch back to the
-reference. Restarts are independently seeded tasks (the k-means++
-draws all come from one generator *before* any Lloyd run), so they can
-fan out over ``jobs`` worker processes with the winner chosen by the
-deterministic (inertia, restart-order) tie-break — bit-identical to
-the serial order.
-
-Pruning effectiveness is observable: both kernels tally the distance
-rows they compute into the ``simpoint.kmeans_distance_rows`` counter,
-and the pruned kernel counts every skipped point-iteration in
-``simpoint.kmeans_pruned_points``.
+Everything is seeded and deterministic. Restarts run serially through
+the single :func:`_lloyd` kernel: a full (n x k) distance matrix per
+iteration, with the per-point norms hoisted out of the loop (computed
+once per call, or once per k sweep by the caller, and shared with
+k-means++ seeding and the final inertia pass).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import ClusteringError
-from repro.observability import metrics
-from repro.runtime.config import pruned_kmeans_enabled
-from repro.runtime.parallel import parallel_map
-
-#: Conservative slack on the Hamerly bound test. The bounds are exact
-#: when set and drift by a few ulps as centroid movements are added and
-#: subtracted across iterations; treating anything within this margin
-#: as "must recompute" keeps the skip decision strictly sound under
-#: floating point (over-recomputing is merely slower, never wrong).
-_PRUNE_REL_MARGIN = 1e-9
-_PRUNE_ABS_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -215,16 +176,14 @@ def _lloyd(
     max_iter: int,
     point_norms: Optional[np.ndarray] = None,
 ) -> KMeansResult:
-    """The reference Lloyd kernel: full distance matrix per iteration."""
+    """Lloyd iteration from ``centroids`` (updated in place)."""
     n = points.shape[0]
     if point_norms is None:
         point_norms = _point_norms(points)
     labels = np.full(n, -1, dtype=np.int64)
     iterations = 0
-    distance_rows = 0
     for iterations in range(1, max_iter + 1):
         distances = _squared_distances(points, centroids, point_norms)
-        distance_rows += n
         new_labels = distances.argmin(axis=1)
         _repair_empty_clusters(points, centroids, distances, new_labels)
         if np.array_equal(new_labels, labels):
@@ -232,180 +191,10 @@ def _lloyd(
         labels = new_labels
         _update_centroids(points, weights, labels, centroids)
     inertia = _final_inertia(points, weights, centroids, labels, point_norms)
-    metrics.counter("simpoint.kmeans_distance_rows").inc(distance_rows + n)
     return KMeansResult(
         centroids=centroids, labels=labels, inertia=inertia,
         iterations=iterations,
     )
-
-
-def _lloyd_pruned(
-    points: np.ndarray,
-    weights: np.ndarray,
-    centroids: np.ndarray,
-    max_iter: int,
-    point_norms: Optional[np.ndarray] = None,
-) -> KMeansResult:
-    """Hamerly-pruned Lloyd, bit-identical to :func:`_lloyd`.
-
-    Invariants (in euclidean distance, not squared): ``upper[i]`` is an
-    upper bound on point i's distance to its assigned centroid and
-    ``lower[i]`` a lower bound on its distance to every *other*
-    centroid. After centroids move, ``upper`` inflates by the assigned
-    centroid's movement and ``lower`` deflates by the largest movement
-    (triangle inequality). A point with ``upper`` strictly below
-    ``lower`` (margin-adjusted) provably keeps its lowest-index argmin
-    assignment, so its distance row is skipped; every other point —
-    including all exact ties, which fail the strict test — gets a
-    fresh row and resolves exactly as the reference does. Iterations
-    that repair an empty cluster fall back to the reference's full
-    assignment so the repair sees exact distances, and invalidate the
-    bounds (repair moves centroids mid-iteration).
-    """
-    k = centroids.shape[0]
-    n = points.shape[0]
-    if point_norms is None:
-        point_norms = _point_norms(points)
-    if k < 2:
-        return _lloyd(points, weights, centroids, max_iter, point_norms)
-    labels = np.full(n, -1, dtype=np.int64)
-    upper = np.zeros(n)
-    lower = np.zeros(n)
-    movement = np.zeros(k)
-    bounds_valid = False
-    iterations = 0
-    pruned_points = 0
-    distance_rows = 0
-    for iterations in range(1, max_iter + 1):
-        distances: Optional[np.ndarray] = None
-        if not bounds_valid:
-            distances = _squared_distances(points, centroids, point_norms)
-            distance_rows += n
-            new_labels = distances.argmin(axis=1)
-            nearest_two = np.partition(distances, 1, axis=1)
-            upper = np.sqrt(nearest_two[:, 0])
-            lower = np.sqrt(nearest_two[:, 1])
-        else:
-            upper += movement[labels]
-            lower -= movement.max()
-            stale = (
-                upper * (1.0 + _PRUNE_REL_MARGIN) + _PRUNE_ABS_MARGIN
-                >= lower
-            )
-            new_labels = labels.copy()
-            n_stale = int(np.count_nonzero(stale))
-            pruned_points += n - n_stale
-            if n_stale:
-                rows = _squared_distances(
-                    points[stale], centroids, point_norms[stale]
-                )
-                distance_rows += n_stale
-                new_labels[stale] = rows.argmin(axis=1)
-                nearest_two = np.partition(rows, 1, axis=1)
-                upper[stale] = np.sqrt(nearest_two[:, 0])
-                lower[stale] = np.sqrt(nearest_two[:, 1])
-        if np.bincount(new_labels, minlength=k).min() == 0:
-            # Rare: redo this iteration's assignment the reference way
-            # (full matrix) so the repair ranks every point by its
-            # exact distance, then rebuild bounds next iteration.
-            if distances is None:
-                distances = _squared_distances(
-                    points, centroids, point_norms
-                )
-                distance_rows += n
-                new_labels = distances.argmin(axis=1)
-            _repair_empty_clusters(points, centroids, distances, new_labels)
-            bounds_valid = False
-        else:
-            bounds_valid = True
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        old_centroids = centroids.copy()
-        _update_centroids(points, weights, labels, centroids)
-        if bounds_valid:
-            moved = centroids - old_centroids
-            movement = np.sqrt(np.einsum("kd,kd->k", moved, moved))
-    inertia = _final_inertia(points, weights, centroids, labels, point_norms)
-    if pruned_points:
-        metrics.counter("simpoint.kmeans_pruned_points").inc(pruned_points)
-    metrics.counter("simpoint.kmeans_distance_rows").inc(distance_rows + n)
-    return KMeansResult(
-        centroids=centroids, labels=labels, inertia=inertia,
-        iterations=iterations,
-    )
-
-
-def _run_lloyd(
-    points: np.ndarray,
-    weights: np.ndarray,
-    centroids: np.ndarray,
-    max_iter: int,
-    use_pruned: Optional[bool] = None,
-    point_norms: Optional[np.ndarray] = None,
-) -> KMeansResult:
-    """Dispatch one Lloyd run to the pruned or reference kernel."""
-    kernel = _lloyd_pruned if pruned_kmeans_enabled(use_pruned) else _lloyd
-    return kernel(points, weights, centroids, max_iter, point_norms)
-
-
-def _restart_task(task) -> KMeansResult:
-    """Worker: one independent Lloyd restart from a precomputed init.
-
-    Module-level so :func:`~repro.runtime.parallel.parallel_map` can
-    pickle it; the task tuple carries the hoisted point norms so the
-    serial and parallel paths run the same arithmetic.
-    """
-    points, weights, init, max_iter, use_pruned, point_norms = task
-    return _run_lloyd(points, weights, init, max_iter, use_pruned, point_norms)
-
-
-def restart_tasks(
-    points: np.ndarray,
-    weights: np.ndarray,
-    k: int,
-    n_init: int,
-    max_iter: int,
-    seed: int,
-    use_pruned: Optional[bool] = None,
-    point_norms: Optional[np.ndarray] = None,
-) -> List[tuple]:
-    """Materialize the ``n_init`` restart tasks for one (k, seed).
-
-    All k-means++ randomness is drawn here, serially, from one
-    generator — exactly the draws the serial restart loop would make —
-    so the returned tasks are pure, independently runnable Lloyd
-    invocations. :func:`choose_clustering` concatenates the task lists
-    of every probed k into one flat ``parallel_map`` fan-out.
-    """
-    if point_norms is None:
-        point_norms = _point_norms(points)
-    rng = np.random.default_rng(seed)
-    return [
-        (
-            points,
-            weights,
-            _kmeanspp_init(points, weights, k, rng, point_norms).copy(),
-            max_iter,
-            use_pruned,
-            point_norms,
-        )
-        for _ in range(max(1, n_init))
-    ]
-
-
-def _best_restart(results: Sequence[KMeansResult]) -> KMeansResult:
-    """The deterministic (inertia, restart-order) winner.
-
-    Strictly-smaller-inertia-wins with ties keeping the earliest
-    restart — exactly the serial loop's "replace only on improvement"
-    rule, so a parallel fan-out picks the same clustering.
-    """
-    best = results[0]
-    for result in results[1:]:
-        if result.inertia < best.inertia:
-            best = result
-    return best
 
 
 def weighted_kmeans(
@@ -416,21 +205,15 @@ def weighted_kmeans(
     max_iter: int = 100,
     seed: int = 0,
     *,
-    use_pruned: Optional[bool] = None,
-    jobs: Optional[int] = None,
     point_norms: Optional[np.ndarray] = None,
 ) -> KMeansResult:
     """Cluster ``points`` into ``k`` clusters, minimizing weighted inertia.
 
-    Runs ``n_init`` k-means++-seeded restarts and returns the best by
-    the (inertia, restart-order) tie-break. All seeding randomness is
-    drawn up front, so the restarts are independent Lloyd tasks that
-    fan out over ``jobs`` worker processes (default: the runtime
-    configuration) bit-identically to the serial order. ``use_pruned``
-    selects the Hamerly-pruned kernel (default) or the reference
-    kernel (``False``); both produce identical results.
-    ``point_norms`` may carry the per-point squared norms hoisted by a
-    caller that clusters the same points repeatedly.
+    Runs ``n_init`` k-means++-seeded restarts from one generator seeded
+    with ``seed`` and returns the one with the smallest inertia (ties
+    keep the earliest restart). ``point_norms`` may carry the per-point
+    squared norms hoisted by a caller that clusters the same points
+    repeatedly.
 
     Raises :class:`~repro.errors.ClusteringError` if ``k`` exceeds the
     number of points or parameters are out of range.
@@ -440,6 +223,10 @@ def weighted_kmeans(
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ClusteringError(f"k must be in [1, {n}], got {k}")
+    if n_init < 1:
+        raise ClusteringError(f"n_init must be >= 1, got {n_init}")
+    if max_iter < 1:
+        raise ClusteringError(f"max_iter must be >= 1, got {max_iter}")
     if weights is None:
         weights = np.ones(n, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -459,8 +246,13 @@ def weighted_kmeans(
             inertia=inertia,
             iterations=1,
         )
-    tasks = restart_tasks(
-        points, weights, k, n_init, max_iter, seed, use_pruned, point_norms
-    )
-    results: List[KMeansResult] = parallel_map(_restart_task, tasks, jobs=jobs)
-    return _best_restart(results)
+    if point_norms is None:
+        point_norms = _point_norms(points)
+    rng = np.random.default_rng(seed)
+    best: Optional[KMeansResult] = None
+    for _ in range(n_init):
+        init = _kmeanspp_init(points, weights, k, rng, point_norms)
+        result = _lloyd(points, weights, init, max_iter, point_norms)
+        if best is None or result.inertia < best.inertia:
+            best = result
+    return best

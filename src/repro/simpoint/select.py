@@ -19,25 +19,24 @@ import numpy as np
 
 from repro.errors import ClusteringError
 from repro.observability import metrics, trace
-from repro.runtime.parallel import parallel_map
 from repro.simpoint.bic import bic_score
-from repro.simpoint.kmeans import (
-    KMeansResult,
-    _best_restart,
-    _point_norms,
-    _restart_task,
-    restart_tasks,
-    weighted_kmeans,
-)
+from repro.simpoint.kmeans import KMeansResult, _point_norms, weighted_kmeans
 
 
-def _score_and_record(
+def _cluster_and_score(
     points: np.ndarray,
     weights: np.ndarray,
     k: int,
-    result: KMeansResult,
-) -> float:
-    """Score one clustering with the BIC and record its kernel metrics."""
+    n_init: int,
+    max_iter: int,
+    seed: int,
+    point_norms: Optional[np.ndarray] = None,
+) -> Tuple[KMeansResult, float]:
+    """One instrumented clustering: k-means at ``k`` plus its BIC."""
+    result = weighted_kmeans(
+        points, k, weights, n_init=n_init, max_iter=max_iter,
+        seed=seed + k, point_norms=point_norms,
+    )
     with trace.span("cluster", k=k):
         score = bic_score(points, result, weights)
     metrics.counter("simpoint.kmeans_runs").inc()
@@ -48,27 +47,6 @@ def _score_and_record(
     metrics.histogram(f"simpoint.kmeans_iterations.k{k}").observe(
         result.iterations
     )
-    return score
-
-
-def _cluster_and_score(
-    points: np.ndarray,
-    weights: np.ndarray,
-    k: int,
-    n_init: int,
-    max_iter: int,
-    seed: int,
-    use_pruned: Optional[bool] = None,
-    jobs: Optional[int] = None,
-    point_norms: Optional[np.ndarray] = None,
-) -> Tuple[KMeansResult, float]:
-    """One instrumented clustering: k-means at ``k`` plus its BIC."""
-    result = weighted_kmeans(
-        points, k, weights, n_init=n_init, max_iter=max_iter,
-        seed=seed + k, use_pruned=use_pruned, jobs=jobs,
-        point_norms=point_norms,
-    )
-    score = _score_and_record(points, weights, k, result)
     return result, score
 
 
@@ -90,21 +68,11 @@ def choose_clustering(
     n_init: int = 5,
     max_iter: int = 100,
     seed: int = 0,
-    *,
-    use_pruned: Optional[bool] = None,
-    jobs: Optional[int] = None,
 ) -> ClusteringChoice:
     """Cluster for k = 1..max_k and pick by the SimPoint BIC rule.
 
-    The (k, restart) grid is one flat list of independent Lloyd tasks:
-    every restart of every k is seeded up front (per-k generator at
-    ``seed + k``, draws in restart order — exactly the serial
-    sequence) and fanned out through
-    :func:`~repro.runtime.parallel.parallel_map` over ``jobs``
-    workers. Each k keeps its best restart by the deterministic
-    (inertia, restart-order) tie-break, so the chosen clustering is
-    bit-identical to the serial order. Point norms are hoisted once
-    for the whole sweep.
+    Each k is clustered with its own generator seeded at ``seed + k``;
+    the point norms are hoisted once for the whole sweep.
     """
     if not 0.0 < bic_threshold <= 1.0:
         raise ClusteringError(
@@ -114,32 +82,18 @@ def choose_clustering(
     k_max = min(max_k, n)
     if k_max < 1:
         raise ClusteringError("need at least one interval to cluster")
-    # k = 1 is a closed form (no restarts, no rng); run it first so
-    # input validation errors surface before any fan-out.
-    results: List[KMeansResult] = [
-        weighted_kmeans(
-            points, 1, weights, n_init=n_init, max_iter=max_iter,
-            seed=seed + 1,
+    weights = np.asarray(weights, dtype=np.float64)
+    # k = 1 runs first: it validates the input before the norms are
+    # hoisted for the rest of the sweep.
+    scored = [_cluster_and_score(points, weights, 1, n_init, max_iter, seed)]
+    point_norms = _point_norms(points)
+    scored += [
+        _cluster_and_score(
+            points, weights, k, n_init, max_iter, seed, point_norms
         )
+        for k in range(2, k_max + 1)
     ]
-    if k_max > 1:
-        weights = np.asarray(weights, dtype=np.float64)
-        point_norms = _point_norms(points)
-        tasks: List[tuple] = []
-        spans: List[Tuple[int, int]] = []  # flat-list slice per k
-        for k in range(2, k_max + 1):
-            k_tasks = restart_tasks(
-                points, weights, k, n_init, max_iter, seed + k,
-                use_pruned, point_norms,
-            )
-            spans.append((len(tasks), len(tasks) + len(k_tasks)))
-            tasks.extend(k_tasks)
-        flat = parallel_map(_restart_task, tasks, jobs=jobs)
-        for start, stop in spans:
-            results.append(_best_restart(flat[start:stop]))
-    scores: List[float] = []
-    for k, result in enumerate(results, start=1):
-        scores.append(_score_and_record(points, weights, k, result))
+    scores = [score for _, score in scored]
     best = max(scores)
     worst = min(scores)
     spread = best - worst
@@ -152,7 +106,7 @@ def choose_clustering(
             if (score - worst) / spread >= bic_threshold
         )
     return ClusteringChoice(
-        result=results[chosen],
+        result=scored[chosen][0],
         k=chosen + 1,
         bic_scores=tuple(scores),
         chosen_index=chosen,
@@ -167,9 +121,6 @@ def choose_clustering_binary_search(
     n_init: int = 5,
     max_iter: int = 100,
     seed: int = 0,
-    *,
-    use_pruned: Optional[bool] = None,
-    jobs: Optional[int] = None,
 ) -> ClusteringChoice:
     """SimPoint 3.0's binary search over k.
 
@@ -195,15 +146,12 @@ def choose_clustering_binary_search(
         raise ClusteringError("need at least one interval to cluster")
 
     evaluated: Dict[int, Tuple[KMeansResult, float]] = {}
-    # The bisection is inherently sequential over k, but each k's
-    # restarts still fan out (and reuse the hoisted norms).
     point_norms = _point_norms(points)
 
     def evaluate(k: int) -> float:
         if k not in evaluated:
             evaluated[k] = _cluster_and_score(
-                points, weights, k, n_init, max_iter, seed,
-                use_pruned, jobs, point_norms,
+                points, weights, k, n_init, max_iter, seed, point_norms
             )
         return evaluated[k][1]
 

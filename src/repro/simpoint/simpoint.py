@@ -48,6 +48,12 @@ class SimPointConfig:
             raise ClusteringError(
                 f"dimensions must be >= 1, got {self.dimensions}"
             )
+        if self.n_init < 1:
+            raise ClusteringError(f"n_init must be >= 1, got {self.n_init}")
+        if self.max_iter < 1:
+            raise ClusteringError(
+                f"max_iter must be >= 1, got {self.max_iter}"
+            )
         if self.k_search not in ("exhaustive", "binary"):
             raise ClusteringError(
                 f"k_search must be 'exhaustive' or 'binary', "
@@ -97,16 +103,14 @@ def run_simpoint(
     intervals: Sequence[Interval],
     config: SimPointConfig = SimPointConfig(),
     *,
-    jobs: "int | None" = None,
     cache: "ProfileCache | None" = None,
     use_clustering_cache: "bool | None" = None,
 ) -> SimPointResult:
     """Run the full SimPoint pipeline over profiled intervals.
 
-    ``jobs`` fans the clustering stage's (k, restart) tasks over worker
-    processes; ``cache`` / ``use_clustering_cache`` control
-    content-keyed clustering reuse (defaults: the runtime
-    configuration). All combinations are bit-identical.
+    ``cache`` / ``use_clustering_cache`` control content-keyed
+    clustering reuse (defaults: the runtime configuration); a reused
+    clustering is bit-identical to a recomputed one.
     """
     vector_set = build_vector_set(intervals)
     projected = project(
@@ -121,7 +125,6 @@ def run_simpoint(
         max_iter=config.max_iter,
         seed=config.kmeans_seed,
         k_search=config.k_search,
-        jobs=jobs,
         cache=cache,
         use_clustering_cache=use_clustering_cache,
     )

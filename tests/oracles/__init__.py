@@ -1,2 +1,2 @@
 """Reference oracles: the simple scalar implementations that the
-batched production paths must reproduce bit for bit."""
+batched and trace-replay production paths must reproduce bit for bit."""

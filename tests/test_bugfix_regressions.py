@@ -7,9 +7,13 @@ Each test here fails on the pre-fix code:
   repairs, leaving one cluster empty;
 * ``FLITracker.on_chunk`` silently dropped the cycles/DRAM of a chunk
   with zero instructions;
-* ``IntervalInstructionCounter.on_block`` looped once per execution on
-  the hottest path — replaced by bulk arithmetic that must keep the
-  exact boundary semantics of the per-execution loop.
+* ``IntervalInstructionCounter.on_block`` (now the scalar oracle in
+  ``tests/oracles/profiling.py``) looped once per execution on the
+  hottest path — replaced by bulk arithmetic that must keep the exact
+  boundary semantics of the per-execution loop;
+* ``weighted_kmeans`` and ``SimPointConfig`` accepted ``n_init < 1``
+  (silently run as one restart) and ``max_iter < 1`` (all labels -1,
+  inertia measured against the last centroid).
 """
 
 import random
@@ -20,9 +24,11 @@ import pytest
 from repro.cmpsim.simulator import FLITracker
 from repro.compilation.binary import BlockKind, LoweredBlock
 from repro.core.markers import MarkerSet, MarkerTable
-from repro.core.weights import IntervalInstructionCounter
 from repro.errors import ClusteringError
 from repro.simpoint.kmeans import _lloyd, weighted_kmeans
+from repro.simpoint.simpoint import SimPointConfig
+
+from tests.oracles.profiling import IntervalInstructionCounter
 
 
 class _StubBinary:
@@ -114,6 +120,22 @@ class TestEmptyClusterRepair:
         for k in (2, 3, 4, 5):
             result = weighted_kmeans(points, k, seed=5)
             assert set(result.labels.tolist()) == set(range(k))
+
+
+class TestClusteringParameterValidation:
+    BAD = [("n_init", 0), ("n_init", -1), ("max_iter", 0), ("max_iter", -3)]
+
+    @pytest.mark.parametrize("k", (1, 3))
+    @pytest.mark.parametrize("name,value", BAD)
+    def test_weighted_kmeans_rejects(self, name, value, k):
+        points = np.arange(12, dtype=np.float64).reshape(6, 2)
+        with pytest.raises(ClusteringError, match=name):
+            weighted_kmeans(points, k, **{name: value})
+
+    @pytest.mark.parametrize("name,value", BAD)
+    def test_simpoint_config_rejects(self, name, value):
+        with pytest.raises(ClusteringError, match=name):
+            SimPointConfig(**{name: value})
 
 
 class TestFLITrackerZeroInstructionChunks:

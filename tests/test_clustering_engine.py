@@ -1,16 +1,13 @@
-"""The accelerated clustering engine: pruning, fan-out, and reuse.
+"""The clustering engine: the Lloyd kernel and content-keyed reuse.
 
-Three independent accelerations ride under ``weighted_kmeans`` /
-``choose_clustering`` and all of them promise *bit-identical* results
-to the plain serial reference kernel:
-
-- Hamerly-style bound pruning (``use_pruned``, default on),
-- parallel restart fan-out (``jobs``), and
-- content-keyed clustering reuse (the ``"clustering"`` cache kind).
-
-This suite enforces the promise with hypothesis-driven equivalence
-checks on tie-heavy integer grids (where a sloppy pruning margin or a
-nondeterministic reduction would surface first), exercises the
+``weighted_kmeans`` runs its restarts serially through the single
+``_lloyd`` kernel, and ``cached_choose_clustering`` reuses a chosen
+clustering through the ``"clustering"`` cache kind. Both promise
+*bit-identical* results: the restart loop must make exactly the
+k-means++ draws of seeding every restart up front (checked with
+hypothesis on tie-heavy integer grids, where an argmin tie-break or a
+reordered draw would surface first), and a cached choice must equal a
+recomputed one. The suite also exercises exact ties and the
 empty-cluster repair path explicitly, and covers the cache key schema,
 the escape hatches, and the observability surface in the style of
 ``tests/test_simcache.py``.
@@ -40,15 +37,12 @@ from repro.simpoint.clustercache import (
     clustering_key,
 )
 from repro.simpoint.kmeans import (
+    _kmeanspp_init,
     _lloyd,
-    _lloyd_pruned,
     _point_norms,
     weighted_kmeans,
 )
-from repro.simpoint.select import (
-    choose_clustering,
-    choose_clustering_binary_search,
-)
+from repro.simpoint.select import choose_clustering
 from repro.simpoint.simpoint import SimPointConfig, run_simpoint
 from repro.simpoint.vectors import Interval
 
@@ -56,7 +50,7 @@ _SETTINGS = settings(deadline=None, max_examples=40)
 
 #: Tie-heavy inputs: small integer grids force duplicate points,
 #: equidistant centroid choices, and zero-distance draws in k-means++ —
-#: exactly where pruning margins and argmin tie-breaks could diverge.
+#: exactly where argmin tie-breaks and draw order could diverge.
 _grid_points = st.builds(
     lambda rows, seed: np.asarray(rows, dtype=np.float64)
     if rows
@@ -80,56 +74,76 @@ def _assert_same_result(a, b):
     assert a.iterations == b.iterations
 
 
-def _assert_same_choice(a, b):
-    assert a.k == b.k
-    assert a.chosen_index == b.chosen_index
-    assert a.bic_scores == b.bic_scores
-    _assert_same_result(a.result, b.result)
+def _upfront_seeded(points, k, weights, n_init, seed):
+    """Every restart seeded before any Lloyd run, best by strictly
+    smaller inertia: the restart order ``weighted_kmeans`` must keep."""
+    weights = np.ones(len(points)) if weights is None else weights
+    norms = _point_norms(points)
+    rng = np.random.default_rng(seed)
+    inits = [
+        _kmeanspp_init(points, weights, k, rng, norms)
+        for _ in range(n_init)
+    ]
+    results = [_lloyd(points, weights, init, 100, norms) for init in inits]
+    best = results[0]
+    for result in results[1:]:
+        if result.inertia < best.inertia:
+            best = result
+    return best
 
 
-class TestPrunedEquivalence:
+class TestRestartOrder:
     @_SETTINGS
     @given(
         points=_grid_points,
-        k=st.integers(min_value=1, max_value=6),
+        k=st.integers(min_value=2, max_value=6),
         seed=st.integers(min_value=0, max_value=3),
         weighted=st.booleans(),
     )
-    def test_pruned_matches_reference(self, points, k, seed, weighted):
-        k = min(k, points.shape[0])
+    def test_restart_loop_matches_upfront_seeding(
+        self, points, k, seed, weighted
+    ):
+        k = min(k, points.shape[0])  # grids have at least two rows
         weights = None
         if weighted:
             rng = np.random.default_rng(seed)
             weights = rng.integers(1, 6, size=points.shape[0]).astype(
                 np.float64
             )
-        reference = weighted_kmeans(
-            points, k, weights, n_init=2, seed=seed, use_pruned=False
+        _assert_same_result(
+            _upfront_seeded(points, k, weights, 2, seed),
+            weighted_kmeans(points, k, weights, n_init=2, seed=seed),
         )
-        pruned = weighted_kmeans(
-            points, k, weights, n_init=2, seed=seed, use_pruned=True
-        )
-        _assert_same_result(reference, pruned)
+
+
+class TestPrunedEquivalence:
+    """Exact ties and the empty-cluster repair, on ``weighted_kmeans``
+    and ``_lloyd`` directly."""
 
     def test_duplicate_points_and_exact_ties(self):
         # Every point duplicated; centroids land exactly on points, so
-        # distances tie at 0 and the stale-test margin must force a
-        # recompute rather than trust a stale bound.
+        # distances tie at 0 and resolve by the lowest-index argmin.
         points = np.repeat(
             np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 4, axis=0
         )
+        expected_inertia = {1: 16.0 / 3.0, 2: 2.0, 3: 0.0}
         for k in (1, 2, 3):
-            reference = weighted_kmeans(
-                points, k, n_init=3, seed=5, use_pruned=False
+            result = weighted_kmeans(points, k, n_init=3, seed=5)
+            _assert_same_result(
+                result, weighted_kmeans(points, k, n_init=3, seed=5)
             )
-            pruned = weighted_kmeans(
-                points, k, n_init=3, seed=5, use_pruned=True
-            )
-            _assert_same_result(reference, pruned)
+            assert result.inertia == pytest.approx(expected_inertia[k])
+            # Duplicates always share a label.
+            piles = result.labels.reshape(3, 4)
+            assert (piles == piles[:, :1]).all()
+            if k > 1:
+                _assert_same_result(
+                    result, _upfront_seeded(points, k, None, 3, 5)
+                )
 
     def test_empty_cluster_repair_path(self):
         # Two far-apart duplicate piles and k=3: one centroid must go
-        # empty mid-iteration and be repaired. Drive the kernels
+        # empty mid-iteration and be repaired. Drive the kernel
         # directly so the repair branch is exercised no matter what
         # k-means++ would have seeded.
         points = np.array(
@@ -142,67 +156,13 @@ class TestPrunedEquivalence:
             [[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]], dtype=np.float64
         )
         norms = _point_norms(points)
-        reference = _lloyd(points, weights, init.copy(), 100,
-                           point_norms=norms)
-        pruned = _lloyd_pruned(points, weights, init.copy(), 100,
-                               point_norms=norms)
-        _assert_same_result(reference, pruned)
-        assert set(np.unique(reference.labels)) == {0, 1, 2}
-
-    def test_pruning_counters_tick(self):
-        rng = np.random.default_rng(11)
-        points = rng.normal(size=(200, 8))
-        with metrics.scoped_registry() as local:
-            weighted_kmeans(points, 6, n_init=2, seed=1, use_pruned=True)
-        counters = local.snapshot()["counters"]
-        assert counters["simpoint.kmeans_pruned_points"] > 0
-        assert counters["simpoint.kmeans_distance_rows"] > 0
-
-    def test_env_hatch_disables_pruning(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_PRUNED_KMEANS", "1")
-        rng = np.random.default_rng(3)
-        points = rng.normal(size=(60, 4))
-        with metrics.scoped_registry() as local:
-            weighted_kmeans(points, 4, n_init=2, seed=2)
-        counters = local.snapshot()["counters"]
-        assert "simpoint.kmeans_pruned_points" not in counters
-
-
-class TestParallelEquivalence:
-    @_SETTINGS
-    @given(
-        points=_grid_points,
-        k=st.integers(min_value=1, max_value=5),
-        seed=st.integers(min_value=0, max_value=3),
-    )
-    def test_parallel_restarts_match_serial(self, points, k, seed):
-        k = min(k, points.shape[0])
-        serial = weighted_kmeans(points, k, n_init=3, seed=seed, jobs=1)
-        fanned = weighted_kmeans(points, k, n_init=3, seed=seed, jobs=4)
-        _assert_same_result(serial, fanned)
-
-    def test_choose_clustering_parallel_matches_serial(self):
-        rng = np.random.default_rng(23)
-        points = rng.normal(size=(40, 5))
-        weights = rng.integers(1, 5, size=40).astype(np.float64)
-        serial = choose_clustering(points, weights, max_k=5, n_init=2,
-                                   seed=9, jobs=1)
-        fanned = choose_clustering(points, weights, max_k=5, n_init=2,
-                                   seed=9, jobs=4)
-        _assert_same_choice(serial, fanned)
-
-    def test_binary_search_pruned_matches_reference(self):
-        rng = np.random.default_rng(31)
-        points = rng.normal(size=(50, 4))
-        weights = np.ones(50)
-        reference = choose_clustering_binary_search(
-            points, weights, max_k=8, n_init=2, seed=4, use_pruned=False
+        result = _lloyd(points, weights, init.copy(), 100, point_norms=norms)
+        assert set(np.unique(result.labels)) == {0, 1, 2}
+        assert result.inertia == 0.0
+        # Hoisting the norms never changes the arithmetic.
+        _assert_same_result(
+            result, _lloyd(points, weights, init.copy(), 100)
         )
-        pruned = choose_clustering_binary_search(
-            points, weights, max_k=8, n_init=2, seed=4, use_pruned=True,
-            jobs=2,
-        )
-        _assert_same_choice(reference, pruned)
 
 
 class TestKeySchema:
@@ -247,22 +207,6 @@ class TestKeySchema:
         digests = {fingerprint(variant) for variant in variants}
         assert fingerprint(base) not in digests
         assert len(digests) == len(variants)
-
-    def test_jobs_and_pruning_are_not_part_of_the_key(self, tmp_path):
-        # Bit-identity makes any kernel/fan-out combination a valid
-        # answer for any other, so the key deliberately omits both.
-        points, weights = self._points()
-        cache = ProfileCache(tmp_path)
-        kwargs = dict(max_k=4, n_init=2, cache=cache)
-        pruned = cached_choose_clustering(
-            points, weights, use_pruned=True, jobs=4, **kwargs
-        )
-        reference = cached_choose_clustering(
-            points, weights, use_pruned=False, jobs=1, **kwargs
-        )
-        assert pickle.dumps(pruned) == pickle.dumps(reference)
-        row = cache.stats.by_kind[CLUSTERING_KIND]
-        assert (row.hits, row.misses) == (1, 1)
 
 
 class TestCachedChooseClustering:

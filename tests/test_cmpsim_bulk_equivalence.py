@@ -5,7 +5,8 @@ The batched paths — closed-form reference generation
 replay engines behind :meth:`SetAssociativeCache.access_many`, the
 hierarchy's level-by-level :meth:`MemoryHierarchy.access_many`, and the
 deferred-flush detailed simulator — must be *bit-identical* to the
-scalar reference-at-a-time implementations, which serve as the oracle.
+scalar reference-at-a-time implementations, which serve as the oracle
+(for full runs, :func:`tests.oracles.full.scalar_run_full`).
 Identity is asserted on outputs, statistics, and observable cache state
 (per-set MRU-ordered ``(line, dirty)`` pairs via ``set_state``; way
 placement and raw stamp values are engine-internal and may differ).
@@ -38,6 +39,8 @@ from repro.compilation.compiler import compile_standard_binaries
 from repro.compilation.targets import TARGET_32O, TARGET_32U
 from repro.programs.behaviors import AccessKind
 from repro.programs.suite import build_benchmark
+
+from tests.oracles.full import scalar_run_full
 
 
 def stream_state(state):
@@ -334,8 +337,8 @@ class TestFullRunEquivalence:
         sim = CMPSim(binary, config)
         scalar_fli = FLITracker(100_000)
         batched_fli = FLITracker(100_000)
-        scalar = sim.run_full(trackers=(scalar_fli,), batched=False)
-        batched = sim.run_full(trackers=(batched_fli,), batched=True)
+        scalar = scalar_run_full(sim, trackers=(scalar_fli,))
+        batched = sim.run_full(trackers=(batched_fli,))
         assert scalar.stats == batched.stats
         assert scalar.hierarchy == batched.hierarchy
         assert len(scalar_fli.intervals) == len(batched_fli.intervals)
@@ -348,8 +351,8 @@ class TestFullRunEquivalence:
         """The no-tracker cycle fold (np.add.accumulate) is exact."""
         binary = suite_binaries["art"][TARGET_32U]
         sim = CMPSim(binary)
-        scalar = sim.run_full(batched=False)
-        batched = sim.run_full(batched=True)
+        scalar = scalar_run_full(sim)
+        batched = sim.run_full()
         assert scalar.stats == batched.stats
         assert scalar.hierarchy == batched.hierarchy
         assert scalar.stats.cycles == batched.stats.cycles

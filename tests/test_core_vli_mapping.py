@@ -4,14 +4,11 @@ import pytest
 
 from repro.core.mapping import interval_boundaries, map_simulation_points
 from repro.core.matching import find_mappable_points
-from repro.core.vli import VLIBuilder, collect_vli_bbvs
-from repro.core.weights import (
-    IntervalInstructionCounter,
-    measure_interval_instructions,
-    phase_weights,
-)
+from repro.core.vli import collect_vli_bbvs
+from repro.core.weights import measure_interval_instructions, phase_weights
 from repro.errors import MappingError, ProfilingError
 from repro.execution.engine import run_binary
+from repro.execution.trace import compiled_trace, replay_vli
 from repro.profiling.callbranch import collect_call_branch_profile
 from repro.profiling.intervals import Interval
 from repro.simpoint.simpoint import SimPointConfig, run_simpoint
@@ -36,17 +33,14 @@ def primary_vlis(micro_binary_32u, marker_set):
 
 class TestVLIConstruction:
     def test_rejects_bad_target_size(self, micro_binary_32u, marker_set):
-        with pytest.raises(ProfilingError):
-            VLIBuilder(
-                micro_binary_32u,
-                marker_set.table_for(micro_binary_32u.name),
-                0,
-            )
+        with pytest.raises(ProfilingError, match="target_size"):
+            collect_vli_bbvs(micro_binary_32u, marker_set, 0)
 
     def test_rejects_wrong_table(self, micro_binary_32u, micro_binary_32o,
                                  marker_set):
         with pytest.raises(ProfilingError, match="marker table is for"):
-            VLIBuilder(
+            replay_vli(
+                compiled_trace(micro_binary_32u),
                 micro_binary_32u,
                 marker_set.table_for(micro_binary_32o.name),
                 MICRO_INTERVAL,

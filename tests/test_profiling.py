@@ -5,7 +5,7 @@ import pytest
 from repro.compilation.binary import BlockKind
 from repro.errors import ProfilingError
 from repro.execution.engine import run_binary
-from repro.profiling.bbv import FixedLengthBBVCollector, collect_fli_bbvs
+from repro.profiling.bbv import collect_fli_bbvs
 from repro.profiling.callbranch import collect_call_branch_profile
 from repro.profiling.intervals import Interval
 
@@ -29,8 +29,8 @@ class TestFLICollection:
         return collect_fli_bbvs(micro_binary_32u, MICRO_INTERVAL)
 
     def test_rejects_bad_interval_size(self, micro_binary_32u):
-        with pytest.raises(ProfilingError):
-            FixedLengthBBVCollector(micro_binary_32u, 0)
+        with pytest.raises(ProfilingError, match="interval_size"):
+            collect_fli_bbvs(micro_binary_32u, 0)
 
     def test_all_but_last_exactly_sized(self, intervals):
         for interval in intervals[:-1]:

@@ -292,16 +292,12 @@ class TestCachedProfiles:
 
 class TestCrossPipelineCaching:
     def test_cached_run_bit_identical_and_faster(self, micro_binary_list,
-                                                 tmp_path, monkeypatch):
+                                                 tmp_path):
         # Scale the input (and the interval size with it, so the
-        # interval count stays put) until execution-engine work
-        # dominates, and shrink the k sweep — clustering is never
-        # cached, so it sets the warm-run floor. Pin the scalar
-        # profiling path: trace replay makes cold runs nearly as fast
-        # as warm ones, which is exactly what this timing contract is
-        # *not* about (trace-path caching has its own tests in
-        # tests/test_trace_replay_equivalence.py).
-        monkeypatch.setenv("REPRO_NO_TRACE", "1")
+        # interval count stays put) until profiling dominates, and
+        # shrink the k sweep. Every stage, clustering included, goes
+        # through the cache, so a warm run only looks entries up and
+        # unpickles them.
         config = CrossBinaryConfig(
             interval_size=MICRO_INTERVAL * 40,
             program_input=ProgramInput(name="speedup", scale=40.0),
@@ -325,8 +321,8 @@ class TestCrossPipelineCaching:
         assert cache.stats.hits == cache.stats.misses
 
         assert baseline == cold == warm
-        # Warm runs skip every execution-engine pass; only clustering
-        # and unpickling remain (acceptance: >= 2x; typically far more).
+        # Warm runs skip every profiling pass and every clustering;
+        # only lookups and unpickling remain (acceptance: >= 2x).
         assert cold_elapsed > 2 * warm_elapsed, (
             f"warm cache run not faster: cold {cold_elapsed:.3f}s vs "
             f"warm {warm_elapsed:.3f}s"

@@ -183,21 +183,6 @@ class TestCachedFullRun:
         assert counters["cache.sim.hits"] == 1
         assert counters["cache.sim.misses"] == 1
 
-    def test_batched_flag_is_not_part_of_the_key(self, micro_binary_32u,
-                                                 tmp_path):
-        cache = ProfileCache(tmp_path)
-        batched = cached_full_run(
-            micro_binary_32u, fli_interval_size=MICRO_INTERVAL,
-            cache=cache, batched=True,
-        )
-        scalar = cached_full_run(
-            micro_binary_32u, fli_interval_size=MICRO_INTERVAL,
-            cache=cache, batched=False,
-        )
-        assert pickle.dumps(batched) == pickle.dumps(scalar)
-        row = cache.stats.by_kind[SIMRESULT_KIND]
-        assert (row.hits, row.misses) == (1, 1)
-
     def test_escape_hatches_disable_reuse(self, micro_binary_32u,
                                           tmp_path, monkeypatch):
         cache = ProfileCache(tmp_path)

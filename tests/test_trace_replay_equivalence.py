@@ -5,10 +5,10 @@ one scalar engine walk per profiling consumer with a single recorded
 walk replayed in bulk. These tests pin the contract that makes the
 substitution safe: for every consumer — fixed-length BBVs, VLI
 construction, interval instruction counts, and the call-and-branch
-profile — the replay result equals the scalar result *exactly* (same
-dicts, same key order, same float values), across the whole benchmark
-suite, every standard target, and both study inputs, plus randomly
-generated IR programs.
+profile — the production result equals the scalar oracle's
+(:mod:`tests.oracles.profiling`) *exactly* (same dicts, same key order,
+same float values), across the whole benchmark suite, every standard
+target, and both study inputs, plus randomly generated IR programs.
 """
 
 import pytest
@@ -35,8 +35,13 @@ from repro.profiling.callbranch import collect_call_branch_profile
 from repro.programs.inputs import REF_INPUT, TEST_INPUT
 from repro.programs.suite import benchmark_names, build_benchmark
 from repro.runtime.cache import ProfileCache
-from repro.runtime.config import trace_replay_enabled
 
+from tests.oracles.profiling import (
+    scalar_call_branch_profile,
+    scalar_fli_bbvs,
+    scalar_interval_counts,
+    scalar_vli_bbvs,
+)
 from tests.strategies import programs
 
 INTERVAL = 50_000
@@ -52,12 +57,8 @@ def _assert_all_consumers_equal(ordered, program_input):
     """Scalar vs replay for all four consumers over one binary set."""
     profiles = []
     for binary in ordered:
-        scalar = collect_call_branch_profile(
-            binary, program_input, use_trace=False
-        )
-        replay = collect_call_branch_profile(
-            binary, program_input, use_trace=True
-        )
+        scalar = scalar_call_branch_profile(binary, program_input)
+        replay = collect_call_branch_profile(binary, program_input)
         assert scalar == replay
         # Dict iteration order is part of bit-identity.
         assert list(scalar.procedure_entries) == list(
@@ -66,23 +67,19 @@ def _assert_all_consumers_equal(ordered, program_input):
         profiles.append((binary, scalar))
 
     for binary in ordered:
-        scalar = collect_fli_bbvs(
-            binary, INTERVAL, program_input, use_trace=False
-        )
-        replay = collect_fli_bbvs(
-            binary, INTERVAL, program_input, use_trace=True
-        )
+        scalar = scalar_fli_bbvs(binary, INTERVAL, program_input)
+        replay = collect_fli_bbvs(binary, INTERVAL, program_input)
         assert scalar == replay
         for s, r in zip(scalar, replay):
             assert list(s.bbv) == list(r.bbv)
 
     marker_set, _ = find_mappable_points(profiles)
     primary = ordered[0]
-    scalar_vlis = collect_vli_bbvs(
-        primary, marker_set, INTERVAL, program_input, use_trace=False
+    scalar_vlis = scalar_vli_bbvs(
+        primary, marker_set, INTERVAL, program_input
     )
     replay_vlis = collect_vli_bbvs(
-        primary, marker_set, INTERVAL, program_input, use_trace=True
+        primary, marker_set, INTERVAL, program_input
     )
     assert scalar_vlis == replay_vlis
     for s, r in zip(scalar_vlis, replay_vlis):
@@ -90,11 +87,11 @@ def _assert_all_consumers_equal(ordered, program_input):
 
     boundaries = interval_boundaries(scalar_vlis)
     for binary in ordered:
-        scalar = measure_interval_instructions(
-            binary, marker_set, boundaries, program_input, use_trace=False
+        scalar = scalar_interval_counts(
+            binary, marker_set, boundaries, program_input
         )
         replay = measure_interval_instructions(
-            binary, marker_set, boundaries, program_input, use_trace=True
+            binary, marker_set, boundaries, program_input
         )
         assert scalar == replay
 
@@ -134,8 +131,8 @@ class TestTraceStructure:
     def test_mid_block_interval_split(self, micro_binary_32u):
         # An interval size that cannot align with block boundaries
         # forces mid-block splits; totals must still be exact.
-        scalar = collect_fli_bbvs(micro_binary_32u, 997, use_trace=False)
-        replay = collect_fli_bbvs(micro_binary_32u, 997, use_trace=True)
+        scalar = scalar_fli_bbvs(micro_binary_32u, 997)
+        replay = collect_fli_bbvs(micro_binary_32u, 997)
         assert scalar == replay
         assert all(i.instructions == 997 for i in replay[:-1])
 
@@ -151,11 +148,9 @@ class TestTraceStructure:
             marker_set.table_for(binary.name).block_to_marker().values()
         )), 10**9)]
         errors = []
-        for use_trace in (False, True):
+        for measure in (scalar_interval_counts, measure_interval_instructions):
             with pytest.raises(MappingError) as excinfo:
-                measure_interval_instructions(
-                    binary, marker_set, bogus, use_trace=use_trace
-                )
+                measure(binary, marker_set, bogus)
             errors.append(str(excinfo.value))
         assert errors[0] == errors[1]
 
@@ -187,28 +182,13 @@ class TestTraceCaching:
     def test_profile_cache_key_is_path_independent(
         self, micro_binary_32u, tmp_path
     ):
-        # A profile cached by the scalar path must be served to the
-        # replay path (and vice versa): both produce identical values,
-        # so the key deliberately excludes the computation path.
+        # The cached value is the oracle's value, and the warm lookup
+        # serves it back without recomputing.
         cache = ProfileCache(tmp_path)
-        scalar = collect_fli_bbvs(
-            micro_binary_32u, INTERVAL, cache=cache, use_trace=False
-        )
-        replay = collect_fli_bbvs(
-            micro_binary_32u, INTERVAL, cache=cache, use_trace=True
-        )
-        assert scalar == replay
+        cold = collect_fli_bbvs(micro_binary_32u, INTERVAL, cache=cache)
+        warm = collect_fli_bbvs(micro_binary_32u, INTERVAL, cache=cache)
+        assert cold == warm == scalar_fli_bbvs(micro_binary_32u, INTERVAL)
         assert cache.stats.hits == 1
-
-    def test_env_opt_out(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_TRACE", raising=False)
-        assert trace_replay_enabled(None) is True
-        monkeypatch.setenv("REPRO_NO_TRACE", "1")
-        assert trace_replay_enabled(None) is False
-        # An explicit argument always wins over the environment.
-        assert trace_replay_enabled(True) is True
-        monkeypatch.delenv("REPRO_NO_TRACE")
-        assert trace_replay_enabled(False) is False
 
 
 class TestRandomPrograms:
@@ -221,28 +201,24 @@ class TestRandomPrograms:
         ]
         profiles = []
         for binary in binaries:
-            scalar = collect_call_branch_profile(binary, use_trace=False)
-            replay = collect_call_branch_profile(binary, use_trace=True)
+            scalar = scalar_call_branch_profile(binary)
+            replay = collect_call_branch_profile(binary)
             assert scalar == replay
             profiles.append((binary, scalar))
         for binary in binaries:
             for size in (777, 25_000):
-                assert collect_fli_bbvs(
-                    binary, size, use_trace=False
-                ) == collect_fli_bbvs(binary, size, use_trace=True)
+                assert scalar_fli_bbvs(binary, size) == collect_fli_bbvs(
+                    binary, size
+                )
         marker_set, _ = find_mappable_points(profiles)
         primary = binaries[0]
-        scalar_vlis = collect_vli_bbvs(
-            primary, marker_set, 25_000, use_trace=False
-        )
-        replay_vlis = collect_vli_bbvs(
-            primary, marker_set, 25_000, use_trace=True
-        )
+        scalar_vlis = scalar_vli_bbvs(primary, marker_set, 25_000)
+        replay_vlis = collect_vli_bbvs(primary, marker_set, 25_000)
         assert scalar_vlis == replay_vlis
         boundaries = interval_boundaries(scalar_vlis)
         for binary in binaries:
-            assert measure_interval_instructions(
-                binary, marker_set, boundaries, use_trace=False
+            assert scalar_interval_counts(
+                binary, marker_set, boundaries
             ) == measure_interval_instructions(
-                binary, marker_set, boundaries, use_trace=True
+                binary, marker_set, boundaries
             )
