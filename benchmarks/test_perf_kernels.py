@@ -94,7 +94,7 @@ def test_perf_bulk_reference_generation(benchmark, art_32u):
 
     def generate():
         state = AddressStreamState()
-        return pattern.generate(state, 50_000)
+        return pattern.generate(state, pattern.rounds(50_000))
 
     lines, _ = benchmark(generate)
     assert lines.size >= 50_000

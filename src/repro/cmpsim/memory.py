@@ -17,35 +17,35 @@ by the cold fast-forward mode of region simulation, where addresses
 must stay deterministic even though the caches are not touched.
 
 Batched generation: :class:`BulkAccessPattern` compiles an ordered
-tuple of specs (one loop iteration's reference pattern) into closed
-forms and materializes whole iteration spans as numpy arrays —
+tuple of specs into per-spec constants and materializes any sequence of
+references over them (one spec index per reference — a whole flush
+window of mixed block executions and loop iterations) as numpy arrays,
 bit-identical to, and leaving the stream state exactly as, the
-equivalent sequence of :func:`generate_refs` calls. Every per-kind
-recurrence has a closed form over the round index ``t`` and the
-in-round reference index:
+equivalent sequence of :func:`generate_refs` calls. A reference's value
+depends only on its spec and on how far its stream has advanced before
+it, and every per-kind recurrence has a closed form in those stream-
+local offsets, which come from prefix sums grouped by stream:
 
-* cursor kinds (``STREAM``/``STACK``/``BLOCKED``) are affine in both
-  indices (``cursor0 + offset + advance * t``);
+* cursor kinds (``STREAM``/``STACK``/``BLOCKED``) read
+  ``cursor0 + (strides of the stream's earlier references)``;
 * the LCG kinds use the affine-composition identity
-  ``lcg^n(x) = A^n x + C * (A^{n-1} + ... + 1)`` — per-round states
-  come from a vectorized prefix scan of ``A^R`` powers (uint64
-  arithmetic wraps exactly like the scalar ``& MASK``), per-reference
-  states from precompiled coefficient vectors;
-* write flags satisfy ``flag_i == ((acc0 + i * wnum) % 1024) < wnum``
-  because each scalar step reduces the accumulator by at most one
-  denominator.
+  ``lcg^n(x) = A^n x + C * (A^{n-1} + ... + 1)`` with ``n`` the
+  stream's draw count, from power tables (uint64 arithmetic wraps
+  exactly like the scalar ``& MASK``);
+* write flags satisfy ``flag == ((acc0 + W) % 1024) < wnum`` with ``W``
+  the stream's accumulated write numerators up to and including the
+  reference, because each scalar step reduces the accumulator by at
+  most one denominator.
 
 Streams shared by several specs (named streams; the O0 per-procedure
-stack stream) are handled by grouping the compiled pattern per stream
-and giving every occurrence its in-round cursor/draw/accumulator
-offset, so interleaved occurrences reproduce the scalar interleaving
-exactly.
+stack stream) need nothing special: grouping is by stream, so
+interleaved occurrences reproduce the scalar interleaving exactly.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -184,264 +184,199 @@ def advance_stream(
         state.lcg[spec.stream_id] = _lcg_jump(lcg, n)
 
 
-def _affine_power(steps: int) -> Tuple[int, int]:
-    """Coefficients ``(mult, add)`` of the LCG iterated ``steps`` times."""
-    mult, add = 1, 0
-    cur_mult, cur_add = _LCG_A, _LCG_C
-    while steps > 0:
-        if steps & 1:
-            mult = (mult * cur_mult) & _LCG_MASK
-            add = (add * cur_mult + cur_add) & _LCG_MASK
-        cur_add = (cur_add * cur_mult + cur_add) & _LCG_MASK
-        cur_mult = (cur_mult * cur_mult) & _LCG_MASK
-        steps >>= 1
-    return mult, add
-
-
 def _wnum(spec: AccessSpec) -> int:
     return int(round((1.0 - spec.read_fraction) * _WDENOM))
 
 
-class _CursorClass:
-    """Per-column closed-form constants of one cursor kind."""
+#: Spec classes of :class:`BulkAccessPattern` (the closed form each
+#: reference's address takes).
+_LINEAR = 0  # STREAM, STACK
+_BLOCKED = 1
+_LCG_KIND = 2  # RANDOM, POINTER_CHASE
 
-    __slots__ = ("cols", "stream", "const", "adv", "base", "fp")
-
-    def __init__(self, columns) -> None:
-        # columns: (col, stream_index, const, adv, base, footprint)
-        self.cols = np.array([c[0] for c in columns], dtype=np.intp)
-        self.stream = np.array([c[1] for c in columns], dtype=np.intp)
-        self.const = np.array([c[2] for c in columns], dtype=np.int64)
-        self.adv = np.array([c[3] for c in columns], dtype=np.int64)
-        self.base = np.array([c[4] for c in columns], dtype=np.int64)
-        self.fp = np.array([c[5] for c in columns], dtype=np.int64)
+def _lcg_tables(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(A^k, A^0 + ... + A^(k-1))`` mod 2^64 for ``k = 0 .. n``:
+    ``k`` draws from state ``x`` land on ``A^k x + C * sums[k]``."""
+    powers = np.ones(n + 1, dtype=np.uint64)
+    # uint64 products wrap exactly like the scalar ``& MASK``.
+    powers[1:] = np.multiply.accumulate(np.full(n, _LCG_A, dtype=np.uint64))
+    sums = np.zeros(n + 1, dtype=np.uint64)
+    sums[1:] = np.add.accumulate(powers[:-1])
+    return powers, sums
 
 
 class BulkAccessPattern:
-    """Closed-form batch generator for an ordered tuple of access specs.
+    """Closed-form batch generator over an ordered tuple of access specs.
 
-    One *round* executes every spec once, in order — a loop iteration's
-    reference pattern. :meth:`generate` materializes ``rounds``
-    consecutive rounds as flat numpy arrays in exactly the order the
-    scalar ``generate_refs`` loop would produce them, and leaves the
-    :class:`AddressStreamState` exactly as that loop would.
+    :meth:`generate` takes any *reference sequence* — one spec index
+    per reference, in execution order — and materializes it in one
+    vectorized pass, bit-identical to, and leaving the
+    :class:`AddressStreamState` exactly as, the scalar
+    :func:`generate_refs` calls that produce those references in that
+    order. A block execution is its specs' indices, each repeated
+    ``refs_per_exec`` times; :meth:`rounds` spells ``n`` executions of
+    every spec in order (one loop iteration's pattern, repeated).
+
+    Every reference's value depends only on its spec and on how far its
+    stream has advanced before it, so each reference takes its
+    stream-local offsets — cursor advance, LCG draw count and write
+    accumulator — from prefix sums grouped by stream. Shared streams
+    (named streams, the O0 per-procedure stack stream) therefore
+    interleave exactly as the scalar loop interleaves them.
     """
 
     def __init__(self, specs: Sequence[AccessSpec]) -> None:
-        specs = tuple(s for s in specs if s.refs_per_exec > 0)
-        self._specs = specs
-        self.refs_per_round = sum(s.refs_per_exec for s in specs)
+        self.specs = tuple(specs)
+        stream_index: Dict[int, int] = {}
+        for spec in self.specs:
+            stream_index.setdefault(spec.stream_id, len(stream_index))
+        self._stream_ids = tuple(stream_index)
+        dtype = np.int16 if len(stream_index) < 2**15 else np.int64
+        n = len(self.specs)
 
-        # Per-stream in-round bookkeeping, in occurrence order.
-        cursor_pre: Dict[int, int] = {}  # cursor advance before occurrence
-        lcg_pre: Dict[int, int] = {}  # LCG draws before occurrence
-        write_pre: Dict[int, int] = {}  # accumulator bump before occurrence
+        def column(values, dtype=np.int64) -> np.ndarray:
+            return np.fromiter(values, dtype=dtype, count=n)
 
-        stream_order: List[int] = []  # streams with any occurrence
-        cursor_streams: List[int] = []  # streams with cursor occurrences
-        lcg_stream_occs: Dict[int, List] = {}
-
-        lin_columns: List[Tuple] = []
-        blk_columns: List[Tuple] = []
-        w_const: List[int] = []
-        w_step_by_stream: Dict[int, int] = {}
-        w_num: List[int] = []
-        w_stream: List[int] = []
-
-        col = 0
-        for spec in specs:
-            sid = spec.stream_id
-            rpe = spec.refs_per_exec
-            if sid not in w_step_by_stream:
-                w_step_by_stream[sid] = 0
-                stream_order.append(sid)
-            wnum = _wnum(spec)
-            pre_w = write_pre.get(sid, 0)
-            sindex = stream_order.index(sid)
-            for j in range(rpe):
-                w_const.append(pre_w + wnum * (j + 1))
-                w_num.append(wnum)
-                w_stream.append(sindex)
-            write_pre[sid] = pre_w + wnum * rpe
-            w_step_by_stream[sid] += wnum * rpe
-
-            kind = spec.kind
-            if kind in (AccessKind.STREAM, AccessKind.STACK, AccessKind.BLOCKED):
-                if sid not in cursor_pre:
-                    cursor_pre[sid] = 0
-                    cursor_streams.append(sid)
-                pre_c = cursor_pre[sid]
-                cindex = cursor_streams.index(sid)
-                target = blk_columns if kind is AccessKind.BLOCKED else lin_columns
-                for j in range(rpe):
-                    target.append((
-                        col + j,
-                        cindex,
-                        pre_c + spec.stride * j,
-                        None,  # advance filled in once totals are known
-                        spec.base,
-                        spec.footprint,
-                    ))
-                cursor_pre[sid] = pre_c + spec.stride * rpe
-            else:
-                pre_d = lcg_pre.get(sid, 0)
-                lcg_pre[sid] = pre_d + rpe
-                pre_mult, pre_add = _affine_power(pre_d)
-                mult, add = 1, 0
-                coeff_mult: List[int] = []
-                coeff_add: List[int] = []
-                for _ in range(rpe):
-                    mult = (mult * _LCG_A) & _LCG_MASK
-                    add = (add * _LCG_A + _LCG_C) & _LCG_MASK
-                    coeff_mult.append(mult)
-                    coeff_add.append(add)
-                lcg_stream_occs.setdefault(sid, []).append((
-                    col,
-                    rpe,
-                    np.uint64(pre_mult),
-                    np.uint64(pre_add),
-                    pre_d == 0,
-                    np.array(coeff_mult, dtype=np.uint64),
-                    np.array(coeff_add, dtype=np.uint64),
-                    spec.base,
-                    spec.footprint,
-                ))
-            col += rpe
-
-        # Per-round advances, now that per-stream totals are known.
-        self._cursor_streams = tuple(cursor_streams)
-        self._cursor_adv = tuple(cursor_pre[sid] for sid in cursor_streams)
-
-        def finish_cursor(columns) -> Optional[_CursorClass]:
-            if not columns:
-                return None
-            filled = [
-                (c, s, const, cursor_pre[cursor_streams[s]], base, fp)
-                for (c, s, const, _, base, fp) in columns
-            ]
-            return _CursorClass(filled)
-
-        self._linear = finish_cursor(lin_columns)
-        self._blocked = finish_cursor(blk_columns)
-        if self._blocked is not None:
-            fps = self._blocked.fp
-            self._blk_window = np.minimum(fps, _WINDOW)
-            self._blk_span = self._blk_window * _WINDOW_SWEEPS
-
-        self._lcg_streams = tuple(
-            (
-                sid,
-                lcg_pre[sid],
-                _affine_power(lcg_pre[sid]),
-                tuple(occs),
-            )
-            for sid, occs in lcg_stream_occs.items()
+        kinds = [
+            _LCG_KIND
+            if spec.kind in (AccessKind.RANDOM, AccessKind.POINTER_CHASE)
+            else _BLOCKED
+            if spec.kind is AccessKind.BLOCKED
+            else _LINEAR
+            for spec in self.specs
+        ]
+        # Small stream indices make the stable grouping sort a radix sort.
+        self._stream = column(
+            (stream_index[spec.stream_id] for spec in self.specs), dtype
+        )
+        self._kind = column(kinds, np.int8)
+        self._is_lcg = self._kind == _LCG_KIND
+        self._stride = np.where(
+            self._is_lcg, 0, column(spec.stride for spec in self.specs)
+        )
+        self._wnum = column(_wnum(spec) for spec in self.specs)
+        self._base = column(spec.base for spec in self.specs)
+        self._footprint = column(spec.footprint for spec in self.specs)
+        self._window = np.minimum(self._footprint, _WINDOW)
+        self._round = np.repeat(
+            np.arange(n, dtype=np.int64),
+            column(spec.refs_per_exec for spec in self.specs),
         )
 
-        self._w_streams = tuple(stream_order)
-        self._w_round = tuple(w_step_by_stream[sid] for sid in stream_order)
-        self._w_const = np.array(w_const, dtype=np.int64)
-        self._w_num = np.array(w_num, dtype=np.int64)
-        self._w_stream = np.array(w_stream, dtype=np.intp)
+    @property
+    def refs_per_round(self) -> int:
+        return int(self._round.shape[0])
+
+    def rounds(self, n: int) -> np.ndarray:
+        """The reference sequence of ``n`` rounds (every spec once, in
+        order, per round)."""
+        return np.tile(self._round, max(n, 0))
 
     def generate(
-        self, state: AddressStreamState, rounds: int
+        self, state: AddressStreamState, refs: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """References for ``rounds`` rounds as ``(lines, writes)``.
-
-        Flat arrays of length ``rounds * refs_per_round``, ordered
-        exactly as the scalar per-spec ``generate_refs`` loop orders
-        them; ``state`` is advanced to the scalar loop's final values.
-        """
-        cols = self.refs_per_round
-        if rounds <= 0 or cols == 0:
+        """References of the spec-index sequence ``refs`` as
+        ``(lines, writes)``; ``state`` advances to the scalar loop's
+        final values."""
+        n = int(refs.shape[0])
+        if n == 0:
             return (
                 np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.bool_),
             )
-        t = np.arange(rounds, dtype=np.int64)
-        lines = np.empty((rounds, cols), dtype=np.int64)
+        # Group references by stream (stable, so in order within each).
+        order = np.argsort(self._stream[refs], kind="stable")
+        spec = refs[order]
+        stream = self._stream[spec]
+        first = np.empty(n, dtype=np.bool_)
+        first[0] = True
+        np.not_equal(stream[1:], stream[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        last = np.empty(starts.shape[0], dtype=np.int64)
+        last[:-1] = starts[1:] - 1
+        last[-1] = n - 1
+        group = np.cumsum(first) - 1
 
-        # Write flags: one closed form covers every column.
+        def grouped_cumsum(values: np.ndarray) -> np.ndarray:
+            """Inclusive prefix sums restarting at every stream."""
+            total = np.cumsum(values)
+            return total - (total[starts] - values[starts])[group]
+
+        stream_ids = [self._stream_ids[s] for s in stream[starts].tolist()]
         acc0 = np.array(
-            [state.write_acc.get(sid, 0) for sid in self._w_streams],
+            [state.write_acc.get(sid, 0) for sid in stream_ids],
             dtype=np.int64,
         )
-        w_round = np.array(self._w_round, dtype=np.int64)
-        pos = (acc0[self._w_stream] + self._w_const)[None, :]
-        pos = pos + (w_round[self._w_stream])[None, :] * t[:, None]
-        writes = (pos % _WDENOM) < self._w_num[None, :]
+        wnum = self._wnum[spec]
+        written = grouped_cumsum(wnum)
+        flags = (acc0[group] + written) % _WDENOM < wnum
 
-        cursor0: Optional[np.ndarray] = None
-        if self._cursor_streams:
-            cursor0 = np.array(
-                [state.cursors.get(sid, 0) for sid in self._cursor_streams],
-                dtype=np.int64,
-            )
-            adv = np.array(self._cursor_adv, dtype=np.int64)
-        if self._linear is not None:
-            lin = self._linear
-            cur = (cursor0[lin.stream] + lin.const)[None, :]
-            cur = cur + (adv[lin.stream])[None, :] * t[:, None]
-            addr = lin.base[None, :] + cur % lin.fp[None, :]
-            lines[:, lin.cols] = addr >> 6
-        if self._blocked is not None:
-            blk = self._blocked
-            cur = (cursor0[blk.stream] + blk.const)[None, :]
-            cur = cur + (adv[blk.stream])[None, :] * t[:, None]
-            window = self._blk_window[None, :]
-            window_index = cur // self._blk_span[None, :]
-            offset = (cur % self._blk_span[None, :]) % window
-            addr = blk.base[None, :] + (
-                window_index * window + offset
-            ) % blk.fp[None, :]
-            lines[:, blk.cols] = addr >> 6
-
-        for sid, draws, (round_mult, round_add), occs in self._lcg_streams:
-            x0 = state.lcg.get(
-                sid, (sid * 2654435761 + 1) & _LCG_MASK
-            )
-            # State at the start of round t: (A^draws)^t applied to x0,
-            # via a prefix scan over powers of the per-round multiplier.
-            powers = np.empty(rounds, dtype=np.uint64)
-            powers[0] = 1
-            sums = np.empty(rounds, dtype=np.uint64)
-            sums[0] = 0
-            if rounds > 1:
-                powers[1:] = np.multiply.accumulate(
-                    np.full(rounds - 1, round_mult, dtype=np.uint64)
+        lines = np.empty(n, dtype=np.int64)
+        kind = self._kind[spec]
+        is_lcg = self._is_lcg[spec]
+        stride = self._stride[spec]
+        advanced = grouped_cumsum(stride)
+        cursor0 = np.array(
+            [state.cursors.get(sid, 0) for sid in stream_ids],
+            dtype=np.int64,
+        )
+        cursor = cursor0[group] + advanced - stride
+        linear = kind == _LINEAR
+        if linear.any():
+            s = spec[linear]
+            lines[linear] = (
+                self._base[s] + cursor[linear] % self._footprint[s]
+            ) >> 6
+        blocked = kind == _BLOCKED
+        if blocked.any():
+            s = spec[blocked]
+            cur = cursor[blocked]
+            window = self._window[s]
+            span = window * _WINDOW_SWEEPS
+            lines[blocked] = (
+                self._base[s]
+                + ((cur // span) * window + (cur % span) % window)
+                % self._footprint[s]
+            ) >> 6
+        draws = grouped_cumsum(is_lcg.astype(np.int64))
+        x0 = [
+            state.lcg.get(sid, (sid * 2654435761 + 1) & _LCG_MASK)
+            for sid in stream_ids
+        ]
+        if is_lcg.any():
+            powers, sums = _lcg_tables(int(draws[last].max()))
+            s = spec[is_lcg]
+            k = draws[is_lcg]
+            x = powers[k] * np.array(x0, dtype=np.uint64)[group[is_lcg]]
+            x += sums[k] * np.uint64(_LCG_C)
+            lines[is_lcg] = (
+                (
+                    self._base[s].astype(np.uint64)
+                    + (x >> np.uint64(16))
+                    % self._footprint[s].astype(np.uint64)
                 )
-                sums[1:] = np.add.accumulate(powers[: rounds - 1])
-            y = powers * np.uint64(x0) + np.uint64(round_add) * sums
-            for (
-                col,
-                rpe,
-                pre_mult,
-                pre_add,
-                at_round_start,
-                coeff_mult,
-                coeff_add,
-                base,
-                footprint,
-            ) in occs:
-                z = y if at_round_start else y * pre_mult + pre_add
-                states = coeff_mult[None, :] * z[:, None] + coeff_add[None, :]
-                addr = base + (states >> np.uint64(16)) % footprint
-                lines[:, col : col + rpe] = (addr >> np.uint64(6)).astype(
-                    np.int64
-                )
-            state.lcg[sid] = _lcg_jump(x0, draws * rounds)
+                >> np.uint64(6)
+            ).astype(np.int64)
 
-        for index, sid in enumerate(self._cursor_streams):
-            state.cursors[sid] = (
-                int(cursor0[index]) + self._cursor_adv[index] * rounds
-            )
-        for index, sid in enumerate(self._w_streams):
+        # Final stream state: only the dicts the scalar loop would touch.
+        moved = advanced[last].tolist()
+        n_draws = draws[last].tolist()
+        n_cursor = (last - starts + 1 - draws[last]).tolist()
+        n_written = written[last].tolist()
+        for index, sid in enumerate(stream_ids):
             state.write_acc[sid] = (
-                int(acc0[index]) + self._w_round[index] * rounds
+                int(acc0[index]) + n_written[index]
             ) % _WDENOM
+            if n_cursor[index]:
+                state.cursors[sid] = int(cursor0[index]) + moved[index]
+            if n_draws[index]:
+                state.lcg[sid] = _lcg_jump(x0[index], n_draws[index])
 
-        return lines.reshape(-1), writes.reshape(-1)
+        out_lines = np.empty(n, dtype=np.int64)
+        out_lines[order] = lines
+        writes = np.empty(n, dtype=np.bool_)
+        writes[order] = flags
+        return out_lines, writes
 
 
 @lru_cache(maxsize=512)
@@ -460,4 +395,5 @@ def generate_refs_bulk(
     from ``n_execs`` scalar :func:`generate_refs` calls, advancing
     ``state`` to the same values.
     """
-    return bulk_pattern((spec,)).generate(state, n_execs)
+    pattern = bulk_pattern((spec,))
+    return pattern.generate(state, pattern.rounds(n_execs))

@@ -1,8 +1,9 @@
-"""The CMP$im-style simulator: full runs, interval trackers, regions.
+"""The CMP$im-style simulator: full runs, interval attribution, regions.
 
-:class:`CMPSim` drives a binary through the execution engine while
-simulating the Table 1 memory hierarchy and accounting cycles with the
-in-order CPI model. Two kinds of run are supported:
+:class:`CMPSim` replays a binary's compiled execution trace
+(:func:`~repro.execution.trace.compiled_trace`) through the Table 1
+memory hierarchy, accounting cycles with the in-order CPI model. Two
+kinds of run are supported:
 
 * :meth:`CMPSim.run_full` — simulate the entire execution, optionally
   attributing instructions/cycles to interval structures via trackers:
@@ -15,32 +16,47 @@ in-order CPI model. Two kinds of run are supported:
   functionally or left untouched, for the warmup ablation) and collect
   detailed statistics only inside the regions.
 
-Both run on the same deferred-batch machinery: references are generated
-in bulk, queued, and replayed through
-:meth:`~repro.cmpsim.hierarchy.MemoryHierarchy.access_many` in large
-flushes, with cycle accounting drained afterwards in exact event order.
-A region run is cut into *windows* at the region boundaries and flushes
-at every boundary that changes the active region: detailed windows
-replay through ``access_many``, warm fast-forward windows through the
-state-only :meth:`~repro.cmpsim.hierarchy.MemoryHierarchy.warm_many`,
-and cold fast-forward windows generate no references at all (address
-cursors jump ahead with :func:`~repro.cmpsim.memory.advance_stream`).
+Both measure execution in *units*: one execution of a block run or one
+iteration of an iteration span (procedure-entry events carry none).
+The trace's event arrays are cut into flush *windows* — unit ranges
+holding about ``_FLUSH_REFS`` references — and a region run also cuts
+at every region boundary, resolved up front from the trace's marker
+firing table. Each window generates all its references with one
+closed-form :meth:`~repro.cmpsim.memory.BulkAccessPattern.generate`
+call and replays them through
+:meth:`~repro.cmpsim.hierarchy.MemoryHierarchy.access_many` (detailed)
+or the state-only
+:meth:`~repro.cmpsim.hierarchy.MemoryHierarchy.warm_many` (warm
+fast-forward); cold fast-forward generates nothing (address cursors
+jump ahead with :func:`~repro.cmpsim.memory.advance_stream`).
+
+A detailed window yields one *chunk* per block execution, in event
+order, as parallel arrays (:class:`Chunks`). Cycles fold left to right
+with ``np.add.accumulate`` and the trackers attribute whole windows of
+chunks at once, so every float is added in exactly the order the
+reference-at-a-time oracles (``tests/oracles``) add it.
 
 Marker anchor blocks are always overhead blocks (procedure entries,
 loop entries, loop branches) and overhead blocks never touch memory, so
 their per-execution cycles within a chunk are uniform — which makes the
-trackers' bulk-chunk boundary arithmetic exact. It also means only the
-loop branch can fire a marker inside an iteration span, at the end of
-an iteration: region simulation splits a span right after the
-iteration that reaches the next boundary and batches everything else
-whole.
+trackers' boundary arithmetic exact. It also means only the loop branch
+can fire a marker inside an iteration span, at the end of an iteration.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -51,15 +67,18 @@ from repro.cmpsim.memory import (
     AddressStreamState,
     BulkAccessPattern,
     advance_stream,
-    bulk_pattern,
-    generate_refs,
 )
 from repro.observability import metrics
-from repro.compilation.binary import Binary, LLoop
+from repro.compilation.binary import Binary
 from repro.core.markers import ExecutionCoordinate, MarkerTable
 from repro.errors import SimulationError
-from repro.execution.engine import ExecutionEngine
-from repro.execution.events import ExecutionConsumer, iteration_profile
+from repro.execution.trace import (
+    EVENT_BLOCK,
+    EVENT_SPAN,
+    CompiledTrace,
+    compiled_trace,
+    firing_events,
+)
 from repro.programs.inputs import ProgramInput, REF_INPUT
 
 
@@ -90,64 +109,194 @@ class IntervalStats:
         return 1000.0 * self.dram_accesses / self.instructions
 
 
+class Chunks(NamedTuple):
+    """One window of chunks in event order, as parallel arrays.
+
+    A chunk is ``execs`` consecutive executions of ``block`` committing
+    ``instructions`` (int64) and costing ``cycles`` (float64) with
+    ``dram`` (float64) demand accesses serviced by DRAM. The simulator
+    emits one chunk per block execution (``execs`` all ones).
+    """
+
+    block: np.ndarray
+    execs: np.ndarray
+    instructions: np.ndarray
+    cycles: np.ndarray
+    dram: np.ndarray
+
+
+def _fold(seed: float, values: np.ndarray) -> float:
+    """``seed += value`` for every value, left to right."""
+    if not values.shape[0]:
+        return seed
+    return float(np.add.accumulate(np.concatenate(([seed], values)))[-1])
+
+
+#: One interval's share of a split chunk: (interval relative to the
+#: open one, instructions, cycles, DRAM).
+_Piece = Tuple[int, int, float, float]
+
+
+def _splice(
+    rel: np.ndarray,
+    instructions: np.ndarray,
+    cycles: np.ndarray,
+    dram: np.ndarray,
+    pieces: Dict[int, List[_Piece]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The addend arrays with each split chunk ``j`` replaced, in
+    place, by its ``pieces[j]``."""
+    if not pieces:
+        return rel, instructions, cycles, dram
+    n = rel.shape[0]
+    split = sorted(pieces)
+    extra = np.zeros(n, dtype=np.int64)
+    extra[split] = [len(pieces[j]) - 1 for j in split]
+    slot = np.arange(n, dtype=np.int64) + np.cumsum(extra) - extra
+    size = n + int(extra.sum())
+    whole = np.ones(n, dtype=np.bool_)
+    whole[split] = False
+    out = []
+    for values, dtype in (
+        (rel, np.int64), (instructions, np.int64),
+        (cycles, np.float64), (dram, np.float64),
+    ):
+        array = np.empty(size, dtype=dtype)
+        array[slot[whole]] = values[whole]
+        out.append(array)
+    slots: List[int] = []
+    rows: List[_Piece] = []
+    for j in split:
+        start = int(slot[j])
+        slots.extend(range(start, start + len(pieces[j])))
+        rows.extend(pieces[j])
+    for array, column in zip(out, zip(*rows)):
+        array[slots] = column
+    return out[0], out[1], out[2], out[3]
+
+
+def _close_intervals(
+    cur: IntervalStats,
+    closed: List[IntervalStats],
+    rel: np.ndarray,
+    instructions: np.ndarray,
+    cycles: np.ndarray,
+    dram: np.ndarray,
+    n_closed: int,
+) -> IntervalStats:
+    """Fold one window's addends into its intervals.
+
+    ``rel`` (non-decreasing) places every addend in an interval counted
+    from the open interval ``cur`` (0). Intervals ``0 .. n_closed - 1``
+    close and are appended to ``closed``; interval ``n_closed`` is
+    returned as the new open interval. Each interval's cycles and DRAM
+    are folded left to right by its own ``np.add.accumulate``, seeded
+    with its carried value (``cur``'s, else ``0.0``) — the exact
+    ``+=`` sequence of the per-chunk oracle. (``np.add.reduceat`` and
+    pairwise sums do not fold in that order.)
+    """
+    n = rel.shape[0]
+    n_intervals = n_closed + 1
+    bounds = np.searchsorted(
+        rel, np.arange(n_intervals + 1, dtype=np.int64)
+    ).tolist()
+    # Interval i's seed sits at row bounds[i] + i, its addends follow.
+    rows = np.zeros((n + n_intervals, 2), dtype=np.float64)
+    slot = np.arange(n, dtype=np.int64) + rel + 1
+    rows[slot, 0] = cycles
+    rows[slot, 1] = dram
+    rows[0] = (cur.cycles, cur.dram_accesses)
+    counted = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(instructions, out=counted[1:])
+    intervals = []
+    for index in range(n_intervals):
+        lo, hi = bounds[index], bounds[index + 1]
+        folded = np.add.accumulate(rows[lo + index : hi + index + 1])[-1]
+        intervals.append(
+            IntervalStats(
+                instructions=int(counted[hi] - counted[lo]),
+                cycles=float(folded[0]),
+                dram_accesses=float(folded[1]),
+            )
+        )
+    intervals[0].instructions += cur.instructions
+    closed.extend(intervals[:-1])
+    return intervals[-1]
+
+
 class FLITracker:
     """Attributes cycles to fixed-length intervals (exact cuts).
 
     A chunk whose instructions straddle a boundary is split with its
     cycles prorated by instruction share — the same convention real
     interval profilers use when a basic block straddles an interval
-    boundary.
+    boundary. Cuts come from cumulative instruction counts; only the
+    straddling chunks (about one per interval) replay the prorated
+    split in Python.
     """
 
     def __init__(self, interval_size: int) -> None:
         if interval_size <= 0:
             raise SimulationError("interval_size must be positive")
         self._size = interval_size
+        self._position = 0  # instructions attributed so far
         self._cur = IntervalStats()
         self.intervals: List[IntervalStats] = []
         self.total_instructions = 0
         self.total_cycles = 0.0
         self.total_dram = 0.0
 
-    def on_chunk(
-        self,
-        block_id: int,
-        execs: int,
-        instructions: int,
-        cycles: float,
-        dram: float = 0.0,
-    ) -> None:
-        self.total_instructions += instructions
-        self.total_cycles += cycles
-        self.total_dram += dram
-        if instructions <= 0:
-            # A chunk may carry cycles/DRAM traffic without committing
-            # instructions; conserve them in the open interval instead
-            # of silently dropping them.
-            self._cur.cycles += cycles
-            self._cur.dram_accesses += dram
+    def attribute(self, chunks: Chunks) -> None:
+        """Attribute one window of chunks, in order."""
+        instructions, cycles, dram = (
+            chunks.instructions, chunks.cycles, chunks.dram
+        )
+        if not instructions.shape[0]:
             return
-        remaining_instr = instructions
-        remaining_cycles = cycles
-        remaining_dram = dram
-        while remaining_instr > 0:
-            space = self._size - self._cur.instructions
-            if remaining_instr < space:
-                self._cur.instructions += remaining_instr
-                self._cur.cycles += remaining_cycles
-                self._cur.dram_accesses += remaining_dram
-                return
-            fraction = space / remaining_instr
-            share = remaining_cycles * fraction
-            dram_share = remaining_dram * fraction
-            self._cur.instructions += space
-            self._cur.cycles += share
-            self._cur.dram_accesses += dram_share
-            remaining_instr -= space
-            remaining_cycles -= share
-            remaining_dram -= dram_share
-            self.intervals.append(self._cur)
-            self._cur = IntervalStats()
+        self.total_instructions += int(instructions.sum())
+        self.total_cycles = _fold(self.total_cycles, cycles)
+        self.total_dram = _fold(self.total_dram, dram)
+        size = self._size
+        first = self._position // size  # the open interval
+        # A chunk without instructions only adds its cycles and DRAM
+        # to the open interval (a stall must not be dropped).
+        advance = np.maximum(instructions, 0)
+        ends = self._position + np.cumsum(advance)
+        starts = ends - advance
+        interval = starts // size
+        rel = interval - first
+        pieces: Dict[int, List[_Piece]] = {}
+        for j in np.flatnonzero(ends > (interval + 1) * size).tolist():
+            remaining_instr = int(advance[j])
+            remaining_cycles = float(cycles[j])
+            remaining_dram = float(dram[j])
+            at = int(rel[j])
+            filled = int(starts[j]) - int(interval[j]) * size
+            split: List[_Piece] = []
+            while remaining_instr > 0:
+                space = size - filled
+                if remaining_instr < space:
+                    split.append(
+                        (at, remaining_instr, remaining_cycles, remaining_dram)
+                    )
+                    break
+                fraction = space / remaining_instr
+                share = remaining_cycles * fraction
+                dram_share = remaining_dram * fraction
+                split.append((at, space, share, dram_share))
+                remaining_instr -= space
+                remaining_cycles -= share
+                remaining_dram -= dram_share
+                at += 1
+                filled = 0
+            pieces[j] = split
+        self._position = int(ends[-1])
+        self._cur = _close_intervals(
+            self._cur,
+            self.intervals,
+            *_splice(rel, advance, cycles, dram, pieces),
+            n_closed=self._position // size - first,
+        )
 
     def finish(self) -> None:
         if (
@@ -173,7 +322,15 @@ class VLITracker:
     ``boundaries`` are the interior interval boundaries (execution
     coordinates) from the primary binary's VLI profile; the tracker
     closes an interval exactly when the expected coordinate fires in
-    *this* binary's execution.
+    *this* binary's execution. A boundary only fires while it is the
+    next pending one: one that already fired before its predecessor
+    never fires, and :meth:`finish` reports it.
+
+    Boundaries are found from per-marker firing counts (grouped prefix
+    sums over each window's anchor chunks); a marker chunk runs
+    ``execs`` uniform executions, so it adds
+    ``(cycles / execs) * take`` for every ``take`` executions that land
+    in one interval — and no DRAM traffic.
     """
 
     def __init__(
@@ -181,7 +338,14 @@ class VLITracker:
         table: MarkerTable,
         boundaries: Sequence[ExecutionCoordinate],
     ) -> None:
-        self._block_to_marker = table.block_to_marker()
+        block_to_marker = table.block_to_marker()
+        # One spare slot past the largest anchor block: every other
+        # block id maps there, to "no marker".
+        self._marker_of = np.full(
+            max(block_to_marker, default=-1) + 2, -1, dtype=np.int64
+        )
+        for block_id, marker_id in block_to_marker.items():
+            self._marker_of[block_id] = marker_id
         self._boundaries: Tuple[ExecutionCoordinate, ...] = tuple(boundaries)
         self._next = 0
         self._marker_counts: Dict[int, int] = {}
@@ -189,49 +353,103 @@ class VLITracker:
         self.intervals: List[IntervalStats] = []
         self.binary_name = table.binary_name
 
-    def _close(self) -> None:
-        self.intervals.append(self._cur)
-        self._cur = IntervalStats()
-        self._next += 1
+    def _fire(
+        self, marker: np.ndarray, chunk: np.ndarray, execs: np.ndarray
+    ) -> List[Tuple[int, int]]:
+        """Advance the marker counts over one window's anchor chunks and
+        return the pending boundaries that fire, as ``(chunk, firing)``
+        with ``firing`` the 1-based execution within the chunk."""
+        order = np.argsort(marker, kind="stable")
+        marker, chunk, execs = marker[order], chunk[order], execs[order]
+        new = np.empty(marker.shape[0], dtype=np.bool_)
+        new[0] = True
+        np.not_equal(marker[1:], marker[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        ends = np.append(starts[1:], marker.shape[0])
+        group = np.cumsum(new) - 1
+        markers = marker[starts].tolist()
+        before = np.array(
+            [self._marker_counts.get(m, 0) for m in markers], dtype=np.int64
+        )
+        total = np.cumsum(execs)
+        count_after = total - (total[starts] - execs[starts])[group]
+        count_after += before[group]
+        index_of = {m: index for index, m in enumerate(markers)}
 
-    def on_chunk(
-        self,
-        block_id: int,
-        execs: int,
-        instructions: int,
-        cycles: float,
-        dram: float = 0.0,
-    ) -> None:
-        marker_id = self._block_to_marker.get(block_id)
-        if marker_id is None:
-            self._cur.instructions += instructions
-            self._cur.cycles += cycles
-            self._cur.dram_accesses += dram
+        fired: List[Tuple[int, int]] = []
+        previous = (-1, 0)
+        while self._next < len(self._boundaries):
+            marker_id, count = self._boundaries[self._next]
+            index = index_of.get(marker_id)
+            if index is None or count <= before[index]:
+                break  # fires in a later window, or never
+            lo, hi = int(starts[index]), int(ends[index])
+            if count > count_after[hi - 1]:
+                break
+            row = lo + int(
+                np.searchsorted(count_after[lo:hi], count, side="left")
+            )
+            where = (
+                int(chunk[row]),
+                count - int(count_after[row] - execs[row]),
+            )
+            if where <= previous:
+                break  # fired before the previous boundary: never
+            fired.append(where)
+            previous = where
+            self._next += 1
+        for index, m in enumerate(markers):
+            self._marker_counts[m] = int(count_after[ends[index] - 1])
+        return fired
+
+    def attribute(self, chunks: Chunks) -> None:
+        """Attribute one window of chunks, in order."""
+        block, execs, instructions, cycles, dram = chunks
+        n = block.shape[0]
+        if not n:
             return
-        # Marker anchors are overhead blocks: uniform per execution and
-        # free of memory traffic (dram is always 0 here).
-        per_instr = instructions // execs
-        per_cycles = cycles / execs
-        count = self._marker_counts.get(marker_id, 0)
-        remaining = execs
-        while remaining > 0:
-            take = remaining
-            if self._next < len(self._boundaries):
-                expected_marker, expected_count = self._boundaries[self._next]
-                if (
-                    expected_marker == marker_id
-                    and count < expected_count <= count + remaining
-                ):
-                    take = expected_count - count
-            self._cur.instructions += per_instr * take
-            self._cur.cycles += per_cycles * take
-            count += take
-            remaining -= take
-            if self._next < len(self._boundaries):
-                expected_marker, expected_count = self._boundaries[self._next]
-                if expected_marker == marker_id and expected_count == count:
-                    self._close()
-        self._marker_counts[marker_id] = count
+        lookup = self._marker_of
+        marker = lookup[np.minimum(block, lookup.shape[0] - 1)]
+        anchors = np.flatnonzero(marker >= 0)
+        fired: List[Tuple[int, int]] = []
+        if anchors.shape[0]:
+            runs = execs[anchors]
+            instructions = instructions.copy()
+            cycles = cycles.copy()
+            dram = dram.copy()
+            instructions[anchors] = (instructions[anchors] // runs) * runs
+            cycles[anchors] = (cycles[anchors] / runs) * runs
+            dram[anchors] = 0.0
+            fired = self._fire(marker[anchors], anchors, runs)
+        rel = np.searchsorted(
+            np.array([j for j, _ in fired], dtype=np.int64),
+            np.arange(n, dtype=np.int64),
+        )
+        pieces: Dict[int, List[_Piece]] = {}
+        firings: Dict[int, List[int]] = {}
+        for j, firing in fired:
+            firings.setdefault(j, []).append(firing)
+        for j, offsets in firings.items():
+            runs = int(execs[j])
+            if offsets == [runs]:
+                continue  # the whole chunk closes its interval
+            per_instr = int(chunks.instructions[j]) // runs
+            per_cycles = float(chunks.cycles[j]) / runs
+            at = int(rel[j])
+            taken = 0
+            split: List[_Piece] = []
+            for offset in offsets + ([runs] if offsets[-1] < runs else []):
+                take = offset - taken
+                split.append((at, per_instr * take, per_cycles * take, 0.0))
+                taken = offset
+                at += 1
+            pieces[j] = split
+        self._cur = _close_intervals(
+            self._cur,
+            self.intervals,
+            *_splice(rel, instructions, cycles, dram, pieces),
+            n_closed=len(fired),
+        )
 
     def finish(self) -> None:
         if self._next != len(self._boundaries):
@@ -315,629 +533,316 @@ def regions_from_mapped_points(points) -> List[RegionSpec]:
     ]
 
 
-@dataclass(frozen=True)
-class _BlockInfo:
-    instructions: int
-    base_cycles: float
-    specs: Tuple
 
-
-#: Spans below this many total references are expanded into per-block
-#: queue items instead of one bulk-generated span — the numpy fixed
-#: costs dominate on tiny spans. Both paths are bit-identical, so the
-#: threshold is pure tuning.
-_MIN_BULK_REFS = 64
-
-#: Deferred references are flushed through the hierarchy once this
-#: many accumulate — large enough that every cache level's replay runs
-#: vectorized, small enough to keep the working set in cache.
+#: A window closes once it holds this many references — large enough
+#: that every cache level's replay runs vectorized, small enough to keep
+#: the working set in cache. Long iteration spans are cut between
+#: iterations.
 _FLUSH_REFS = 65536
 
-#: Memory guard: flush once this many accounting items queue up even
-#: if few references did (reference-free stretches of execution).
-_FLUSH_ITEMS = 262144
-
-#: Queue item tags (first tuple element).
-_ITEM_PLAIN = 0  # (tag, block_id, execs, instructions, cycles)
-_ITEM_BLOCK = 1  # (tag, block_id, instructions, base_cycles, start, end)
-_ITEM_SPAN = 2  # (tag, plan, iterations, start)
-_ITEM_LOOP = 3  # (tag, chunks, iterations) — reference-free loop
+#: Memory guard: a window also closes at this many chunks (block
+#: executions) even if few references accumulated (reference-free
+#: stretches of execution).
+_FLUSH_CHUNKS = 262144
 
 
-@dataclass(frozen=True)
-class _SpanChunk:
-    """One block execution inside a loop iteration's chunk sequence."""
+def _tiled(
+    offsets: np.ndarray, widths: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Concatenation over ``i`` of ``counts[i]`` repetitions of the
+    index range ``[offsets[i], offsets[i] + widths[i])``."""
+    sizes = widths * counts
+    total = int(sizes.sum())
+    local = np.arange(total, dtype=np.int64) - np.repeat(
+        np.cumsum(sizes) - sizes, sizes
+    )
+    return np.repeat(offsets, sizes) + local % np.repeat(widths, sizes)
 
-    block_id: int
-    instructions: int
-    base_cycles: float
-    col_start: int  # reference columns [col_start, col_end) of this
-    col_end: int  # block within one iteration's reference row
-    has_specs: bool
 
+class _Tables:
+    """Per-``(binary, trace)`` recipe for windowed simulation.
 
-@dataclass(frozen=True)
-class _SpanPlan:
-    """Compiled batch recipe for one loop's iteration span.
-
-    ``pattern`` is ``None`` for loops whose iterations touch no
-    memory; they queue as reference-free loop items.
+    A *unit* is one block execution or one loop iteration: units
+    ``0 .. n_blocks - 1`` are the blocks (unit id = block id), the
+    trace's iteration-span loops follow. Each unit has a chunk template
+    (its block executions, in order: the block itself, or a loop's body
+    blocks then its branch) and a reference template (its specs'
+    indices into :attr:`pattern`, each repeated ``refs_per_exec``
+    times, chunk by chunk). Per trace event: the unit it repeats, how
+    many units it holds, and running totals of units, references and
+    chunks at its end.
     """
 
-    chunks: Tuple[_SpanChunk, ...]
-    pattern: Optional[BulkAccessPattern]
-    refs_per_iter: int
-    instr_per_iter: int
-
-
-class _DetailedConsumer(ExecutionConsumer):
-    """Full detailed simulation with tracker attribution.
-
-    Nothing touches the hierarchy per event. Reference generation
-    still happens in event order (it owns the address cursors), but the
-    generated arrays are *queued* alongside ordered accounting items
-    and flushed through :meth:`MemoryHierarchy.access_many` once
-    ``_FLUSH_REFS`` references accumulate — batches then span many
-    loops and straddle block events, which is what lets every cache
-    level replay vectorized. At flush the item queue is drained in
-    original event order, so float cycle accumulation and tracker
-    ``on_chunk`` calls happen in exactly the per-reference sequence:
-    results stay bit-identical to simulating one reference at a time
-    (the scalar oracle in ``tests/oracles/full.py``).
-    """
-
-    def __init__(
-        self,
-        binary: Binary,
-        hierarchy: MemoryHierarchy,
-        cpi_model: CPIModel,
-        trackers: Sequence,
-    ) -> None:
-        self._binary = binary
-        self._hierarchy = hierarchy
-        self._trackers = tuple(trackers)
-        self._streams = AddressStreamState()
-        self._pen_np = np.array(cpi_model.penalties, dtype=np.int64)
-        self._span_cache: Dict[int, _SpanPlan] = {}
-        self.instructions = 0
-        self.cycles = 0.0
-        self.memory_refs = 0
-        self.dram_accesses = 0
-        self._pending_lines: List[np.ndarray] = []
-        self._pending_writes: List[np.ndarray] = []
-        self._pending_refs = 0
-        self._items: List[Tuple] = []
-        n_blocks = max(binary.blocks) + 1 if binary.blocks else 0
-        self._info: List[Optional[_BlockInfo]] = [None] * n_blocks
+    def __init__(self, binary: Binary, trace: CompiledTrace) -> None:
+        n_blocks = trace.instr_of_block.shape[0]
+        spec_index: Dict = {}
+        block_refs: List[List[int]] = [[] for _ in range(n_blocks)]
+        base_cycles = np.zeros(n_blocks, dtype=np.float64)
         for block_id, block in binary.blocks.items():
-            self._info[block_id] = _BlockInfo(
-                instructions=block.instructions,
-                base_cycles=block.instructions * block.base_cpi,
-                specs=block.accesses,
+            base_cycles[block_id] = block.instructions * block.base_cpi
+            for spec in block.accesses:
+                index = spec_index.setdefault(spec, len(spec_index))
+                block_refs[block_id].extend([index] * spec.refs_per_exec)
+        self.pattern = BulkAccessPattern(tuple(spec_index))
+
+        loops = sorted(trace.span_profiles)
+        templates = [[block_id] for block_id in range(n_blocks)]
+        for loop_id in loops:
+            profile = trace.span_profiles[loop_id]
+            templates.append(
+                list(profile.body_blocks) + [profile.branch_block]
             )
-
-    def _queue_refs(self, info: _BlockInfo) -> Tuple[int, int]:
-        """Generate one block execution's references and queue them;
-        returns their ``[start, end)`` range in the pending batch."""
-        lines: List[int] = []
-        writes: List[bool] = []
-        for spec in info.specs:
-            for line, write in generate_refs(spec, self._streams):
-                lines.append(line)
-                writes.append(write)
-        start = self._pending_refs
-        self._pending_lines.append(np.array(lines, dtype=np.int64))
-        self._pending_writes.append(np.array(writes, dtype=np.bool_))
-        self._pending_refs = start + len(lines)
-        return start, self._pending_refs
-
-    def _queue_span_refs(self, plan: _SpanPlan, iterations: int) -> int:
-        """Bulk-generate a span's references and queue them; returns
-        the span's first position in the pending batch."""
-        metrics.counter("cmpsim.bulk_spans").inc()
-        lines, writes = plan.pattern.generate(self._streams, iterations)
-        metrics.counter("cmpsim.bulk_refs").inc(int(lines.size))
-        start = self._pending_refs
-        self._pending_lines.append(lines)
-        self._pending_writes.append(writes)
-        self._pending_refs = start + int(lines.size)
-        return start
-
-    def _queue_block(self, block_id: int, info: _BlockInfo) -> None:
-        """Queue one reference-bearing block execution."""
-        start, end = self._queue_refs(info)
-        self.memory_refs += end - start
-        self.instructions += info.instructions
-        self._items.append(
-            (
-                _ITEM_BLOCK,
-                block_id,
-                info.instructions,
-                info.base_cycles,
-                start,
-                end,
-            )
+        widths = np.array([len(t) for t in templates], dtype=np.int64)
+        self.chunk_off = np.cumsum(widths) - widths
+        self.chunk_width = widths
+        self.chunk_block = np.array(
+            [block_id for t in templates for block_id in t], dtype=np.int64
         )
-
-    def on_block(self, block_id: int, execs: int = 1) -> None:
-        info = self._info[block_id]
-        if info.specs:
-            for _ in range(execs):
-                self._queue_block(block_id, info)
-            self._maybe_flush()
-            return
-        instructions = info.instructions * execs
-        self.instructions += instructions
-        self._items.append(
-            (_ITEM_PLAIN, block_id, execs, instructions,
-             info.base_cycles * execs)
+        self.chunk_instr = trace.instr_of_block[self.chunk_block]
+        self.chunk_base = base_cycles[self.chunk_block]
+        self.chunk_refs = np.array(
+            [len(block_refs[block_id]) for block_id in self.chunk_block],
+            dtype=np.int64,
         )
-        if len(self._items) >= _FLUSH_ITEMS:
-            self._flush()
-
-    def _span_plan(self, loop: LLoop) -> _SpanPlan:
-        """Compile (and cache) the batch recipe for one loop.
-
-        Loops whose iterations touch no memory get ``pattern=None``.
-        The branch block is a chunk with no reference columns: like
-        every marker anchor, it is an overhead block that never touches
-        memory.
-        """
-        try:
-            return self._span_cache[loop.loop_id]
-        except KeyError:
-            pass
-        profile = iteration_profile(self._binary, loop)
-        specs: List = []
-        chunks: List[_SpanChunk] = []
-        col = 0
-        instr = 0
-        for block_id in profile.body_blocks:
-            info = self._info[block_id]
-            start = col
-            if info.specs:
-                for spec in info.specs:
-                    specs.append(spec)
-                    col += spec.refs_per_exec
-            chunks.append(
-                _SpanChunk(
-                    block_id=block_id,
-                    instructions=info.instructions,
-                    base_cycles=info.base_cycles,
-                    col_start=start,
-                    col_end=col,
-                    has_specs=bool(info.specs),
-                )
-            )
-            instr += info.instructions
-        branch = self._info[profile.branch_block]
-        chunks.append(
-            _SpanChunk(
-                block_id=profile.branch_block,
-                instructions=branch.instructions,
-                base_cycles=branch.base_cycles,
-                col_start=col,
-                col_end=col,
-                has_specs=False,
-            )
-        )
-        instr += branch.instructions
-        plan = _SpanPlan(
-            chunks=tuple(chunks),
-            pattern=bulk_pattern(tuple(specs)) if col > 0 else None,
-            refs_per_iter=col,
-            instr_per_iter=instr,
-        )
-        self._span_cache[loop.loop_id] = plan
-        return plan
-
-    def on_iterations(self, loop: LLoop, iterations: int) -> None:
-        plan = self._span_plan(loop)
-        if plan.pattern is None:
-            self.instructions += plan.instr_per_iter * iterations
-            self._items.append((_ITEM_LOOP, plan.chunks, iterations))
-        elif iterations * plan.refs_per_iter >= _MIN_BULK_REFS:
-            start = self._queue_span_refs(plan, iterations)
-            self.memory_refs += self._pending_refs - start
-            self.instructions += plan.instr_per_iter * iterations
-            self._items.append((_ITEM_SPAN, plan, iterations, start))
-        else:
-            # Tiny span: expand to per-block items (numpy fixed costs
-            # dominate bulk generation at this size).
-            metrics.counter("cmpsim.scalar_spans").inc()
-            for _ in range(iterations):
-                for chunk in plan.chunks:
-                    if chunk.has_specs:
-                        self._queue_block(
-                            chunk.block_id, self._info[chunk.block_id]
-                        )
-                    else:
-                        self.instructions += chunk.instructions
-                        self._items.append(
-                            (
-                                _ITEM_PLAIN,
-                                chunk.block_id,
-                                1,
-                                chunk.instructions,
-                                chunk.base_cycles,
-                            )
-                        )
-        self._maybe_flush()
-
-    def _maybe_flush(self) -> None:
-        if (
-            self._pending_refs >= _FLUSH_REFS
-            or len(self._items) >= _FLUSH_ITEMS
-        ):
-            self._flush()
-
-    def _span_cycles(
-        self, plan: _SpanPlan, iterations: int, pen_slice: np.ndarray
-    ) -> np.ndarray:
-        """Per-(iteration, chunk) cycle matrix from a penalty slice."""
-        pen2d = pen_slice.reshape(iterations, plan.refs_per_iter)
-        cyc = np.empty((iterations, len(plan.chunks)), dtype=np.float64)
-        for index, chunk in enumerate(plan.chunks):
-            if chunk.col_end > chunk.col_start:
-                cyc[:, index] = chunk.base_cycles + pen2d[
-                    :, chunk.col_start : chunk.col_end
-                ].sum(axis=1)
-            else:
-                cyc[:, index] = chunk.base_cycles
-        return cyc
-
-    def _flush(self) -> None:
-        """Replay all queued references and drain accounting in order.
-
-        Instructions and reference counts were added at queue time
-        (integer sums are order-free); float cycle accumulation and
-        tracker calls replay here in exact event order.
-        """
-        items = self._items
-        if not items:
-            return
-        metrics.counter("cmpsim.detailed_flushes").inc()
-        # Flush sizes expose the deferred-replay batching behavior:
-        # shrinking reference batches (or item-guard-triggered flushes)
-        # mean the vectorized path is degrading toward scalar replay.
-        metrics.histogram("cmpsim.flush_refs").observe(self._pending_refs)
-        metrics.histogram("cmpsim.flush_items").observe(len(items))
-        pen_all = dram_all = None
-        if self._pending_refs:
-            serviced = self._hierarchy.access_many(*self._take_refs())
-            pen_all = self._pen_np[serviced]
-            dram_all = serviced == 3
-            self.dram_accesses += int(np.count_nonzero(dram_all))
-        self._items = []
-        if self._trackers:
-            self._drain_tracked(items, pen_all, dram_all)
-        else:
-            self._drain_untracked(items, pen_all)
-
-    def _take_refs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The queued references as one ``(lines, writes)`` batch;
-        empties the reference queue."""
-        if len(self._pending_lines) == 1:
-            lines = self._pending_lines[0]
-            writes = self._pending_writes[0]
-        else:
-            lines = np.concatenate(self._pending_lines)
-            writes = np.concatenate(self._pending_writes)
-        self._pending_lines = []
-        self._pending_writes = []
-        self._pending_refs = 0
-        return lines, writes
-
-    def _drain_untracked(
-        self, items: List[Tuple], pen_all: Optional[np.ndarray]
-    ) -> None:
-        """Fold all queued cycle values left-to-right in event order.
-
-        ``np.add.accumulate`` folds left-to-right, bit-identical to a
-        per-chunk ``cycles +=`` sequence (np.sum is pairwise and is
-        NOT).
-        """
-        parts: List[np.ndarray] = [
-            np.array([self.cycles], dtype=np.float64)
+        refs = [
+            [index for block_id in t for index in block_refs[block_id]]
+            for t in templates
         ]
-        buf: List[float] = []
-        for item in items:
-            tag = item[0]
-            if tag == _ITEM_SPAN:
-                _, plan, iterations, start = item
-                end = start + iterations * plan.refs_per_iter
-                cyc = self._span_cycles(
-                    plan, iterations, pen_all[start:end]
-                )
-                if buf:
-                    parts.append(np.array(buf, dtype=np.float64))
-                    buf = []
-                parts.append(cyc.reshape(-1))
-            elif tag == _ITEM_BLOCK:
-                _, _, _, base_cycles, start, end = item
-                penalty = int(pen_all[start:end].sum()) if end > start else 0
-                buf.append(base_cycles + penalty)
-            elif tag == _ITEM_PLAIN:
-                buf.append(item[4])
-            else:  # _ITEM_LOOP
-                _, chunks, iterations = item
-                row = np.array(
-                    [chunk.base_cycles for chunk in chunks],
-                    dtype=np.float64,
-                )
-                if buf:
-                    parts.append(np.array(buf, dtype=np.float64))
-                    buf = []
-                parts.append(np.tile(row, iterations))
-        if buf:
-            parts.append(np.array(buf, dtype=np.float64))
-        addends = np.concatenate(parts)
-        self.cycles = float(np.add.accumulate(addends)[-1])
+        self.ref_width = np.array([len(r) for r in refs], dtype=np.int64)
+        self.ref_off = np.cumsum(self.ref_width) - self.ref_width
+        self.ref_spec = np.array(
+            [index for r in refs for index in r], dtype=np.int64
+        )
+        self.ref_unit = np.repeat(
+            np.arange(len(refs), dtype=np.int64), self.ref_width
+        )
 
-    def _drain_tracked(
-        self,
-        items: List[Tuple],
-        pen_all: Optional[np.ndarray],
-        dram_all: Optional[np.ndarray],
-    ) -> None:
-        """Replay the exact per-chunk accounting/on_chunk call sequence
-        with Python numbers; only reference generation and the cache
-        replay were batched."""
-        trackers = self._trackers
-        cycles_total = self.cycles
-        for item in items:
-            tag = item[0]
-            if tag == _ITEM_SPAN:
-                _, plan, iterations, start = item
-                end = start + iterations * plan.refs_per_iter
-                cyc_rows = self._span_cycles(
-                    plan, iterations, pen_all[start:end]
-                ).tolist()
-                dram2d = dram_all[start:end].reshape(
-                    iterations, plan.refs_per_iter
-                )
-                dram_rows = {
-                    index: dram2d[
-                        :, chunk.col_start : chunk.col_end
-                    ].sum(axis=1).tolist()
-                    for index, chunk in enumerate(plan.chunks)
-                    if chunk.col_end > chunk.col_start
-                }
-                for t in range(iterations):
-                    row = cyc_rows[t]
-                    for index, chunk in enumerate(plan.chunks):
-                        value = row[index]
-                        cycles_total += value
-                        if chunk.has_specs:
-                            hits = (
-                                dram_rows[index][t]
-                                if index in dram_rows
-                                else 0
-                            )
-                            for tracker in trackers:
-                                tracker.on_chunk(
-                                    chunk.block_id,
-                                    1,
-                                    chunk.instructions,
-                                    value,
-                                    hits,
-                                )
-                        else:
-                            for tracker in trackers:
-                                tracker.on_chunk(
-                                    chunk.block_id,
-                                    1,
-                                    chunk.instructions,
-                                    value,
-                                )
-            elif tag == _ITEM_BLOCK:
-                _, block_id, instructions, base_cycles, start, end = item
-                if end > start:
-                    value = base_cycles + int(pen_all[start:end].sum())
-                    dram = int(dram_all[start:end].sum())
-                else:
-                    value = base_cycles
-                    dram = 0
-                cycles_total += value
-                for tracker in trackers:
-                    tracker.on_chunk(
-                        block_id, 1, instructions, value, dram
-                    )
-            elif tag == _ITEM_PLAIN:
-                _, block_id, execs, instructions, cycles = item
-                cycles_total += cycles
-                for tracker in trackers:
-                    tracker.on_chunk(
-                        block_id, execs, instructions, cycles
-                    )
-            else:  # _ITEM_LOOP
-                _, chunks, iterations = item
-                for _ in range(iterations):
-                    for chunk in chunks:
-                        cycles_total += chunk.base_cycles
-                        for tracker in trackers:
-                            tracker.on_chunk(
-                                chunk.block_id,
-                                1,
-                                chunk.instructions,
-                                chunk.base_cycles,
-                            )
-        self.cycles = cycles_total
-
-    def finish(self) -> None:
-        self._flush()
-        for tracker in self._trackers:
-            tracker.finish()
+        kinds, ids, reps = trace.kinds, trace.ids, trace.reps
+        unit = np.zeros(kinds.shape[0], dtype=np.int64)
+        is_block = kinds == EVENT_BLOCK
+        unit[is_block] = ids[is_block]
+        if loops:
+            unit_of_loop = np.zeros(max(loops) + 1, dtype=np.int64)
+            unit_of_loop[loops] = n_blocks + np.arange(len(loops))
+            is_span = kinds == EVENT_SPAN
+            unit[is_span] = unit_of_loop[ids[is_span]]
+        self.event_unit = unit
+        self.units = np.where(kinds == EVENT_BLOCK, reps, 0)
+        if loops:
+            self.units[is_span] = reps[is_span]
+        self.unit_end = np.cumsum(self.units)
+        self.total_units = int(self.unit_end[-1]) if unit.shape[0] else 0
+        self.refs_per = self.ref_width[unit]
+        self.refs_end = np.cumsum(self.units * self.refs_per)
+        self.chunks_per = widths[unit]
+        self.chunks_end = np.cumsum(self.units * self.chunks_per)
+        self.instr_per = trace.event_instr // np.maximum(self.units, 1)
+        self.instr_end = trace.event_end
 
 
-class _SampledConsumer(_DetailedConsumer):
-    """Sampled simulation: detail inside regions, fast-forward outside.
-
-    Region boundaries cut the run into *windows*, each wholly detailed
-    (one region active) or wholly fast-forwarded; the queue is flushed
-    at every boundary that changes the active region, so one flush
-    never mixes modes. A detailed window queues references and
-    accounting items exactly as ``run_full`` does and replays them
-    through :meth:`MemoryHierarchy.access_many`; its running totals
-    start from zero and become the region's statistics when the window
-    closes. A fast-forward window only counts instructions. In ``warm``
-    mode its references are still queued and replayed state-only
-    through :meth:`MemoryHierarchy.warm_many` (functional warming), so
-    region statistics match a full run's. In cold mode the caches are
-    untouched (address cursors advance in closed form) and every
-    region starts with whatever the previous region left.
-
-    A span whose loop branch reaches the next pending boundary is split
-    right after the firing iteration (see the module docstring); any
-    other span is processed whole.
-    """
+class _Replay:
+    """One simulation's windows over a trace: reference generation,
+    hierarchy replay and chunk accounting."""
 
     def __init__(
         self,
         binary: Binary,
+        trace: CompiledTrace,
         hierarchy: MemoryHierarchy,
         cpi_model: CPIModel,
-        table: MarkerTable,
-        regions: Sequence[RegionSpec],
-        warm: bool,
     ) -> None:
-        super().__init__(binary, hierarchy, cpi_model, trackers=())
-        self._warm = warm
-        self._block_to_marker = table.block_to_marker()
-        self._marker_counts: Dict[int, int] = {}
-        self.results: Dict[int, IntervalStats] = {}
-        self.fast_forward_instructions = 0
+        self.trace = trace
+        self.tables = _Tables(binary, trace)
+        self.hierarchy = hierarchy
+        self.streams = AddressStreamState()
+        self._penalty = np.array(cpi_model.penalties, dtype=np.int64)
 
-        self._events: List[Tuple[ExecutionCoordinate, bool, int]] = []
-        self._active: Optional[int] = None
-        for index, region in enumerate(regions):
-            if region.label in self.results:
-                raise SimulationError(
-                    f"duplicate region label {region.label}"
-                )
-            self.results[region.label] = IntervalStats()
-            if region.start is None:
-                if index != 0:
-                    raise SimulationError(
-                        "only the first region may start at program start"
-                    )
-                self._active = region.label
-            else:
-                self._events.append((region.start, True, region.label))
-            if region.end is not None:
-                self._events.append((region.end, False, region.label))
-            elif index != len(regions) - 1:
-                raise SimulationError(
-                    "only the last region may run to program exit"
-                )
-        self._next_event = 0
+    def _at(self, running: np.ndarray, per: np.ndarray, unit: int) -> int:
+        """A running total (references, chunks, instructions) at the
+        start of ``unit``."""
+        t = self.tables
+        event = int(np.searchsorted(t.unit_end, unit, side="right"))
+        if event == t.unit_end.shape[0]:
+            return int(running[-1]) if event else 0
+        return int(running[event] - (t.unit_end[event] - unit) * per[event])
 
-    def _pending_count(self, marker_id: int) -> Optional[int]:
-        """The count at which ``marker_id`` reaches the next pending
-        boundary, or ``None`` if that boundary is another marker's."""
-        if self._next_event < len(self._events):
-            (marker, expected), _, _ = self._events[self._next_event]
-            if marker == marker_id:
-                return expected
-        return None
+    def _reach(
+        self, running: np.ndarray, per: np.ndarray, unit: int, amount: int
+    ) -> int:
+        """The first unit boundary at which ``amount`` more of a running
+        total has accumulated since ``unit``."""
+        t = self.tables
+        target = self._at(running, per, unit) + amount
+        event = int(np.searchsorted(running, target, side="left"))
+        if event == running.shape[0]:
+            return t.total_units
+        short = int(running[event]) - target  # overshoot at the event end
+        return int(t.unit_end[event]) - short // int(per[event])
 
-    def _fire(self, marker_id: int, count: int) -> None:
-        """Record a marker firing and apply every boundary it reaches."""
-        self._marker_counts[marker_id] = count
-        active = self._active
-        while self._pending_count(marker_id) == count:
-            _, starting, label = self._events[self._next_event]
-            active = label if starting else None
-            self._next_event += 1
-        if active != self._active:
-            self._close_window()
-            self._active = active
+    def instructions(self, lo: int, hi: int) -> int:
+        t = self.tables
+        return self._at(t.instr_end, t.instr_per, hi) - self._at(
+            t.instr_end, t.instr_per, lo
+        )
 
-    def _close_window(self) -> None:
-        """Flush; a detailed window's totals become its region's."""
-        self._flush()
-        if self._active is not None:
-            self.results[self._active] = IntervalStats(
-                instructions=self.instructions,
-                cycles=self.cycles,
-                dram_accesses=float(self.dram_accesses),
+    def windows(self, lo: int, hi: int) -> Iterator[Tuple[int, int]]:
+        """Flush windows ``[start, end)`` covering units ``[lo, hi)``."""
+        t = self.tables
+        while lo < hi:
+            end = min(
+                hi,
+                self._reach(t.refs_end, t.refs_per, lo, _FLUSH_REFS),
+                self._reach(t.chunks_end, t.chunks_per, lo, _FLUSH_CHUNKS),
             )
-        self.instructions = 0
-        self.cycles = 0.0
-        self.dram_accesses = 0
+            yield lo, end
+            lo = end
 
-    def _flush(self) -> None:
-        """Drain a detailed window as ``run_full`` does; replay a
-        fast-forward window's references state-only."""
-        if self._active is not None:
-            super()._flush()
-        elif self._pending_refs:
-            self._hierarchy.warm_many(*self._take_refs())
+    def _pieces(self, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The units of ``[lo, hi)`` as (unit, repetitions) per event."""
+        t = self.tables
+        first = int(np.searchsorted(t.unit_end, lo, side="right"))
+        last = int(np.searchsorted(t.unit_end, hi - 1, side="right"))
+        end = t.unit_end[first : last + 1]
+        counts = np.minimum(end, hi) - np.maximum(
+            end - t.units[first : last + 1], lo
+        )
+        keep = counts > 0
+        return t.event_unit[first : last + 1][keep], counts[keep]
 
-    def on_block(self, block_id: int, execs: int = 1) -> None:
-        info = self._info[block_id]
-        marker_id = self._block_to_marker.get(block_id)
-        for _ in range(execs):
-            if self._active is not None:
-                super().on_block(block_id)
-            else:
-                self.fast_forward_instructions += info.instructions
-                if info.specs and self._warm:
-                    self._queue_refs(info)
-                    self._maybe_flush()
-                elif info.specs:
-                    for spec in info.specs:
-                        advance_stream(spec, self._streams, 1)
-            if marker_id is not None:
-                self._fire(
-                    marker_id, self._marker_counts.get(marker_id, 0) + 1
+    def _refs(self, units: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        t = self.tables
+        return t.ref_spec[
+            _tiled(t.ref_off[units], t.ref_width[units], counts)
+        ]
+
+    def detailed(
+        self, lo: int, hi: int, tracked: bool
+    ) -> Tuple[np.ndarray, Optional[Chunks], int, int]:
+        """Simulate ``[lo, hi)`` in detail: ``(chunk cycles, chunks or
+        None, references, DRAM accesses)``."""
+        t = self.tables
+        units, counts = self._pieces(lo, hi)
+        chunk = _tiled(t.chunk_off[units], t.chunk_width[units], counts)
+        refs = self._refs(units, counts)
+        metrics.counter("cmpsim.detailed_flushes").inc()
+        # Window sizes expose the batching behavior: shrinking windows
+        # (or chunk-guard cuts) mean replay is degrading toward scalar.
+        metrics.histogram("cmpsim.flush_refs").observe(refs.shape[0])
+        metrics.histogram("cmpsim.flush_items").observe(units.shape[0])
+        cycles = t.chunk_base[chunk]
+        dram = np.zeros(chunk.shape[0], dtype=np.float64)
+        n_dram = 0
+        if refs.shape[0]:
+            serviced = self.hierarchy.access_many(
+                *t.pattern.generate(self.streams, refs)
+            )
+            width = t.chunk_refs[chunk]
+            ends = np.cumsum(width)
+            penalty = np.zeros(refs.shape[0] + 1, dtype=np.int64)
+            np.cumsum(self._penalty[serviced], out=penalty[1:])
+            cycles = cycles + (penalty[ends] - penalty[ends - width])
+            is_dram = serviced == 3
+            n_dram = int(np.count_nonzero(is_dram))
+            if tracked and n_dram:
+                hits = np.zeros(refs.shape[0] + 1, dtype=np.int64)
+                np.cumsum(is_dram, out=hits[1:])
+                dram = (hits[ends] - hits[ends - width]).astype(np.float64)
+        chunks = None
+        if tracked:
+            chunks = Chunks(
+                block=t.chunk_block[chunk],
+                execs=np.ones(chunk.shape[0], dtype=np.int64),
+                instructions=t.chunk_instr[chunk],
+                cycles=cycles,
+                dram=dram,
+            )
+        return cycles, chunks, refs.shape[0], n_dram
+
+    def warm(self, lo: int, hi: int) -> None:
+        """Functionally warm the caches with ``[lo, hi)``'s references."""
+        refs = self._refs(*self._pieces(lo, hi))
+        if refs.shape[0]:
+            self.hierarchy.warm_many(
+                *self.tables.pattern.generate(self.streams, refs)
+            )
+
+    def skip(self, lo: int, hi: int) -> None:
+        """Advance the address streams past ``[lo, hi)`` in closed form
+        (the cursor, LCG and write recurrences all commute)."""
+        t = self.tables
+        units, counts = self._pieces(lo, hi)
+        execs = np.zeros(t.ref_width.shape[0], dtype=np.int64)
+        np.add.at(execs, units, counts)
+        refs = np.bincount(
+            t.ref_spec,
+            weights=execs[t.ref_unit],
+            minlength=len(t.pattern.specs),
+        )
+        for index in np.flatnonzero(refs).tolist():
+            spec = t.pattern.specs[index]
+            advance_stream(
+                spec, self.streams, int(refs[index]) // spec.refs_per_exec
+            )
+
+
+def _region_events(
+    regions: Sequence[RegionSpec],
+) -> Tuple[List[Tuple[ExecutionCoordinate, bool, int]], Optional[int]]:
+    """Region boundaries in order as ``(coordinate, starting, label)``,
+    and the label active at program start."""
+    events: List[Tuple[ExecutionCoordinate, bool, int]] = []
+    active: Optional[int] = None
+    labels = set()
+    for index, region in enumerate(regions):
+        if region.label in labels:
+            raise SimulationError(f"duplicate region label {region.label}")
+        labels.add(region.label)
+        if region.start is None:
+            if index != 0:
+                raise SimulationError(
+                    "only the first region may start at program start"
                 )
-
-    def on_iterations(self, loop: LLoop, iterations: int) -> None:
-        plan = self._span_plan(loop)
-        marker_id = self._block_to_marker.get(plan.chunks[-1].block_id)
-        if marker_id is not None:
-            count = self._marker_counts.get(marker_id, 0)
-            fire = self._pending_count(marker_id)
-            while fire is not None and count < fire <= count + iterations:
-                self._span(loop, plan, fire - count)
-                iterations -= fire - count
-                count = fire
-                self._fire(marker_id, count)
-                fire = self._pending_count(marker_id)
-            self._marker_counts[marker_id] = count + iterations
-        if iterations:
-            self._span(loop, plan, iterations)
-
-    def _span(self, loop: LLoop, plan: _SpanPlan, iterations: int) -> None:
-        """``iterations`` whole iterations in the current window."""
-        if self._active is not None:
-            super().on_iterations(loop, iterations)
-            return
-        self.fast_forward_instructions += plan.instr_per_iter * iterations
-        if plan.pattern is None:
-            return
-        if not self._warm:
-            for chunk in plan.chunks:
-                for spec in self._info[chunk.block_id].specs:
-                    advance_stream(spec, self._streams, iterations)
-            return
-        if iterations * plan.refs_per_iter >= _MIN_BULK_REFS:
-            self._queue_span_refs(plan, iterations)
+            active = region.label
         else:
-            for _ in range(iterations):
-                for chunk in plan.chunks:
-                    if chunk.has_specs:
-                        self._queue_refs(self._info[chunk.block_id])
-        self._maybe_flush()
-
-    def finish(self) -> None:
-        self._close_window()
-        if self._next_event != len(self._events):
-            coord = self._events[self._next_event][0]
+            events.append((region.start, True, region.label))
+        if region.end is not None:
+            events.append((region.end, False, region.label))
+        elif index != len(regions) - 1:
             raise SimulationError(
-                f"{self._binary.name}: region boundary {coord} never fired"
+                "only the last region may run to program exit"
             )
+    return events, active
+
+
+def _simulate_segment(
+    replay: _Replay,
+    lo: int,
+    hi: int,
+    label: Optional[int],
+    warm: bool,
+    results: Dict[int, IntervalStats],
+) -> int:
+    """Simulate units ``[lo, hi)`` inside region ``label`` (``None``:
+    fast-forward); returns the fast-forwarded instructions."""
+    if label is not None:
+        cycles = 0.0
+        dram = 0
+        for start, end in replay.windows(lo, hi):
+            chunk_cycles, _, _, hits = replay.detailed(start, end, False)
+            cycles = _fold(cycles, chunk_cycles)
+            dram += hits
+        results[label] = IntervalStats(
+            instructions=replay.instructions(lo, hi),
+            cycles=cycles,
+            dram_accesses=float(dram),
+        )
+        return 0
+    if warm:
+        for start, end in replay.windows(lo, hi):
+            replay.warm(start, end)
+    elif hi > lo:
+        replay.skip(lo, hi)
+    return replay.instructions(lo, hi)
 
 
 class CMPSim:
@@ -958,17 +863,45 @@ class CMPSim:
     def binary(self) -> Binary:
         return self._binary
 
-    def run_full(self, trackers: Sequence = ()) -> FullRunResult:
-        """Simulate the whole execution; trackers see every chunk."""
-        hierarchy = MemoryHierarchy(self._config)
-        consumer = _DetailedConsumer(
-            self._binary, hierarchy, self._cpi_model, trackers
+    def _replay(self, hierarchy: MemoryHierarchy) -> _Replay:
+        return _Replay(
+            self._binary,
+            compiled_trace(self._binary, self._input),
+            hierarchy,
+            self._cpi_model,
         )
-        ExecutionEngine(self._binary, self._input).run(consumer)
+
+    def run_full(self, trackers: Sequence = ()) -> FullRunResult:
+        """Simulate the whole execution; trackers attribute every
+        window's chunks."""
+        trackers = tuple(trackers)
+        for tracker in trackers:
+            if (
+                isinstance(tracker, VLITracker)
+                and tracker.binary_name != self._binary.name
+            ):
+                raise SimulationError(
+                    f"VLI tracker's marker table is for "
+                    f"{tracker.binary_name!r}, not {self._binary.name!r}"
+                )
+        hierarchy = MemoryHierarchy(self._config)
+        replay = self._replay(hierarchy)
+        cycles = 0.0
+        memory_refs = 0
+        for lo, hi in replay.windows(0, replay.tables.total_units):
+            chunk_cycles, chunks, refs, _ = replay.detailed(
+                lo, hi, bool(trackers)
+            )
+            cycles = _fold(cycles, chunk_cycles)
+            memory_refs += refs
+            for tracker in trackers:
+                tracker.attribute(chunks)
+        for tracker in trackers:
+            tracker.finish()
         stats = SimulationStats(
-            instructions=consumer.instructions,
-            cycles=consumer.cycles,
-            memory_refs=consumer.memory_refs,
+            instructions=replay.instructions(0, replay.tables.total_units),
+            cycles=cycles,
+            memory_refs=memory_refs,
             level_accesses=tuple(
                 cache.stats.accesses for cache in hierarchy.caches
             ),
@@ -986,16 +919,59 @@ class CMPSim:
         table: MarkerTable,
         warm: bool = True,
     ) -> RegionResult:
-        """Sampled simulation of the given regions (PinPoints-style)."""
+        """Sampled simulation of the given regions (PinPoints-style).
+
+        Region boundaries resolve up front to unit positions; a
+        boundary fires only while it is the next pending one, so a
+        boundary whose firing comes before its predecessor's never
+        fires. The boundaries cut the run into segments, each wholly
+        inside one region (detailed, cycles folded from zero) or wholly
+        fast-forwarded (warmed or skipped).
+        """
         if not regions:
             raise SimulationError("run_regions needs at least one region")
+        events, active = _region_events(regions)
+        results: Dict[int, IntervalStats] = {
+            region.label: IntervalStats() for region in regions
+        }
         hierarchy = MemoryHierarchy(self._config)
-        consumer = _SampledConsumer(
-            self._binary, hierarchy, self._cpi_model, table, regions, warm
+        replay = self._replay(hierarchy)
+        tables = replay.tables
+        event, offset = firing_events(
+            replay.trace, table, [coord for coord, _, _ in events]
         )
-        ExecutionEngine(self._binary, self._input).run(consumer)
+        # A firing's unit position: the event's first unit plus the
+        # 1-based firing offset (-1: the coordinate never fires).
+        units = np.where(
+            event >= 0,
+            tables.unit_end[event] - tables.units[event] + offset,
+            -1,
+        ).tolist()
+        cuts: List[Tuple[int, Optional[int]]] = []  # (unit, active after)
+        previous = 0
+        for (coord, starting, label), unit in zip(events, units):
+            if unit < previous:
+                raise SimulationError(
+                    f"{self._binary.name}: region boundary {coord} "
+                    f"never fired"
+                )
+            previous = unit
+            cuts.append((unit, label if starting else None))
+        fast_forward = 0
+        start = 0
+        for index, (unit, following) in enumerate(cuts):
+            if index + 1 < len(cuts) and cuts[index + 1][0] == unit:
+                continue  # one firing: its last boundary decides
+            if following != active:
+                fast_forward += _simulate_segment(
+                    replay, start, unit, active, warm, results
+                )
+                start, active = unit, following
+        fast_forward += _simulate_segment(
+            replay, start, tables.total_units, active, warm, results
+        )
         return RegionResult(
-            regions=consumer.results,
-            fast_forward_instructions=consumer.fast_forward_instructions,
+            regions=results,
+            fast_forward_instructions=fast_forward,
             hierarchy=hierarchy.snapshot(),
         )

@@ -1113,6 +1113,58 @@ def replay_vli(
     return intervals
 
 
+def _locate(
+    firings: _Firings, coords: Sequence[ExecutionCoordinate]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Firing row and 1-based firing offset within it of every
+    ``(marker, count)`` coordinate; row ``-1`` where the marker never
+    reaches the count."""
+    b_marker = np.asarray(
+        [int(marker_id) for marker_id, _ in coords], dtype=np.int64
+    )
+    b_count = np.asarray([int(count) for _, count in coords], dtype=np.int64)
+    # Per-marker view: rows sorted by marker (stable, so time-ordered
+    # within a marker) with each marker's inclusive firing-count cumsum.
+    # One searchsorted over a compound (marker, count) key then finds,
+    # for every coordinate at once, the first row of its marker whose
+    # inclusive count reaches the requested count.
+    order = np.argsort(firings.marker, kind="stable")
+    n_rows = order.shape[0]
+    if n_rows == 0 or b_marker.shape[0] == 0:
+        missing = np.full(b_marker.shape[0], -1, dtype=np.int64)
+        return missing, missing.copy()
+    sorted_marker = firings.marker[order]
+    count_after = firings.count_before[order] + firings.n[order]
+    span = int(max(count_after.max(), b_count.max())) + 1
+    keys = sorted_marker * span + count_after
+    slots = np.searchsorted(keys, b_marker * span + b_count, side="left")
+    clipped = np.minimum(slots, n_rows - 1)
+    found = (
+        (slots < n_rows)
+        & (sorted_marker[clipped] == b_marker)
+        & (b_count > 0)
+    )
+    rows = np.where(found, order[clipped], -1)
+    offsets = np.where(found, b_count - firings.count_before[rows], -1)
+    return rows, offsets
+
+
+def firing_events(
+    trace: CompiledTrace,
+    table: MarkerTable,
+    coords: Sequence[ExecutionCoordinate],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Where each ``(marker, count)`` coordinate fires in the trace.
+
+    Returns ``(event, offset)``: the trace event holding the firing and
+    the 1-based execution (block run) or iteration (span) within it
+    that fires; event ``-1`` where the coordinate never fires.
+    """
+    firings = _firings_for(trace, table)
+    rows, offsets = _locate(firings, coords)
+    return np.where(rows >= 0, firings.event[rows], -1), offsets
+
+
 def replay_interval_counts(
     trace: CompiledTrace,
     binary: Binary,
@@ -1132,38 +1184,12 @@ def replay_interval_counts(
     if not boundary_list:
         return [trace.total_instructions]
 
-    # Per-marker view: rows sorted by marker (stable, so time-ordered
-    # within a marker) with each marker's inclusive firing-count cumsum.
-    order = np.argsort(firings.marker, kind="stable")
-    sorted_marker = firings.marker[order]
-    count_after = firings.count_before[order] + firings.n[order]
-
-    b_marker = np.asarray(
-        [int(marker_id) for marker_id, _ in boundary_list], dtype=np.int64
+    rows, offsets = _locate(firings, boundary_list)
+    positions = np.where(
+        rows >= 0,
+        firings.base[rows] + offsets * firings.step[rows],
+        -1,
     )
-    b_count = np.asarray(
-        [int(count) for _, count in boundary_list], dtype=np.int64
-    )
-    # Locate each boundary's firing row: within its marker's sorted
-    # rows, the first whose inclusive cumulative count reaches the
-    # requested count. One searchsorted over a compound
-    # (marker, count) key resolves every boundary at once; -1 marks
-    # counts the marker never reaches.
-    n_rows = order.shape[0]
-    if n_rows == 0:
-        positions = np.full(b_marker.shape[0], -1, dtype=np.int64)
-    else:
-        span = int(max(count_after.max(), b_count.max())) + 1
-        keys = sorted_marker * span + count_after
-        slots = np.searchsorted(
-            keys, b_marker * span + b_count, side="left"
-        )
-        clipped = np.minimum(slots, n_rows - 1)
-        found = (slots < n_rows) & (sorted_marker[clipped] == b_marker)
-        rows = order[clipped]
-        offsets = b_count - firings.count_before[rows]
-        pos = firings.base[rows] + offsets * firings.step[rows]
-        positions = np.where(found, pos, -1)
 
     # The scalar counter requires boundaries to fire in order, each
     # strictly after the previous; fail at the first index violating

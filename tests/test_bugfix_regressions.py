@@ -5,8 +5,11 @@ Each test here fails on the pre-fix code:
 * ``_lloyd`` reseeded two simultaneously-empty clusters on the same
   farthest point because the distance matrix went stale between
   repairs, leaving one cluster empty;
-* ``FLITracker.on_chunk`` silently dropped the cycles/DRAM of a chunk
+* ``FLITracker.on_chunk`` (now the array attributor
+  ``FLITracker.attribute``) silently dropped the cycles/DRAM of a chunk
   with zero instructions;
+* ``CMPSim.run_full`` accepted a ``VLITracker`` built from another
+  binary's marker table;
 * ``IntervalInstructionCounter.on_block`` (now the scalar oracle in
   ``tests/oracles/profiling.py``) looped once per execution on the
   hottest path — replaced by bulk arithmetic that must keep the exact
@@ -21,13 +24,14 @@ import random
 import numpy as np
 import pytest
 
-from repro.cmpsim.simulator import FLITracker
+from repro.cmpsim.simulator import CMPSim, FLITracker, VLITracker
 from repro.compilation.binary import BlockKind, LoweredBlock
 from repro.core.markers import MarkerSet, MarkerTable
-from repro.errors import ClusteringError
+from repro.errors import ClusteringError, SimulationError
 from repro.simpoint.kmeans import _lloyd, weighted_kmeans
 from repro.simpoint.simpoint import SimPointConfig
 
+from tests.chunks import attribute_rows
 from tests.oracles.profiling import IntervalInstructionCounter
 
 
@@ -141,9 +145,14 @@ class TestClusteringParameterValidation:
 class TestFLITrackerZeroInstructionChunks:
     def test_cycles_of_empty_chunk_are_conserved(self):
         tracker = FLITracker(100)
-        tracker.on_chunk(0, 1, 60, 90.0)
-        tracker.on_chunk(1, 1, 0, 7.0, dram=2.0)  # pure-stall chunk
-        tracker.on_chunk(0, 1, 40, 50.0)
+        attribute_rows(
+            tracker,
+            [
+                (0, 1, 60, 90.0, 0.0),
+                (1, 1, 0, 7.0, 2.0),  # pure-stall chunk
+                (0, 1, 40, 50.0, 0.0),
+            ],
+        )
         tracker.finish()
         assert sum(i.instructions for i in tracker.intervals) == 100
         assert sum(i.cycles for i in tracker.intervals) == pytest.approx(
@@ -155,8 +164,7 @@ class TestFLITrackerZeroInstructionChunks:
 
     def test_trailing_empty_chunk_not_dropped(self):
         tracker = FLITracker(50)
-        tracker.on_chunk(0, 1, 50, 50.0)
-        tracker.on_chunk(1, 1, 0, 3.0)
+        attribute_rows(tracker, [(0, 1, 50, 50.0, 0.0), (1, 1, 0, 3.0, 0.0)])
         tracker.finish()
         assert sum(i.cycles for i in tracker.intervals) == pytest.approx(
             53.0
@@ -164,12 +172,31 @@ class TestFLITrackerZeroInstructionChunks:
 
     def test_finish_asserts_cycle_conservation(self):
         tracker = FLITracker(10)
-        tracker.on_chunk(0, 1, 5, 5.0)
+        attribute_rows(tracker, [(0, 1, 5, 5.0, 0.0)])
         tracker.total_cycles += 100.0  # simulate lost accounting
         from repro.errors import SimulationError
 
         with pytest.raises(SimulationError, match="lost cycles"):
             tracker.finish()
+
+
+class TestVLITrackerTableMismatch:
+    """``run_full`` accepted a VLI tracker built from another binary's
+    marker table and then mis-attributed silently or failed late with
+    "never fired"; it must refuse up front, naming both binaries."""
+
+    def test_run_full_rejects_another_binarys_table(
+        self, micro_binary_32u, micro_binary_32o
+    ):
+        table = MarkerTable(
+            binary_name=micro_binary_32o.name, anchor_blocks={}
+        )
+        tracker = VLITracker(table, ())
+        with pytest.raises(SimulationError) as error:
+            CMPSim(micro_binary_32u).run_full(trackers=(tracker,))
+        assert micro_binary_32u.name in str(error.value)
+        assert micro_binary_32o.name in str(error.value)
+        assert tracker.intervals == []
 
 
 class TestIntervalCounterBulkEquivalence:

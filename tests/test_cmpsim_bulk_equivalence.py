@@ -4,9 +4,11 @@ The batched paths — closed-form reference generation
 (:func:`generate_refs_bulk` / :class:`BulkAccessPattern`), the cache
 replay engines behind :meth:`SetAssociativeCache.access_many`, the
 hierarchy's level-by-level :meth:`MemoryHierarchy.access_many`, and the
-deferred-flush detailed simulator — must be *bit-identical* to the
-scalar reference-at-a-time implementations, which serve as the oracle
-(for full runs, :func:`tests.oracles.full.scalar_run_full`).
+trace-fed windowed simulator with array interval attribution — must be
+*bit-identical* to the scalar reference-at-a-time implementations,
+which serve as the oracle (for full runs,
+:func:`tests.oracles.full.scalar_run_full` with its per-chunk
+trackers).
 Identity is asserted on outputs, statistics, and observable cache state
 (per-set MRU-ordered ``(line, dirty)`` pairs via ``set_state``; way
 placement and raw stamp values are engine-internal and may differ).
@@ -33,14 +35,21 @@ from repro.cmpsim.memory import (
     generate_refs,
     generate_refs_bulk,
 )
-from repro.cmpsim.simulator import CMPSim, FLITracker
+import repro.cmpsim.simulator as simulator
+from repro.cmpsim.simulator import CMPSim, FLITracker, VLITracker
 from repro.compilation.binary import AccessSpec
 from repro.compilation.compiler import compile_standard_binaries
 from repro.compilation.targets import TARGET_32O, TARGET_32U
+from repro.core.pipeline import CrossBinaryConfig, run_cross_binary_simpoint
 from repro.programs.behaviors import AccessKind
+from repro.programs.inputs import REF_INPUT, ProgramInput
 from repro.programs.suite import build_benchmark
 
-from tests.oracles.full import scalar_run_full
+from tests.oracles.full import (
+    ScalarFLITracker,
+    ScalarVLITracker,
+    scalar_run_full,
+)
 
 
 def stream_state(state):
@@ -165,7 +174,8 @@ class TestBulkReferenceGeneration:
         for _ in range(57):
             for spec in shared:
                 expected.extend(generate_refs(spec, scalar_state))
-        lines, writes = bulk_pattern(shared).generate(bulk_state, 57)
+        pattern = bulk_pattern(shared)
+        lines, writes = pattern.generate(bulk_state, pattern.rounds(57))
         assert lines.tolist() == [line for line, _ in expected]
         assert writes.tolist() == [write for _, write in expected]
         assert stream_state(scalar_state) == stream_state(bulk_state)
@@ -320,25 +330,79 @@ FULL_RUN_CASES = [
     ("art", TARGET_32O, TABLE1_CONFIG, "art-32o-table1"),
     ("mcf", TARGET_32U, BIG_LLC_CONFIG, "mcf-32u-big-llc"),
 ]
+CASE_IDS = [case_id for _, _, _, case_id in FULL_RUN_CASES]
+
+#: Tracked-run cases: FLI at the experiment size, at a fine size, and
+#: at a size that divides no run; VLI at the cross-binary pipeline's
+#: real boundaries.
+TRACKERS = ["fli-100000", "fli-1000", "fli-99991", "vli"]
+
+#: A tenth of the input-scaled trips: the tiny-window reruns make
+#: thousands of windows, so they use a shorter execution.
+SMALL_INPUT = ProgramInput(name="small", scale=0.1)
+
+
+def make_trackers(binary, cross, scalar):
+    """One tracker per :data:`TRACKERS` entry — the oracle's per-chunk
+    trackers when ``scalar``, else the production attributors."""
+    fli = ScalarFLITracker if scalar else FLITracker
+    vli = ScalarVLITracker if scalar else VLITracker
+    return {
+        "fli-100000": fli(100_000),
+        "fli-1000": fli(1_000),
+        "fli-99991": fli(99_991),
+        "vli": vli(cross.marker_set.table_for(binary.name), cross.boundaries),
+    }
+
+
+def interval_rows(intervals):
+    """Every interval; ``float.hex`` also pins the float type."""
+    return [
+        (
+            interval.instructions,
+            float.hex(interval.cycles),
+            float.hex(interval.dram_accesses),
+        )
+        for interval in intervals
+    ]
+
+
+def tracked_runs(binaries, case, program_input):
+    """``(oracle result, oracle trackers, result, trackers)`` for one
+    case, both sides tracking every :data:`TRACKERS` entry."""
+    program, target, config, _ = case
+    pair = binaries[program]
+    cross = run_cross_binary_simpoint(
+        [pair[TARGET_32U], pair[TARGET_32O]],
+        CrossBinaryConfig(program_input=program_input),
+        jobs=1,
+    )
+    binary = pair[target]
+    sim = CMPSim(binary, config, program_input)
+    scalar_trackers = make_trackers(binary, cross, scalar=True)
+    trackers = make_trackers(binary, cross, scalar=False)
+    scalar = scalar_run_full(sim, trackers=tuple(scalar_trackers.values()))
+    batched = sim.run_full(trackers=tuple(trackers.values()))
+    return scalar, scalar_trackers, batched, trackers
+
+
+@pytest.fixture(scope="module")
+def full_runs(suite_binaries):
+    """Tracked oracle and production runs, once per case."""
+    return {
+        case[3]: tracked_runs(suite_binaries, case, REF_INPUT)
+        for case in FULL_RUN_CASES
+    }
 
 
 class TestFullRunEquivalence:
-    @pytest.mark.parametrize(
-        "program,target,config",
-        [(p, t, c) for p, t, c, _ in FULL_RUN_CASES],
-        ids=[case_id for _, _, _, case_id in FULL_RUN_CASES],
-    )
-    def test_batched_run_is_bit_identical(
-        self, suite_binaries, program, target, config
-    ):
+    @pytest.mark.parametrize("case_id", CASE_IDS)
+    def test_batched_run_is_bit_identical(self, full_runs, case_id):
         """The whole pipeline: SimulationStats, HierarchyStats, and
         every per-interval FLI value must match the scalar oracle."""
-        binary = suite_binaries[program][target]
-        sim = CMPSim(binary, config)
-        scalar_fli = FLITracker(100_000)
-        batched_fli = FLITracker(100_000)
-        scalar = scalar_run_full(sim, trackers=(scalar_fli,))
-        batched = sim.run_full(trackers=(batched_fli,))
+        scalar, scalar_trackers, batched, trackers = full_runs[case_id]
+        scalar_fli = scalar_trackers["fli-100000"]
+        batched_fli = trackers["fli-100000"]
         assert scalar.stats == batched.stats
         assert scalar.hierarchy == batched.hierarchy
         assert len(scalar_fli.intervals) == len(batched_fli.intervals)
@@ -346,6 +410,19 @@ class TestFullRunEquivalence:
             assert left.instructions == right.instructions
             assert left.cycles == right.cycles
             assert left.dram_accesses == right.dram_accesses
+
+    @pytest.mark.parametrize("tracker", TRACKERS)
+    @pytest.mark.parametrize("case_id", CASE_IDS)
+    def test_tracked_intervals_are_bit_identical(
+        self, full_runs, case_id, tracker
+    ):
+        scalar, scalar_trackers, batched, trackers = full_runs[case_id]
+        expected = interval_rows(scalar_trackers[tracker].intervals)
+        assert len(expected) > 1
+        assert interval_rows(trackers[tracker].intervals) == expected
+        assert float.hex(batched.stats.cycles) == float.hex(
+            scalar.stats.cycles
+        )
 
     def test_untracked_run_is_bit_identical(self, suite_binaries):
         """The no-tracker cycle fold (np.add.accumulate) is exact."""
@@ -357,3 +434,23 @@ class TestFullRunEquivalence:
         assert scalar.hierarchy == batched.hierarchy
         assert scalar.stats.cycles == batched.stats.cycles
         assert scalar.stats.cpi == batched.stats.cpi
+
+
+class TestTinyWindows:
+    """Seven-reference windows cut inside loop nests and iteration
+    spans, so intervals straddle many windows; nothing may change."""
+
+    @pytest.mark.parametrize("case", FULL_RUN_CASES, ids=CASE_IDS)
+    def test_tracked_run_is_bit_identical(
+        self, suite_binaries, case, monkeypatch
+    ):
+        monkeypatch.setattr(simulator, "_FLUSH_REFS", 7)
+        scalar, scalar_trackers, batched, trackers = tracked_runs(
+            suite_binaries, case, SMALL_INPUT
+        )
+        assert scalar.stats == batched.stats
+        assert scalar.hierarchy == batched.hierarchy
+        for name in TRACKERS:
+            assert interval_rows(trackers[name].intervals) == interval_rows(
+                scalar_trackers[name].intervals
+            ), name

@@ -1,11 +1,12 @@
 """Property tests: tracker conservation laws and weight invariants.
 
-The interval trackers see execution as an arbitrary stream of
-``on_chunk`` calls — chunk granularity is a simulator implementation
-detail, so no chunking may create or destroy instructions, cycles, or
-DRAM accesses. These properties drive the trackers directly with
-hypothesis-generated streams (including zero-instruction chunks, the
-subject of a past accounting bug) rather than through full simulations.
+The interval trackers see execution as an arbitrary stream of chunks,
+cut into arbitrary windows — chunk granularity and window cuts are
+simulator implementation details, so no chunking may create or destroy
+instructions, cycles, or DRAM accesses. These properties drive the
+array attributors directly with hypothesis-generated streams (including
+zero-instruction chunks, the subject of a past accounting bug) rather
+than through full simulations.
 """
 
 import math
@@ -19,6 +20,8 @@ from repro.core.markers import MarkerTable
 from repro.core.weights import phase_weights
 from repro.errors import MappingError
 from repro.runtime import ProfileCache
+
+from tests.chunks import attribute_rows
 
 _SETTINGS = settings(deadline=None, max_examples=75)
 
@@ -48,16 +51,20 @@ _fli_chunks = st.lists(
 )
 
 
+#: Window cuts (row indices; out-of-range ones are ignored).
+_window_cuts = st.lists(st.integers(min_value=0, max_value=60), max_size=5)
+
+
 class TestFLIConservation:
     @_SETTINGS
     @given(chunks=_fli_chunks,
-           interval_size=st.integers(min_value=1, max_value=10_000))
+           interval_size=st.integers(min_value=1, max_value=10_000),
+           cuts=_window_cuts)
     def test_arbitrary_chunkings_conserve_everything(
-        self, chunks, interval_size
+        self, chunks, interval_size, cuts
     ):
         tracker = FLITracker(interval_size)
-        for block_id, execs, instructions, cycles, dram in chunks:
-            tracker.on_chunk(block_id, execs, instructions, cycles, dram)
+        attribute_rows(tracker, chunks, cuts)
         tracker.finish()  # raises SimulationError if cycles were lost
         intervals = tracker.intervals
         assert sum(i.instructions for i in intervals) == sum(
@@ -85,19 +92,22 @@ class TestFLIConservation:
         (instruction counts; cycles prorate identically by share)."""
         coarse = FLITracker(1_000)
         fine = FLITracker(1_000)
+        halves = []
         for block_id, execs, instructions, cycles, dram in chunks:
-            coarse.on_chunk(block_id, execs, instructions, cycles, dram)
             # Same totals delivered in two halves.
             lo = instructions // 2
-            fine.on_chunk(block_id, execs, lo, cycles / 2, dram / 2)
-            fine.on_chunk(
-                block_id, execs, instructions - lo, cycles / 2, dram / 2
+            halves.append((block_id, execs, lo, cycles / 2, dram / 2))
+            halves.append(
+                (block_id, execs, instructions - lo, cycles / 2, dram / 2)
             )
+        attribute_rows(coarse, chunks)
+        attribute_rows(fine, halves)
         coarse.finish()
         fine.finish()
         assert [i.instructions for i in coarse.intervals] == [
             i.instructions for i in fine.intervals
         ]
+
 
 
 @st.composite
@@ -152,12 +162,11 @@ def _vli_streams(draw):
 
 class TestVLIConservation:
     @_SETTINGS
-    @given(stream=_vli_streams())
-    def test_arbitrary_chunkings_conserve_everything(self, stream):
+    @given(stream=_vli_streams(), cuts=_window_cuts)
+    def test_arbitrary_chunkings_conserve_everything(self, stream, cuts):
         table, chunks, boundaries = stream
         tracker = VLITracker(table, boundaries)
-        for chunk in chunks:
-            tracker.on_chunk(*chunk)
+        attribute_rows(tracker, chunks, cuts)
         tracker.finish()
         intervals = tracker.intervals
         assert len(intervals) == len(boundaries) + 1

@@ -8,6 +8,8 @@ reference-at-a-time consumer in :mod:`tests.oracles.regions`: the same
 count and the hierarchy statistics — and the same final cache state.
 """
 
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -283,6 +285,54 @@ class TestRandomRegionLists:
             micro_markers.table_for(micro_binary_32u.name),
             warm,
         )
+
+
+# ----------------------------------------------------------------------
+# Tiny windows
+# ----------------------------------------------------------------------
+
+
+@contextmanager
+def tiny_windows():
+    """Seven-reference flush windows: cuts fall inside loop nests and
+    iteration spans, and every region straddles many windows."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_FLUSH_REFS", 7)
+        yield
+
+
+class TestTinyWindows:
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    @pytest.mark.parametrize("target", STANDARD_TARGETS, ids=str)
+    def test_micro_matches_oracle(
+        self, micro_binaries, micro_markers, micro_regions, target, config,
+        warm,
+    ):
+        binary = micro_binaries[target]
+        with tiny_windows():
+            assert_matches_oracle(
+                CMPSim(binary, config),
+                micro_regions,
+                micro_markers.table_for(binary.name),
+                warm,
+            )
+
+    @settings(deadline=None, max_examples=10)
+    @given(data=st.data())
+    def test_random_region_lists_match_oracle(
+        self, micro_binary_32u, micro_markers, micro_firings, data
+    ):
+        firings, mid_span = micro_firings
+        regions = data.draw(region_lists(firings, mid_span))
+        warm = data.draw(st.booleans())
+        with tiny_windows():
+            assert_matches_oracle(
+                CMPSim(micro_binary_32u),
+                regions,
+                micro_markers.table_for(micro_binary_32u.name),
+                warm,
+            )
 
 
 # ----------------------------------------------------------------------

@@ -154,6 +154,26 @@ class TestTraceStructure:
             errors.append(str(excinfo.value))
         assert errors[0] == errors[1]
 
+    def test_count_zero_boundary_raises_identically(
+        self, micro_binary_list
+    ):
+        """A marker never reaches count 0: the replay used to place such
+        a boundary at its marker's first firing event."""
+        profiles = [
+            (b, collect_call_branch_profile(b)) for b in micro_binary_list
+        ]
+        marker_set, _ = find_mappable_points(profiles)
+        binary = micro_binary_list[0]
+        marker = next(iter(
+            marker_set.table_for(binary.name).block_to_marker().values()
+        ))
+        errors = []
+        for measure in (scalar_interval_counts, measure_interval_instructions):
+            with pytest.raises(MappingError) as excinfo:
+                measure(binary, marker_set, [(marker, 0)])
+            errors.append(str(excinfo.value))
+        assert errors[0] == errors[1]
+
 
 class TestTraceCaching:
     def test_memo_returns_same_object(self, micro_binary_32u):
