@@ -44,12 +44,11 @@ by accepting confidence-scored fuzzy matches at or above ``T``.
 Caching
 -------
 Every command accepts ``--cache-dir``/``--no-cache`` for the on-disk
-profile cache, ``--no-sim-cache`` (env ``REPRO_NO_SIM_CACHE``) to
-disable content-keyed reuse of detailed-simulation results, and
-``--no-clustering-cache`` (env ``REPRO_NO_CLUSTERING_CACHE``) to
-disable content-keyed reuse of chosen clusterings, each while keeping
-profile caching. Neither kind of reuse ever changes results — outputs
-are bit-identical with the cache hot, cold, or disabled.
+profile cache and a repeatable ``--no-cache-kind KIND`` (env
+``REPRO_NO_CACHE_KIND=kind[,kind]``) that switches off one entry kind
+— ``simresult`` (detailed simulation), ``clustering``, or a profile
+kind — while the others keep working. Reuse never changes results —
+outputs are bit-identical with the cache hot, cold, or disabled.
 
 Observability
 -------------
@@ -64,7 +63,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.compilation.compiler import compile_standard_binaries
 from repro.compilation.targets import STANDARD_TARGETS, target_by_label
@@ -428,6 +427,39 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 1 if any(r.verdict is Verdict.FAIL for r in results) else 0
 
 
+def _cache_kind(token: str) -> str:
+    """argparse type: one valid cache kind."""
+    from repro.errors import CacheError
+    from repro.runtime.cache import check_cache_kinds
+
+    try:
+        check_cache_kinds([token])
+    except CacheError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return token
+
+
+def _hit_rate_floor(token: str) -> Tuple[str, float]:
+    """argparse type: ``KIND=RATE`` with a valid kind and a rate in
+    [0, 1]."""
+    kind, sep, rate = token.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(
+            f"expected KIND=RATE, got {token!r}"
+        )
+    try:
+        value = float(rate)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"rate must be a number, got {rate!r}"
+        ) from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"rate must be in [0, 1], got {rate}"
+        )
+    return _cache_kind(kind), value
+
+
 def _add_runtime_flags(
     parser: argparse.ArgumentParser, *, suppress: bool = False
 ) -> None:
@@ -451,17 +483,13 @@ def _add_runtime_flags(
         help="disable the on-disk profile cache",
     )
     parser.add_argument(
-        "--no-sim-cache", action="store_true",
-        default=argparse.SUPPRESS if suppress else False,
-        help="disable content-keyed reuse of detailed-simulation "
-             "results (env REPRO_NO_SIM_CACHE); results are "
-             "bit-identical either way, only wall time changes",
-    )
-    parser.add_argument(
-        "--no-clustering-cache", action="store_true",
-        default=argparse.SUPPRESS if suppress else False,
-        help="disable content-keyed reuse of chosen clusterings "
-             "(env REPRO_NO_CLUSTERING_CACHE); results are "
+        "--no-cache-kind", action="append", type=_cache_kind,
+        # The subcommand copy parses into its own namespace, so it
+        # keeps its own list; _resolve_runtime joins the two.
+        dest="no_cache_kind_sub" if suppress else "no_cache_kind",
+        default=default, metavar="KIND",
+        help="disable one cache entry kind, repeatable (env "
+             "REPRO_NO_CACHE_KIND=kind[,kind]); results are "
              "bit-identical either way, only wall time changes",
     )
     parser.add_argument(
@@ -679,15 +707,10 @@ def build_parser() -> argparse.ArgumentParser:
              "(default 0.05)",
     )
     ledger_check.add_argument(
-        "--min-sim-hit-rate", type=float, default=None, metavar="X",
-        dest="min_sim_hit_rate",
-        help="minimum sim-result reuse ratio the candidate must reach "
-             "(default: off — cold runs legitimately sit at 0)",
-    )
-    ledger_check.add_argument(
-        "--min-clustering-hit-rate", type=float, default=None,
-        metavar="X", dest="min_clustering_hit_rate",
-        help="minimum clustering reuse ratio the candidate must reach "
+        "--min-hit-rate", action="append", type=_hit_rate_floor,
+        default=None, metavar="KIND=RATE", dest="min_hit_rates",
+        help="minimum hit rate the candidate must reach for one cache "
+             "kind, repeatable; a kind with no lookups counts as 0 "
              "(default: off — cold runs legitimately sit at 0)",
     )
     ledger_check.add_argument(
@@ -712,8 +735,9 @@ _COMMANDS = {
 }
 
 
-def _resolve_runtime(args: argparse.Namespace):
-    """The CLI's effective (jobs, cache) from flags and environment."""
+def _resolve_runtime(args: argparse.Namespace) -> Dict[str, Any]:
+    """The CLI's ``runtime_session`` arguments from flags and
+    environment."""
     import os
 
     from repro.runtime import ProfileCache
@@ -721,23 +745,20 @@ def _resolve_runtime(args: argparse.Namespace):
     jobs = args.jobs
     if jobs is None and not os.environ.get("REPRO_JOBS"):
         jobs = os.cpu_count() or 1
-    no_sim_cache = args.no_sim_cache or bool(
-        os.environ.get("REPRO_NO_SIM_CACHE")
-    )
-    sim_cache = False if no_sim_cache else None
-    no_clustering_cache = args.no_clustering_cache or bool(
-        os.environ.get("REPRO_NO_CLUSTERING_CACHE")
-    )
-    clustering_cache = False if no_clustering_cache else None
-    no_cache = args.no_cache or bool(os.environ.get("REPRO_NO_CACHE"))
-    if no_cache:
-        return jobs, None, sim_cache, clustering_cache
-    cache_dir = (
-        args.cache_dir
-        or os.environ.get("REPRO_CACHE_DIR")
-        or os.path.join(os.path.expanduser("~"), ".cache", "repro")
-    )
-    return jobs, ProfileCache(cache_dir), sim_cache, clustering_cache
+    session: Dict[str, Any] = {
+        "jobs": jobs,
+        "cache": None,
+        "match_confidence": args.match_confidence,
+        "no_cache_kinds": (args.no_cache_kind or [])
+        + getattr(args, "no_cache_kind_sub", []),
+    }
+    if not (args.no_cache or os.environ.get("REPRO_NO_CACHE")):
+        session["cache"] = ProfileCache(
+            args.cache_dir
+            or os.environ.get("REPRO_CACHE_DIR")
+            or os.path.join(os.path.expanduser("~"), ".cache", "repro")
+        )
+    return session
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -745,14 +766,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.runtime import runtime_session
 
     args = build_parser().parse_args(argv)
-    jobs, cache, sim_cache, clustering_cache = _resolve_runtime(args)
+    session = _resolve_runtime(args)
+    cache = session["cache"]
     try:
-        with runtime_session(
-            jobs=jobs, cache=cache,
-            match_confidence=args.match_confidence,
-            sim_cache=sim_cache,
-            clustering_cache=clustering_cache,
-        ):
+        with runtime_session(**session):
             with observe(
                 trace_out=args.trace_out,
                 metrics_out=args.metrics_out,

@@ -21,23 +21,18 @@ dedicated :data:`SIMRESULT_KIND` kind in the
 
 The execution engine and simulator are deterministic, so a cached
 value is bit-identical to recomputing it; the equivalence tests
-enforce this. Reuse is on whenever a profile cache is active and can
-be vetoed per call (``use_sim_cache=False``), per process
-(``--no-sim-cache``), or per environment (``REPRO_NO_SIM_CACHE=1``)
-without touching the profiling caches.
-
-Every lookup against :data:`SIMRESULT_KIND` is mirrored into the
-``cache.sim.{hits,misses,stale_evictions}`` metric counters (the
-manifest's per-run sim-reuse ratio is derived from these), by
-measuring the per-kind stat deltas around the cache operations — so
-the counters stay correct no matter which helper drove the cache.
+enforce this. Reuse is on whenever a profile cache is active. Like
+every kind, it is switched off with ``--no-cache-kind simresult``
+(or ``REPRO_NO_CACHE_KIND=simresult``) while the profiling caches
+keep working; the cache then reports every probe as an uncounted
+miss and stores nothing. Every probe, the region-tail one included,
+is tallied in the cache's ``simresult`` kind row.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.cmpsim.config import MemoryConfig, TABLE1_CONFIG
 from repro.cmpsim.simulator import (
@@ -50,15 +45,12 @@ from repro.cmpsim.simulator import (
     VLITracker,
 )
 from repro.core.markers import ExecutionCoordinate, MarkerTable
-from repro.observability import metrics
 from repro.programs.inputs import ProgramInput, REF_INPUT
 from repro.runtime.cache import ProfileCache
-from repro.runtime.config import active_cache, sim_cache_enabled
+from repro.runtime.config import active_cache
 
 #: ProfileCache kind under which detailed-simulation results live.
 SIMRESULT_KIND = "simresult"
-
-_SIM_COUNTER_KEYS = ("hits", "misses", "stale_evictions")
 
 
 @dataclass(frozen=True)
@@ -135,26 +127,6 @@ def region_run_keys(
     return keys, tail_key
 
 
-@contextmanager
-def _mirror_sim_counters(cache: ProfileCache) -> Iterator[None]:
-    """Mirror simresult kind-stat deltas into ``cache.sim.*`` counters."""
-
-    def snap() -> Tuple[int, int, int]:
-        row = cache.stats.by_kind.get(SIMRESULT_KIND)
-        if row is None:
-            return (0, 0, 0)
-        return (row.hits, row.misses, row.stale_evictions)
-
-    before = snap()
-    try:
-        yield
-    finally:
-        after = snap()
-        for key, old, new in zip(_SIM_COUNTER_KEYS, before, after):
-            if new > old:
-                metrics.counter(f"cache.sim.{key}").inc(new - old)
-
-
 def cached_full_run(
     binary,
     *,
@@ -164,7 +136,6 @@ def cached_full_run(
     vli_table: Optional[MarkerTable] = None,
     vli_boundaries: Optional[Sequence[ExecutionCoordinate]] = None,
     cache: Optional[ProfileCache] = None,
-    use_sim_cache: Optional[bool] = None,
 ) -> TrackedRun:
     """A full detailed run with FLI/VLI trackers, cached by content."""
 
@@ -195,7 +166,7 @@ def cached_full_run(
 
     if cache is None:
         cache = active_cache()
-    if cache is None or not sim_cache_enabled(use_sim_cache):
+    if cache is None:
         return compute()
     key = full_run_key(
         binary,
@@ -205,8 +176,7 @@ def cached_full_run(
         vli_table,
         vli_boundaries,
     )
-    with _mirror_sim_counters(cache):
-        return cache.get_or_compute(SIMRESULT_KIND, key, compute)
+    return cache.get_or_compute(SIMRESULT_KIND, key, compute)
 
 
 def cached_region_run(
@@ -218,7 +188,6 @@ def cached_region_run(
     memory: MemoryConfig = TABLE1_CONFIG,
     program_input: ProgramInput = REF_INPUT,
     cache: Optional[ProfileCache] = None,
-    use_sim_cache: Optional[bool] = None,
 ) -> RegionResult:
     """PinPoints-style region simulation with per-region reuse.
 
@@ -234,20 +203,12 @@ def cached_region_run(
     region_list = list(regions)
     if cache is None:
         cache = active_cache()
-    if (
-        cache is None
-        or not sim_cache_enabled(use_sim_cache)
-        or not region_list
-    ):
+    if cache is None or not region_list:
         return sim.run_regions(region_list, table, warm=warm)
     keys, tail_key = region_run_keys(
         binary, region_list, table, warm, memory, program_input
     )
-    with _mirror_sim_counters(cache):
-        probes = [cache.lookup(SIMRESULT_KIND, key) for key in keys]
-    # The tail entry is run-level bookkeeping, not a region: it stays
-    # out of the cache.sim.* mirror so those counters read as
-    # per-region hit counts.
+    probes = [cache.lookup(SIMRESULT_KIND, key) for key in keys]
     tail_found, tail_value = cache.lookup(SIMRESULT_KIND, tail_key)
     if tail_found and all(found for found, _ in probes):
         return RegionResult(

@@ -30,7 +30,7 @@ harness, so any error worsening is a true change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, List, Mapping, Optional, Tuple
 
 from repro.observability.ledger import LedgerEntry, entry_from_manifest
@@ -230,13 +230,12 @@ class DriftThresholds:
     marker's confidence may fall — together they make a matcher
     regression (markers silently dropping out, or surviving only at
     lower confidence) trip ``repro ledger check``.
-    ``min_sim_hit_rate`` is an absolute floor on the candidate run's
-    sim-result reuse ratio (``cache: sim.reuse_ratio``). It is off by
-    default — cold runs legitimately have ratio 0 — and is meant for
-    warm CI runs, where a silent cache-key bust (the reuse ratio
-    collapsing although nothing changed) should read as drift.
-    ``min_clustering_hit_rate`` is the same floor for the clustering
-    reuse ratio (``cache: clustering.reuse_ratio``).
+    ``min_hit_rates`` maps a cache kind to an absolute floor on the
+    candidate run's hit rate for that kind (``cache:
+    <kind>.hit_rate``). It is empty by default — cold runs
+    legitimately sit at 0 — and is meant for warm CI runs, where a
+    silent cache-key bust (the hit rate collapsing although nothing
+    changed) should read as drift.
     """
 
     max_error_increase: float = 0.002
@@ -248,8 +247,12 @@ class DriftThresholds:
     forbid_k_change: bool = True
     max_coverage_drop: float = 0.02
     max_confidence_drop: float = 0.05
-    min_sim_hit_rate: Optional[float] = None
-    min_clustering_hit_rate: Optional[float] = None
+    min_hit_rates: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # Accept any mapping or (kind, rate) pairs, as the CLI's
+        # repeatable --min-hit-rate produces.
+        object.__setattr__(self, "min_hit_rates", dict(self.min_hit_rates))
 
 
 @dataclass(frozen=True)
@@ -369,55 +372,38 @@ def check_drift(
                 )
             )
 
-    violations.extend(
-        _reuse_ratio_violations(
-            diff, limits.min_sim_hit_rate, "sim", "sim-result"
-        )
-    )
-    violations.extend(
-        _reuse_ratio_violations(
-            diff,
-            limits.min_clustering_hit_rate,
-            "clustering",
-            "clustering",
-        )
-    )
+    for kind, floor in sorted(limits.min_hit_rates.items()):
+        violations.extend(_hit_rate_floor_violations(diff, kind, floor))
     return violations
 
 
-def _reuse_ratio_violations(
-    diff: RunDiff,
-    floor: Optional[float],
-    summary: str,
-    label: str,
+def _hit_rate_floor_violations(
+    diff: RunDiff, kind: str, floor: float
 ) -> List[Violation]:
-    """Absolute floor on a candidate content-keyed reuse ratio.
+    """Absolute floor on the candidate's hit rate for one cache kind.
 
-    This bounds the *new* run, not a delta: a warm CI run whose reuse
-    ratio collapsed is a cache-key bust no matter what the baseline
-    did. A candidate that recorded no such
-    block at all (older manifest, or caching disabled) counts as
-    ratio 0 — with the floor armed, that is exactly the failure the
-    gate exists to surface.
+    This bounds the *new* run, not a delta: a warm CI run whose hit
+    rate collapsed is a cache-key bust no matter what the baseline
+    did. A candidate that recorded no row for the kind at all (nothing
+    probed it, or the kind was disabled) counts as rate 0 — with the
+    floor armed, that is exactly the failure the gate exists to
+    surface.
     """
-    if floor is None:
-        return []
-    field = f"{summary}.reuse_ratio"
-    old_ratio: Optional[float] = None
-    new_ratio = 0.0
+    field_name = f"{kind}.hit_rate"
+    old_rate: Optional[float] = None
+    new_rate = 0.0
     for delta in diff.section("cache"):
-        if delta.field == field:
-            old_ratio = delta.old
+        if delta.field == field_name:
+            old_rate = delta.old
             if delta.new is not None:
-                new_ratio = delta.new
-    if new_ratio >= floor:
+                new_rate = delta.new
+    if new_rate >= floor:
         return []
     return [
         Violation(
             "performance",
-            Delta("cache", field, old_ratio, new_ratio),
-            f"{label} reuse ratio {new_ratio:.1%} below floor "
-            f"{floor:.1%}",
+            Delta("cache", field_name, old_rate, new_rate),
+            f"{kind} hit rate {new_rate:.1%} below floor {floor:.1%}",
         )
     ]
 

@@ -80,24 +80,6 @@ def render_manifest(manifest: Mapping[str, Any]) -> str:
             f"({row.get('hit_rate', 0.0):.1%} hit rate), "
             f"{row.get('stale_evictions', 0)} stale evicted"
         )
-    sim = cache.get("sim") or {}
-    sim_lookups = sim.get("hits", 0) + sim.get("misses", 0)
-    if sim_lookups:
-        lines.append(
-            f"sim-result reuse: {sim.get('hits', 0)} of "
-            f"{sim_lookups} region lookups "
-            f"({sim.get('reuse_ratio', 0.0):.1%})"
-        )
-    clustering = cache.get("clustering") or {}
-    clustering_lookups = (
-        clustering.get("hits", 0) + clustering.get("misses", 0)
-    )
-    if clustering_lookups:
-        lines.append(
-            f"clustering reuse: {clustering.get('hits', 0)} of "
-            f"{clustering_lookups} clustering lookups "
-            f"({clustering.get('reuse_ratio', 0.0):.1%})"
-        )
 
     clusterings: Dict[str, Any] = manifest.get("clusterings") or {}
     lines.append("")

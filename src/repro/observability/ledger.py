@@ -154,11 +154,10 @@ def _flatten_matching(row: Mapping[str, Any]) -> Dict[str, float]:
 def _flatten_cache(block: Mapping[str, Any]) -> Dict[str, float]:
     """One manifest cache block as flat numbers for the differ.
 
-    The aggregate counters pass through; the nested per-kind rows and
-    the content-keyed reuse summaries flatten to ``<kind>.<counter>``,
-    ``sim.<counter>``, and ``clustering.<counter>`` keys so the drift
-    sentinel can gate on (for example) ``sim.reuse_ratio`` or
-    ``clustering.reuse_ratio`` like any other numeric field.
+    The aggregate counters pass through; the nested per-kind rows
+    flatten to ``<kind>.<counter>`` keys so the drift sentinel can gate
+    on (for example) ``simresult.hit_rate`` like any other numeric
+    field.
     """
     flat: Dict[str, float] = {
         key: float(value)
@@ -173,15 +172,6 @@ def _flatten_cache(block: Mapping[str, Any]) -> Dict[str, float]:
                 value, bool
             ):
                 flat[f"{kind}.{key}"] = float(value)
-    # Summaries flatten after the kind rows, so where the "clustering"
-    # summary shares key names with the "clustering" kind row, the
-    # summary (metric-counter-derived, worker-inclusive) values win.
-    for summary in ("sim", "clustering"):
-        for key, value in (block.get(summary) or {}).items():
-            if isinstance(value, (int, float)) and not isinstance(
-                value, bool
-            ):
-                flat[f"{summary}.{key}"] = float(value)
     return flat
 
 

@@ -109,12 +109,9 @@ def build_manifest(
 
     ``cache_stats`` is a :class:`repro.runtime.cache.CacheStats` (or
     ``None`` for a cache-less run, which records all-zero counters).
-    The cache block also carries ``kinds`` (the same counters broken
-    down per entry kind) plus ``sim`` and ``clustering`` (content-keyed
-    reuse tallies and per-run reuse ratios, derived from the
-    ``cache.sim.*`` / ``cache.clustering.*`` metric counters — the
-    metrics registry is the one place those arrive from every
-    execution path, including worker processes).
+    The cache block also carries ``kinds``: the same counters broken
+    down per entry kind, worker processes included — the run's one
+    reuse receipt.
     ``bias`` maps ``name -> cluster -> row`` where each row carries the
     phase's ``weight``, ``true_cpi``, ``sp_cpi``, and signed ``bias``.
     ``matching`` maps program name to the cross-binary matcher summary
@@ -143,22 +140,6 @@ def build_manifest(
         }
         for kind, row in sorted(kinds.items())
     }
-    counters = dict(metrics_snapshot or {}).get("counters") or {}
-    # Content-keyed reuse summaries, one per mirrored cache kind: the
-    # "sim" (detailed-simulation) and "clustering" tallies plus their
-    # per-run reuse ratios.
-    for block_name in ("sim", "clustering"):
-        hits = int(counters.get(f"cache.{block_name}.hits", 0))
-        misses = int(counters.get(f"cache.{block_name}.misses", 0))
-        lookups = hits + misses
-        cache_block[block_name] = {
-            "hits": hits,
-            "misses": misses,
-            "stale_evictions": int(
-                counters.get(f"cache.{block_name}.stale_evictions", 0)
-            ),
-            "reuse_ratio": hits / lookups if lookups else 0.0,
-        }
     return {
         "schema": MANIFEST_SCHEMA,
         "run_id": run_id if run_id is not None else new_run_id(),
@@ -292,15 +273,11 @@ def validate_manifest(data: Any) -> Dict[str, Any]:
     for key in _CACHE_KEYS:
         if not isinstance(cache.get(key), (int, float)):
             raise FileFormatError(f"manifest cache missing counter {key!r}")
-    # Optional cache sub-blocks (absent from pre-existing documents):
-    # per-kind counter rows and the content-keyed reuse summaries.
-    for block_name in ("kinds", "sim", "clustering"):
-        if block_name in cache and not isinstance(
-            cache[block_name], dict
-        ):
-            raise FileFormatError(
-                f"manifest cache {block_name} must be an object"
-            )
+    # Per-kind counter rows (absent from the earliest documents).
+    # Older documents may also carry "sim"/"clustering" summaries;
+    # nothing reads them any more, so they load untouched.
+    if "kinds" in cache and not isinstance(cache["kinds"], dict):
+        raise FileFormatError("manifest cache kinds must be an object")
     for section in ("clusterings", "errors", "metrics", "bias", "matching"):
         if not isinstance(data[section], dict):
             raise FileFormatError(f"manifest {section} must be an object")

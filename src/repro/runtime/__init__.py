@@ -14,9 +14,10 @@ This package exploits that twice:
   (``REPRO_JOBS=1`` or any environment where pools are unavailable).
 
 :mod:`repro.runtime.config` holds the process-wide defaults that the
-CLI flags (``--jobs``, ``--cache-dir``, ``--no-cache``) and the
-``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE`` environment
-variables configure. Cached and parallel runs are bit-identical to
+CLI flags (``--jobs``, ``--cache-dir``, ``--no-cache``,
+``--no-cache-kind``) and the ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` /
+``REPRO_NO_CACHE`` / ``REPRO_NO_CACHE_KIND`` environment variables
+configure. Cached and parallel runs are bit-identical to
 serial uncached runs: the cache stores exactly what the profilers
 return, and the pool only changes *where* each deterministic profile is
 computed, never in what order results are consumed.
@@ -24,40 +25,32 @@ computed, never in what order results are consumed.
 
 from repro.runtime.cache import (
     CACHE_FORMAT_VERSION,
+    CACHE_KINDS,
     CacheStats,
     ProfileCache,
     cache_from_root,
 )
 from repro.runtime.config import (
     active_cache,
-    clustering_cache_enabled,
-    configure,
     resolve_jobs,
     runtime_session,
     set_cache,
-    set_clustering_cache,
     set_jobs,
-    set_sim_cache,
-    sim_cache_enabled,
 )
 from repro.runtime.fingerprint import fingerprint
 from repro.runtime.parallel import parallel_map
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
+    "CACHE_KINDS",
     "CacheStats",
     "ProfileCache",
     "active_cache",
     "cache_from_root",
-    "clustering_cache_enabled",
-    "configure",
     "fingerprint",
     "parallel_map",
     "resolve_jobs",
     "runtime_session",
     "set_cache",
-    "set_clustering_cache",
     "set_jobs",
-    "set_sim_cache",
-    "sim_cache_enabled",
 ]

@@ -16,7 +16,16 @@ processes can share one cache directory; a corrupt or unreadable entry
 is treated as a miss and rewritten. :class:`CacheStats` counts hits,
 misses, stale evictions, and bytes moved — both in aggregate and per
 entry kind — and worker-process deltas can be merged back into the
-parent's stats.
+parent's stats; the per-kind rows are the run's one reuse receipt.
+
+Every kind the pipeline stores is listed in :data:`CACHE_KINDS`. Any of
+them can be switched off while the rest keep working: the disabled set
+is ``REPRO_NO_CACHE_KIND=kind[,kind]`` plus the process default that
+``runtime_session(no_cache_kinds=...)`` installs (the CLI's repeatable
+``--no-cache-kind KIND`` lands there). :meth:`ProfileCache.lookup`
+reports a disabled kind as an uncounted miss and
+:meth:`ProfileCache.store` writes nothing for it, so every caller
+recomputes; results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -26,7 +35,17 @@ import pickle
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.errors import CacheError
 from repro.observability import metrics
@@ -37,6 +56,53 @@ from repro.runtime.fingerprint import fingerprint
 # addressed at all, so no process ever reads a payload written under a
 # different layout.
 CACHE_FORMAT_VERSION = 2
+
+#: Every entry kind the pipeline stores, in pipeline order: compiled
+#: traces, the four profiles, detailed-simulation results, and chosen
+#: clusterings.
+CACHE_KINDS = (
+    "trace",
+    "callbranch",
+    "fli",
+    "vli",
+    "interval-counts",
+    "simresult",
+    "clustering",
+)
+
+#: Process default of disabled kinds (``runtime_session`` installs it).
+_no_cache_kinds: FrozenSet[str] = frozenset()
+
+
+def check_cache_kinds(kinds: Iterable[str]) -> FrozenSet[str]:
+    """The kinds as a set; an unknown name raises :class:`CacheError`."""
+    checked = frozenset(kinds)
+    unknown = sorted(checked.difference(CACHE_KINDS))
+    if unknown:
+        raise CacheError(
+            f"unknown cache kind(s) {', '.join(map(repr, unknown))}; "
+            f"valid kinds: {', '.join(CACHE_KINDS)}"
+        )
+    return checked
+
+
+def set_no_cache_kinds(kinds: Iterable[str]) -> FrozenSet[str]:
+    """Install the process's disabled kinds; returns the previous set."""
+    global _no_cache_kinds
+    previous = _no_cache_kinds
+    _no_cache_kinds = check_cache_kinds(kinds)
+    return previous
+
+
+def no_cache_kinds() -> FrozenSet[str]:
+    """The disabled kinds: the process default plus
+    ``REPRO_NO_CACHE_KIND``."""
+    env = os.environ.get("REPRO_NO_CACHE_KIND")
+    if not env:
+        return _no_cache_kinds
+    return _no_cache_kinds | check_cache_kinds(
+        kind.strip() for kind in env.split(",") if kind.strip()
+    )
 
 
 @dataclass
@@ -101,8 +167,11 @@ class ProfileCache:
 
         Counts the probe as a hit or miss (aggregate and per kind) but
         never computes or writes anything — callers that batch many
-        probes (per-region reuse) pair this with :meth:`store`.
+        probes (per-region reuse) pair this with :meth:`store`. A
+        disabled kind is a miss that is not counted.
         """
+        if kind in no_cache_kinds():
+            return False, None
         digest = self._digest(kind, key_material)
         path = self._path(kind, digest)
         payload: Optional[bytes]
@@ -143,7 +212,12 @@ class ProfileCache:
     def store(
         self, kind: str, key_material: Sequence[Any], value: Any
     ) -> None:
-        """Write one entry (atomic; safe against concurrent writers)."""
+        """Write one entry (atomic; safe against concurrent writers).
+
+        A disabled kind writes nothing.
+        """
+        if kind in no_cache_kinds():
+            return
         digest = self._digest(kind, key_material)
         self._write(kind, self._path(kind, digest), value)
 

@@ -1,4 +1,5 @@
-"""Process-wide runtime defaults: job count and active profile cache.
+"""Process-wide runtime defaults: job count, match threshold, and
+the active profile cache.
 
 Resolution order for the job count (first match wins):
 
@@ -10,25 +11,30 @@ Resolution order for the job count (first match wins):
 
 The active cache is ``None`` (disabled) unless :func:`set_cache`
 installed one or ``REPRO_CACHE_DIR`` names a directory;
-``REPRO_NO_CACHE=1`` disables the environment fallback.
+``REPRO_NO_CACHE=1`` disables the environment fallback. Single kinds
+are switched off through :func:`runtime_session`'s ``no_cache_kinds``
+or ``REPRO_NO_CACHE_KIND``; that state lives in
+:mod:`repro.runtime.cache`, where lookups check it.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from repro.errors import CacheError
-from repro.runtime.cache import ProfileCache
+from repro.runtime.cache import (
+    ProfileCache,
+    no_cache_kinds as _effective_no_cache_kinds,
+    set_no_cache_kinds,
+)
 
 _UNSET = object()
 
 _default_jobs: Optional[int] = None
 _cache: object = _UNSET  # _UNSET -> fall back to the environment
 _default_match_confidence: Optional[float] = None
-_default_sim_cache: Optional[bool] = None
-_default_clustering_cache: Optional[bool] = None
 
 
 def set_jobs(jobs: Optional[int]) -> None:
@@ -117,107 +123,29 @@ def active_cache() -> Optional[ProfileCache]:
     return None
 
 
-def set_sim_cache(enabled: Optional[bool]) -> None:
-    """Install (or clear, with ``None``) the sim-result reuse default."""
-    global _default_sim_cache
-    _default_sim_cache = None if enabled is None else bool(enabled)
-
-
-def sim_cache_enabled(enabled: Optional[bool] = None) -> bool:
-    """Whether detailed-simulation results may be reused from the cache.
-
-    Resolution order: explicit argument, ``REPRO_NO_SIM_CACHE`` (set →
-    disabled), process default from :func:`set_sim_cache` (the CLI's
-    ``--no-sim-cache`` flag lands here), then enabled. Reuse also
-    requires an active profile cache — this knob only gates the
-    ``"simresult"`` kind, so profiling caches keep working when it is
-    off (results are bit-identical either way).
-    """
-    if enabled is not None:
-        return enabled
-    if os.environ.get("REPRO_NO_SIM_CACHE"):
-        return False
-    if _default_sim_cache is not None:
-        return _default_sim_cache
-    return True
-
-
-def set_clustering_cache(enabled: Optional[bool]) -> None:
-    """Install (or clear, with ``None``) the clustering reuse default."""
-    global _default_clustering_cache
-    _default_clustering_cache = None if enabled is None else bool(enabled)
-
-
-def clustering_cache_enabled(enabled: Optional[bool] = None) -> bool:
-    """Whether chosen clusterings may be reused from the cache.
-
-    Resolution order: explicit argument, ``REPRO_NO_CLUSTERING_CACHE``
-    (set → disabled), process default from :func:`set_clustering_cache`
-    (the CLI's ``--no-clustering-cache`` flag lands here), then
-    enabled. Reuse also requires an active profile cache — this knob
-    only gates the ``"clustering"`` kind, so profiling caches keep
-    working when it is off (results are bit-identical either way).
-    """
-    if enabled is not None:
-        return enabled
-    if os.environ.get("REPRO_NO_CLUSTERING_CACHE"):
-        return False
-    if _default_clustering_cache is not None:
-        return _default_clustering_cache
-    return True
-
-
-def configure(
-    jobs: Optional[int] = None,
-    cache_dir: Optional[Union[str, os.PathLike]] = None,
-    no_cache: bool = False,
-    match_confidence: Optional[float] = None,
-    no_sim_cache: bool = False,
-    no_clustering_cache: bool = False,
-) -> Optional[ProfileCache]:
-    """One-shot setup used by the CLI; returns the installed cache."""
-    set_jobs(jobs)
-    set_match_confidence(match_confidence)
-    set_sim_cache(False if no_sim_cache else None)
-    set_clustering_cache(False if no_clustering_cache else None)
-    if no_cache:
-        set_cache(None)
-        return None
-    if cache_dir is not None:
-        set_cache(ProfileCache(cache_dir))
-    return active_cache()
-
-
 @contextmanager
 def runtime_session(
     jobs: Optional[int] = None,
     cache: Optional[ProfileCache] = None,
     match_confidence: Optional[float] = None,
-    sim_cache: Optional[bool] = None,
-    clustering_cache: Optional[bool] = None,
+    no_cache_kinds: Iterable[str] = (),
 ) -> Iterator[None]:
-    """Temporarily install runtime defaults (tests use this)."""
+    """Temporarily install runtime defaults (the CLI and tests use this).
+
+    The values go through the same checks as :func:`set_jobs`,
+    :func:`set_match_confidence` and the cache-kind validation, so an
+    invalid one raises :class:`CacheError` before anything runs.
+    """
     global _cache, _default_jobs, _default_match_confidence
-    global _default_sim_cache, _default_clustering_cache
-    saved = (
-        _cache,
-        _default_jobs,
-        _default_match_confidence,
-        _default_sim_cache,
-        _default_clustering_cache,
-    )
+    saved = (_cache, _default_jobs, _default_match_confidence)
+    saved_kinds = set_no_cache_kinds(())
     try:
-        _default_jobs = jobs
+        set_jobs(jobs)
+        set_match_confidence(match_confidence)
+        set_no_cache_kinds(no_cache_kinds)
+        _effective_no_cache_kinds()  # REPRO_NO_CACHE_KIND fails here too
         _cache = cache
-        _default_match_confidence = match_confidence
-        _default_sim_cache = sim_cache
-        _default_clustering_cache = clustering_cache
         yield
     finally:
-        (
-            _cache,
-            _default_jobs,
-            _default_match_confidence,
-            _default_sim_cache,
-            _default_clustering_cache,
-        ) = saved
+        _cache, _default_jobs, _default_match_confidence = saved
+        set_no_cache_kinds(saved_kinds)

@@ -17,16 +17,11 @@ matrix itself), the k budget, the BIC threshold, ``n_init`` /
 ``max_iter`` / seed, and the search strategy. The format-version salt
 is applied by the cache on every key.
 
-Reuse is on whenever a profile cache is active and can be vetoed per
-call (``use_clustering_cache=False``), per process
-(``--no-clustering-cache``), or per environment
-(``REPRO_NO_CLUSTERING_CACHE=1``) without touching the profiling
-caches. Every lookup lands in the
-``cache.clustering.{hits,misses,stale_evictions}`` metric counters —
-the kind name is chosen so the cache's automatic per-kind counters
-(``cache.<kind>.*``) double as the manifest's clustering summary, with
-no mirroring layer (unlike ``cache.sim.*``, which aliases the
-``simresult`` kind and must be mirrored by hand).
+Reuse is on whenever a profile cache is active. Like every kind, it is
+switched off with ``--no-cache-kind clustering`` (or
+``REPRO_NO_CACHE_KIND=clustering``) while the profiling caches keep
+working. Every lookup is tallied in the cache's ``clustering`` kind
+row.
 """
 
 from __future__ import annotations
@@ -38,16 +33,14 @@ import numpy as np
 
 from repro.errors import ClusteringError
 from repro.runtime.cache import ProfileCache
-from repro.runtime.config import active_cache, clustering_cache_enabled
+from repro.runtime.config import active_cache
 from repro.simpoint.select import (
     ClusteringChoice,
     choose_clustering,
     choose_clustering_binary_search,
 )
 
-#: ProfileCache kind under which chosen clusterings live. Also the
-#: metric-counter namespace: the cache emits ``cache.clustering.*``
-#: for this kind on its own.
+#: ProfileCache kind under which chosen clusterings live.
 CLUSTERING_KIND = "clustering"
 
 
@@ -103,7 +96,6 @@ def cached_choose_clustering(
     seed: int = 0,
     k_search: str = "exhaustive",
     cache: Optional[ProfileCache] = None,
-    use_clustering_cache: Optional[bool] = None,
 ) -> ClusteringChoice:
     """The BIC-chosen clustering for one projected profile, cached.
 
@@ -136,7 +128,7 @@ def cached_choose_clustering(
 
     if cache is None:
         cache = active_cache()
-    if cache is None or not clustering_cache_enabled(use_clustering_cache):
+    if cache is None:
         return compute()
     key = clustering_key(
         points,

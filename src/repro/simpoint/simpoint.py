@@ -104,13 +104,12 @@ def run_simpoint(
     config: SimPointConfig = SimPointConfig(),
     *,
     cache: "ProfileCache | None" = None,
-    use_clustering_cache: "bool | None" = None,
 ) -> SimPointResult:
     """Run the full SimPoint pipeline over profiled intervals.
 
-    ``cache`` / ``use_clustering_cache`` control content-keyed
-    clustering reuse (defaults: the runtime configuration); a reused
-    clustering is bit-identical to a recomputed one.
+    ``cache`` enables content-keyed clustering reuse (default: the
+    runtime's active cache); a reused clustering is bit-identical to a
+    recomputed one.
     """
     vector_set = build_vector_set(intervals)
     projected = project(
@@ -126,7 +125,6 @@ def run_simpoint(
         seed=config.kmeans_seed,
         k_search=config.k_search,
         cache=cache,
-        use_clustering_cache=use_clustering_cache,
     )
     picks = pick_simulation_points(
         projected, vector_set.weights, choice.result

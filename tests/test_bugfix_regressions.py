@@ -388,3 +388,65 @@ class TestPickSimulationPointsZeroWeights:
             points, np.array([1.0, 1.0, 3.0, 1.0]), result
         )
         assert sum(pick.weight for pick in picks) == pytest.approx(1.0)
+
+
+class TestRuntimeSessionValidation:
+    """``runtime_session`` used to install its values unchecked:
+    ``repro --jobs 0`` (or ``-3``) quietly ran serially while
+    ``resolve_jobs()`` returned the bad count, and ``--match-confidence
+    7`` was accepted until the first match. The session now applies the
+    checks of ``set_jobs``/``set_match_confidence`` up front."""
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_bad_job_count_raises_and_restores(self, jobs):
+        from repro.errors import CacheError
+        from repro.runtime.config import resolve_jobs, runtime_session
+
+        with runtime_session(jobs=2):
+            with pytest.raises(CacheError, match="jobs must be >= 1"):
+                with runtime_session(jobs=jobs):
+                    pass  # pragma: no cover
+            assert resolve_jobs() == 2
+
+    @pytest.mark.parametrize("threshold", [7.0, 0.0, -0.5])
+    def test_bad_match_confidence_raises_and_restores(self, threshold):
+        from repro.errors import CacheError
+        from repro.runtime.config import (
+            resolve_match_confidence,
+            runtime_session,
+        )
+
+        with runtime_session(match_confidence=0.8):
+            with pytest.raises(CacheError, match="match confidence"):
+                with runtime_session(match_confidence=threshold):
+                    pass  # pragma: no cover
+            assert resolve_match_confidence() == 0.8
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["--jobs", "0", "list"], "jobs must be >= 1, got 0"),
+            (["list", "--jobs", "-3"], "jobs must be >= 1, got -3"),
+            (["--match-confidence", "7", "list"], "match confidence"),
+        ],
+    )
+    def test_cli_exits_non_zero(self, argv, error):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "--no-cache"] + argv,
+            capture_output=True,
+            text=True,
+            env={
+                **os.environ,
+                "PYTHONPATH": str(Path(repro.__file__).parents[1]),
+            },
+        )
+        assert proc.returncode != 0
+        assert error in proc.stderr
+        assert "benchmark" not in proc.stdout  # nothing ran

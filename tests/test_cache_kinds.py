@@ -1,0 +1,194 @@
+"""One cache-kind switch, one per-kind tally, one hit-rate gate.
+
+Every cache entry kind is named in ``CACHE_KINDS``; ``--no-cache-kind``
+(``REPRO_NO_CACHE_KIND``, ``runtime_session(no_cache_kinds=...)``)
+switches any of them off, the manifest's ``cache.kinds`` rows are the
+only per-kind receipt, and ``repro ledger check --min-hit-rate
+KIND=RATE`` gates on them. These tests pin the validation of kind
+names and gate tokens, that every kind the pipeline records is a
+known one, and that the kind rows include worker-process lookups.
+"""
+
+import json
+import re
+
+import pytest
+
+from repro.cli import _resolve_runtime, build_parser, main
+from repro.errors import CacheError
+from repro.execution.trace import clear_trace_memo
+from repro.experiments.runner import (
+    ExperimentConfig,
+    clear_cache,
+    run_benchmark,
+)
+from repro.experiments.sweeps import sweep_interval_sizes
+from repro.observability import observe
+from repro.observability.manifest import build_manifest
+from repro.runtime import (
+    CACHE_KINDS,
+    CacheStats,
+    ProfileCache,
+    runtime_session,
+)
+from repro.runtime.cache import check_cache_kinds, no_cache_kinds
+from repro.simpoint.simpoint import SimPointConfig
+
+
+class TestKindNames:
+    def test_known_kinds_pass(self):
+        assert check_cache_kinds(CACHE_KINDS) == frozenset(CACHE_KINDS)
+        assert check_cache_kinds([]) == frozenset()
+
+    def test_unknown_kind_lists_the_valid_ones(self):
+        with pytest.raises(CacheError) as excinfo:
+            check_cache_kinds(["simresult", "sim"])
+        message = str(excinfo.value)
+        assert "'sim'" in message
+        for kind in CACHE_KINDS:
+            assert kind in message
+
+    def test_session_rejects_unknown_kind_and_restores(self):
+        with runtime_session(no_cache_kinds=["clustering"]):
+            with pytest.raises(CacheError, match="valid kinds"):
+                with runtime_session(no_cache_kinds=["bogus"]):
+                    pass  # pragma: no cover
+            assert no_cache_kinds() == {"clustering"}
+        assert no_cache_kinds() == frozenset()
+
+    def test_env_kinds_join_the_session_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_CACHE_KIND", "fli, vli")
+        with runtime_session(no_cache_kinds=["simresult"]):
+            assert no_cache_kinds() == {"fli", "vli", "simresult"}
+
+    def test_env_rejects_unknown_kind_at_session_start(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_CACHE_KIND", "simresult,nope")
+        with pytest.raises(CacheError, match="'nope'"):
+            with runtime_session():
+                pass  # pragma: no cover
+
+
+class TestCliTokens:
+    @pytest.mark.parametrize("kind", ["sim", "Clustering", ""])
+    def test_no_cache_kind_rejects_unknown_kind(self, kind, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["--no-cache-kind", kind, "list"])
+        assert excinfo.value.code == 2
+        assert "valid kinds" in capsys.readouterr().err
+
+    def test_no_cache_kind_is_repeatable_on_both_sides(self):
+        args = build_parser().parse_args([
+            "--no-cache", "--no-cache-kind", "simresult",
+            "summary", "art", "--no-cache-kind", "clustering",
+            "--no-cache-kind", "fli",
+        ])
+        assert sorted(_resolve_runtime(args)["no_cache_kinds"]) == [
+            "clustering", "fli", "simresult",
+        ]
+
+    @pytest.mark.parametrize(
+        "token, error",
+        [
+            ("bogus=0.5", "valid kinds"),
+            ("simresult=1.5", r"\[0, 1\]"),
+            ("simresult=-0.1", r"\[0, 1\]"),
+            ("simresult=nan", r"\[0, 1\]"),
+            ("simresult", "KIND=RATE"),
+            ("simresult:0.5", "KIND=RATE"),
+            ("simresult=", "number"),
+            ("simresult=half", "number"),
+            ("=0.5", "valid kinds"),
+        ],
+    )
+    def test_min_hit_rate_rejects_bad_tokens(self, token, error, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["ledger", "check", "--min-hit-rate", token, "m.json"]
+            )
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--min-hit-rate" in err
+        assert re.search(error, err), err
+
+    def test_min_hit_rate_is_repeatable(self):
+        args = build_parser().parse_args([
+            "ledger", "check", "--min-hit-rate", "simresult=0.5",
+            "--min-hit-rate", "clustering=1", "m.json",
+        ])
+        assert args.min_hit_rates == [
+            ("simresult", 0.5), ("clustering", 1.0),
+        ]
+
+    def test_min_hit_rate_gate_through_the_cli(self, tmp_path, capsys):
+        def manifest(run_id, hits, misses):
+            stats = CacheStats()
+            stats.by_kind["simresult"] = CacheStats(
+                hits=hits, misses=misses
+            )
+            path = tmp_path / f"{run_id}.json"
+            path.write_text(json.dumps(build_manifest(
+                total_seconds=1.0,
+                stages={"run": 1.0},
+                metrics_snapshot={},
+                cache_stats=stats,
+                config_fingerprint="fp-gate",
+                run_id=run_id,
+            )))
+            return str(path)
+
+        ledger = str(tmp_path / "ledger.jsonl")
+        base = manifest("base", 0, 4)
+        warm = manifest("warm", 4, 0)
+        cold = manifest("cold", 0, 4)
+        assert main(["ledger", "--ledger", ledger, "log", base]) == 0
+        check = ["ledger", "--ledger", ledger, "check",
+                 "--min-hit-rate", "simresult=0.5"]
+        assert main(check + [warm]) == 0
+        assert main(check + [cold]) == 1
+        assert "simresult hit rate 0.0% below floor 50.0%" in (
+            capsys.readouterr().out
+        )
+        # A kind the candidate never probed counts as rate 0.
+        assert main(check + ["--min-hit-rate", "fli=0.1", warm]) == 1
+
+
+_FAST_CONFIG = ExperimentConfig(
+    interval_size=40_000, simpoint=SimPointConfig(max_k=3, n_init=2)
+)
+
+
+@pytest.mark.slow
+def test_cold_run_records_only_known_kinds(tmp_path):
+    cache = ProfileCache(tmp_path)
+    clear_cache()
+    clear_trace_memo()
+    with runtime_session(jobs=1, cache=cache):
+        run_benchmark("art", _FAST_CONFIG)
+    clear_cache()
+    recorded = set(cache.stats.by_kind)
+    assert recorded <= set(CACHE_KINDS), recorded - set(CACHE_KINDS)
+    # A cold run stores every kind, so none of CACHE_KINDS is stale.
+    assert recorded == set(CACHE_KINDS)
+
+
+@pytest.mark.slow
+def test_kind_rows_include_worker_lookups(tmp_path):
+    """A --jobs 2 sweep's ``kinds.simresult`` row equals the run's
+    ``cache.simresult.*`` metric counters (which every worker ships
+    back), cold and warm; the hit-rate gate reads this row."""
+    sizes = [30_000, 60_000]
+    simulations = len(sizes) * len(_FAST_CONFIG.targets)
+    rows = []
+    for run in ("cold", "warm"):
+        clear_cache()
+        with runtime_session(jobs=2, cache=ProfileCache(tmp_path / "c")):
+            with observe(trace_out=tmp_path / run / "trace.json") as session:
+                sweep_interval_sizes("art", sizes, _FAST_CONFIG, jobs=2)
+        clear_cache()
+        counters = session.manifest["metrics"]["counters"]
+        assert "parallel.pool_fallback" not in counters  # real workers
+        row = session.manifest["cache"]["kinds"]["simresult"]
+        assert row["hits"] == counters.get("cache.simresult.hits", 0)
+        assert row["misses"] == counters.get("cache.simresult.misses", 0)
+        rows.append((row["hits"], row["misses"]))
+    assert rows == [(0, simulations), (simulations, 0)]

@@ -9,7 +9,7 @@ hypothesis on tie-heavy integer grids, where an argmin tie-break or a
 reordered draw would surface first), and a cached choice must equal a
 recomputed one. The suite also exercises exact ties and the
 empty-cluster repair path explicitly, and covers the cache key schema,
-the escape hatches, and the observability surface in the style of
+the cache-kind switch, and the observability surface in the style of
 ``tests/test_simcache.py``.
 """
 
@@ -29,8 +29,12 @@ from repro.observability.diff import (
 from repro.observability.inspect import render_manifest
 from repro.observability.ledger import entry_from_manifest
 from repro.observability.manifest import build_manifest, validate_manifest
-from repro.observability.metrics import Registry
-from repro.runtime import ProfileCache, fingerprint, runtime_session
+from repro.runtime import (
+    CacheStats,
+    ProfileCache,
+    fingerprint,
+    runtime_session,
+)
 from repro.simpoint.clustercache import (
     CLUSTERING_KIND,
     cached_choose_clustering,
@@ -240,24 +244,36 @@ class TestCachedChooseClustering:
                 cache=ProfileCache(tmp_path),
             )
 
-    def test_escape_hatches_disable_reuse(self, tmp_path, monkeypatch):
+    def test_escape_hatches_disable_reuse(self, tmp_path, monkeypatch,
+                                          micro_binary_32u):
+        from repro.cli import _resolve_runtime, build_parser
+        from repro.profiling.bbv import collect_fli_bbvs
+
+        from tests.conftest import MICRO_INTERVAL
+
         points, weights = self._points()
         cache = ProfileCache(tmp_path)
         kwargs = dict(max_k=3, n_init=2, cache=cache)
-        # Per-call veto.
-        cached_choose_clustering(points, weights,
-                                 use_clustering_cache=False, **kwargs)
-        assert CLUSTERING_KIND not in cache.stats.by_kind
-        # Process default (the CLI's --no-clustering-cache lands here).
-        with runtime_session(clustering_cache=False):
+        args = build_parser().parse_args(
+            ["--no-cache", "--no-cache-kind", CLUSTERING_KIND, "list"]
+        )
+        # The CLI flag, through the session the CLI installs.
+        with runtime_session(**_resolve_runtime(args)):
             cached_choose_clustering(points, weights, **kwargs)
-        assert CLUSTERING_KIND not in cache.stats.by_kind
-        # Environment veto.
-        monkeypatch.setenv("REPRO_NO_CLUSTERING_CACHE", "1")
+        # The session parameter itself, with a profiling kind too.
+        with runtime_session(no_cache_kinds=[CLUSTERING_KIND, "fli"]):
+            cached_choose_clustering(points, weights, **kwargs)
+            collect_fli_bbvs(micro_binary_32u, MICRO_INTERVAL, cache=cache)
+        # The environment variable.
+        monkeypatch.setenv("REPRO_NO_CACHE_KIND", CLUSTERING_KIND)
         cached_choose_clustering(points, weights, **kwargs)
         assert CLUSTERING_KIND not in cache.stats.by_kind
-        monkeypatch.delenv("REPRO_NO_CLUSTERING_CACHE")
-        # And with every hatch open, reuse resumes.
+        assert "fli" not in cache.stats.by_kind
+        # Disabled kinds are neither counted nor written.
+        assert not (tmp_path / CLUSTERING_KIND).exists()
+        assert not (tmp_path / "fli").exists()
+        monkeypatch.delenv("REPRO_NO_CACHE_KIND")
+        # And with every kind enabled, reuse resumes.
         cached_choose_clustering(points, weights, **kwargs)
         assert cache.stats.by_kind[CLUSTERING_KIND].misses == 1
 
@@ -288,15 +304,13 @@ class TestCachedChooseClustering:
 
 class TestObservabilitySurface:
     def _manifest(self, run_id, *, hits, misses):
-        registry = Registry()
-        if hits:
-            registry.counter("cache.clustering.hits").inc(hits)
-        if misses:
-            registry.counter("cache.clustering.misses").inc(misses)
+        stats = CacheStats()
+        stats.by_kind[CLUSTERING_KIND] = CacheStats(hits=hits, misses=misses)
         return build_manifest(
             total_seconds=1.0,
             stages={"cluster": 1.0},
-            metrics_snapshot=registry.snapshot(),
+            metrics_snapshot={},
+            cache_stats=stats,
             config_fingerprint="fp-clustering",
             run_id=run_id,
         )
@@ -304,19 +318,21 @@ class TestObservabilitySurface:
     def test_manifest_carries_clustering_block(self):
         manifest = self._manifest("run-cluster", hits=3, misses=1)
         validate_manifest(manifest)
-        assert manifest["cache"]["clustering"] == {
-            "hits": 3, "misses": 1, "stale_evictions": 0,
-            "reuse_ratio": 0.75,
+        assert manifest["cache"]["kinds"][CLUSTERING_KIND] == {
+            "hits": 3, "misses": 1, "hit_rate": 0.75,
+            "stale_evictions": 0, "bytes_read": 0, "bytes_written": 0,
         }
+        # The kind row is the only clustering receipt.
+        assert "clustering" not in manifest["cache"]
 
     def test_ledger_flattens_clustering_block(self):
         entry = entry_from_manifest(
             self._manifest("run-flat", hits=3, misses=1)
         )
-        assert entry.cache["clustering.reuse_ratio"] == 0.75
+        assert entry.cache["clustering.hit_rate"] == 0.75
         assert entry.cache["clustering.misses"] == 1
 
-    def test_min_clustering_hit_rate_gate(self):
+    def test_min_hit_rate_gate(self):
         old = entry_from_manifest(
             self._manifest("run-a", hits=4, misses=0)
         )
@@ -328,16 +344,16 @@ class TestObservabilitySurface:
         )
         # Off by default: a cold candidate is not drift.
         assert check_drift(diff_runs(old, cold)) == []
-        limits = DriftThresholds(min_clustering_hit_rate=0.5)
+        limits = DriftThresholds(min_hit_rates={CLUSTERING_KIND: 0.5})
         assert check_drift(diff_runs(old, warm), limits) == []
         violations = check_drift(diff_runs(old, cold), limits)
         assert [v.kind for v in violations] == ["performance"]
-        assert violations[0].delta.field == "clustering.reuse_ratio"
+        assert violations[0].delta.field == "clustering.hit_rate"
 
     def test_inspect_renders_clustering_line(self):
         manifest = self._manifest("run-render", hits=1, misses=1)
         rendered = render_manifest(manifest)
         assert (
-            "clustering reuse: 1 of 2 clustering lookups (50.0%)"
-            in rendered
+            "clustering: 1 hits / 1 misses (50.0% hit rate)" in rendered
         )
+        assert "clustering reuse" not in rendered

@@ -2,9 +2,9 @@
 
 Covers the key schema (stability and sensitivity), full-run and
 per-region reuse with bit-identity against the uncached path, the
-escape hatches, sweep-level reuse, crash-resume of a SIGKILLed sweep
-from the cache, and the observability surface (manifest sim block,
-ledger flattening, drift gate).
+cache-kind switch, sweep-level reuse, crash-resume of a SIGKILLed
+sweep from the cache, and the observability surface (manifest kind
+rows, ledger flattening, hit-rate gate).
 """
 
 import dataclasses
@@ -43,10 +43,15 @@ from repro.observability.diff import (
 )
 from repro.observability.ledger import entry_from_manifest
 from repro.observability.manifest import build_manifest, validate_manifest
-from repro.observability.metrics import Registry
+from repro.profiling.bbv import collect_fli_bbvs
 from repro.profiling.callbranch import collect_call_branch_profile
 from repro.programs.inputs import REF_INPUT, TEST_INPUT
-from repro.runtime import ProfileCache, fingerprint, runtime_session
+from repro.runtime import (
+    CacheStats,
+    ProfileCache,
+    fingerprint,
+    runtime_session,
+)
 from repro.simpoint.simpoint import SimPointConfig
 
 from tests.conftest import MICRO_INTERVAL
@@ -169,7 +174,8 @@ class TestCachedFullRun:
             vli_table=table,
             vli_boundaries=boundaries,
         )
-        direct = cached_full_run(binary, use_sim_cache=False, **kwargs)
+        with runtime_session(cache=None):
+            direct = cached_full_run(binary, **kwargs)
         cache = ProfileCache(tmp_path)
         with metrics.scoped_registry() as local:
             cold = cached_full_run(binary, cache=cache, **kwargs)
@@ -180,28 +186,40 @@ class TestCachedFullRun:
         row = cache.stats.by_kind[SIMRESULT_KIND]
         assert (row.hits, row.misses) == (1, 1)
         counters = local.snapshot()["counters"]
-        assert counters["cache.sim.hits"] == 1
-        assert counters["cache.sim.misses"] == 1
+        assert counters["cache.simresult.hits"] == 1
+        assert counters["cache.simresult.misses"] == 1
 
     def test_escape_hatches_disable_reuse(self, micro_binary_32u,
                                           tmp_path, monkeypatch):
+        from repro.cli import _resolve_runtime, build_parser
+
         cache = ProfileCache(tmp_path)
         kwargs = dict(fli_interval_size=MICRO_INTERVAL, cache=cache)
-        # Per-call veto.
-        cached_full_run(micro_binary_32u, use_sim_cache=False, **kwargs)
-        assert SIMRESULT_KIND not in cache.stats.by_kind
-        # Process default (the CLI's --no-sim-cache lands here).
-        with runtime_session(sim_cache=False):
+        args = build_parser().parse_args(
+            ["list", "--no-cache", "--no-cache-kind", SIMRESULT_KIND]
+        )
+        # The CLI flag, through the session the CLI installs.
+        with runtime_session(**_resolve_runtime(args)):
             cached_full_run(micro_binary_32u, **kwargs)
-        assert SIMRESULT_KIND not in cache.stats.by_kind
-        # Environment veto.
-        monkeypatch.setenv("REPRO_NO_SIM_CACHE", "1")
+        # The session parameter itself.
+        with runtime_session(no_cache_kinds=[SIMRESULT_KIND]):
+            cached_full_run(micro_binary_32u, **kwargs)
+        # The environment variable, among other kinds.
+        monkeypatch.setenv("REPRO_NO_CACHE_KIND", f"fli,{SIMRESULT_KIND}")
         cached_full_run(micro_binary_32u, **kwargs)
+        # A disabled profiling kind is switched off the same way.
+        collect_fli_bbvs(micro_binary_32u, MICRO_INTERVAL, cache=cache)
         assert SIMRESULT_KIND not in cache.stats.by_kind
-        monkeypatch.delenv("REPRO_NO_SIM_CACHE")
-        # And with every hatch open, reuse resumes.
+        assert "fli" not in cache.stats.by_kind
+        # Disabled kinds are neither counted nor written.
+        assert not (tmp_path / SIMRESULT_KIND).exists()
+        assert not (tmp_path / "fli").exists()
+        monkeypatch.delenv("REPRO_NO_CACHE_KIND")
+        # And with every kind enabled, reuse resumes.
         cached_full_run(micro_binary_32u, **kwargs)
         assert cache.stats.by_kind[SIMRESULT_KIND].misses == 1
+        collect_fli_bbvs(micro_binary_32u, MICRO_INTERVAL, cache=cache)
+        assert cache.stats.by_kind["fli"].misses == 1
 
 
 class TestCachedRegionRun:
@@ -222,10 +240,9 @@ class TestCachedRegionRun:
             warm = cached_region_run(binary, regions, table, cache=cache)
         assert pickle.dumps(warm) == pickle.dumps(direct)
         counters = local.snapshot()["counters"]
-        # One per-region probe per region; the tail entry is run-level
-        # bookkeeping and deliberately outside the sim counters.
-        assert counters["cache.sim.hits"] == len(regions)
-        assert "cache.sim.misses" not in counters
+        # One probe per region plus the run-tail probe.
+        assert counters["cache.simresult.hits"] == len(regions) + 1
+        assert "cache.simresult.misses" not in counters
 
     def test_boundary_edit_reuses_the_unchanged_prefix(self, marked,
                                                        tmp_path):
@@ -243,8 +260,9 @@ class TestCachedRegionRun:
             result = cached_region_run(binary, moved, table, cache=cache)
         assert pickle.dumps(result) == pickle.dumps(direct)
         counters = local.snapshot()["counters"]
-        assert counters["cache.sim.hits"] == 1  # region 0's prefix key
-        assert counters["cache.sim.misses"] == 1  # the edited region
+        assert counters["cache.simresult.hits"] == 1  # region 0's prefix
+        # The edited region and the run tail (its key covers the list).
+        assert counters["cache.simresult.misses"] == 2
         # And the refilled entries serve the edited list in full.
         fresh = cached_region_run(binary, moved, table, cache=cache)
         assert pickle.dumps(fresh) == pickle.dumps(direct)
@@ -288,12 +306,12 @@ class TestSweepReuse:
         assert uncached == cold == warm
         cold_counters = cold_registry.snapshot()["counters"]
         warm_counters = warm_registry.snapshot()["counters"]
-        assert "cache.sim.hits" not in cold_counters
-        assert cold_counters["cache.sim.misses"] > 0
-        assert "cache.sim.misses" not in warm_counters
+        assert "cache.simresult.hits" not in cold_counters
+        assert cold_counters["cache.simresult.misses"] > 0
+        assert "cache.simresult.misses" not in warm_counters
         assert (
-            warm_counters["cache.sim.hits"]
-            == cold_counters["cache.sim.misses"]
+            warm_counters["cache.simresult.hits"]
+            == cold_counters["cache.simresult.misses"]
         )
 
     def test_killed_sweep_resumes_from_the_cache(self, tmp_path):
@@ -364,18 +382,21 @@ with runtime_session(cache=ProfileCache(sys.argv[1])):
 """
 
 
+def _sim_stats(hits, misses):
+    """CacheStats with just a ``simresult`` kind row (zero aggregate,
+    so only the per-kind gate can fire)."""
+    stats = CacheStats()
+    stats.by_kind[SIMRESULT_KIND] = CacheStats(hits=hits, misses=misses)
+    return stats
+
+
 class TestObservabilitySurface:
-    def _manifest(self, run_id, *, hits, misses, cache_stats=None):
-        registry = Registry()
-        if hits:
-            registry.counter("cache.sim.hits").inc(hits)
-        if misses:
-            registry.counter("cache.sim.misses").inc(misses)
+    def _manifest(self, run_id, *, hits, misses):
         return build_manifest(
             total_seconds=1.0,
             stages={"profile": 1.0},
-            metrics_snapshot=registry.snapshot(),
-            cache_stats=cache_stats,
+            metrics_snapshot={},
+            cache_stats=_sim_stats(hits, misses),
             config_fingerprint="fp-sim",
             run_id=run_id,
         )
@@ -384,31 +405,28 @@ class TestObservabilitySurface:
         cache = ProfileCache(tmp_path)
         cache.get_or_compute(SIMRESULT_KIND, ("key",), lambda: "value")
         cache.get_or_compute(SIMRESULT_KIND, ("key",), lambda: "unused")
-        manifest = self._manifest(
-            "run-sim", hits=1, misses=1, cache_stats=cache.stats
+        manifest = build_manifest(
+            total_seconds=1.0,
+            stages={"profile": 1.0},
+            metrics_snapshot={},
+            cache_stats=cache.stats,
+            run_id="run-sim",
         )
         validate_manifest(manifest)
-        kinds = manifest["cache"]["kinds"]
-        assert kinds[SIMRESULT_KIND]["hits"] == 1
-        assert kinds[SIMRESULT_KIND]["misses"] == 1
-        sim = manifest["cache"]["sim"]
-        assert sim == {
-            "hits": 1, "misses": 1, "stale_evictions": 0,
-            "reuse_ratio": 0.5,
-        }
+        row = manifest["cache"]["kinds"][SIMRESULT_KIND]
+        assert (row["hits"], row["misses"]) == (1, 1)
+        assert row["hit_rate"] == 0.5
+        # The kind row is the only sim-result receipt.
+        assert "sim" not in manifest["cache"]
 
-    def test_ledger_flattens_cache_sub_blocks(self, tmp_path):
-        cache = ProfileCache(tmp_path)
-        cache.get_or_compute(SIMRESULT_KIND, ("key",), lambda: "value")
-        manifest = self._manifest(
-            "run-flat", hits=3, misses=1, cache_stats=cache.stats
-        )
+    def test_ledger_flattens_cache_sub_blocks(self):
+        manifest = self._manifest("run-flat", hits=3, misses=1)
         entry = entry_from_manifest(manifest)
-        assert entry.cache["sim.reuse_ratio"] == 0.75
+        assert entry.cache[f"{SIMRESULT_KIND}.hit_rate"] == 0.75
         assert entry.cache[f"{SIMRESULT_KIND}.misses"] == 1
         assert entry.cache["hits"] == 0  # aggregate counters survive
 
-    def test_min_sim_hit_rate_gate(self):
+    def test_min_hit_rate_gate(self):
         old = entry_from_manifest(
             self._manifest("run-a", hits=4, misses=0)
         )
@@ -420,22 +438,47 @@ class TestObservabilitySurface:
         )
         # Off by default: a cold candidate is not drift.
         assert check_drift(diff_runs(old, cold)) == []
-        limits = DriftThresholds(min_sim_hit_rate=0.5)
+        limits = DriftThresholds(min_hit_rates={SIMRESULT_KIND: 0.5})
         assert check_drift(diff_runs(old, warm), limits) == []
         violations = check_drift(diff_runs(old, cold), limits)
         assert [v.kind for v in violations] == ["performance"]
-        assert violations[0].delta.field == "sim.reuse_ratio"
+        assert violations[0].delta.field == f"{SIMRESULT_KIND}.hit_rate"
 
-    def test_inspect_renders_kinds_and_sim_lines(self, tmp_path):
+    def test_inspect_renders_kinds_and_sim_lines(self):
         from repro.observability.inspect import render_manifest
 
-        cache = ProfileCache(tmp_path)
-        cache.get_or_compute(SIMRESULT_KIND, ("key",), lambda: "value")
-        cache.get_or_compute(SIMRESULT_KIND, ("key",), lambda: "unused")
-        manifest = self._manifest(
-            "run-render", hits=1, misses=1, cache_stats=cache.stats
+        rendered = render_manifest(
+            self._manifest("run-render", hits=1, misses=1)
         )
-        rendered = render_manifest(manifest)
-        assert f"{SIMRESULT_KIND}: 1 hits / 1 misses" in rendered
-        assert "sim-result reuse: 1 of 2 region lookups (50.0%)" \
+        assert (
+            f"{SIMRESULT_KIND}: 1 hits / 1 misses (50.0% hit rate)"
             in rendered
+        )
+        assert "sim-result reuse" not in rendered
+
+    def test_old_manifest_with_summary_blocks_still_loads(self, tmp_path):
+        """Manifests written before the kind rows became the only
+        receipt carry ``sim``/``clustering`` summaries; they still
+        load, flatten, render and gate on the kind rows."""
+        import json
+
+        from repro.observability.inspect import render_manifest
+        from repro.observability.manifest import load_manifest
+
+        manifest = self._manifest("run-old", hits=3, misses=1)
+        summary = {
+            "hits": 3, "misses": 1, "stale_evictions": 0,
+            "reuse_ratio": 0.75,
+        }
+        manifest["cache"]["sim"] = dict(summary)
+        manifest["cache"]["clustering"] = dict(summary)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        loaded = load_manifest(path)
+        assert loaded["cache"]["sim"] == summary
+        entry = entry_from_manifest(loaded)
+        assert entry.cache[f"{SIMRESULT_KIND}.hit_rate"] == 0.75
+        assert not any(key.startswith("sim.") for key in entry.cache)
+        assert "sim-result reuse" not in render_manifest(loaded)
+        limits = DriftThresholds(min_hit_rates={SIMRESULT_KIND: 0.5})
+        assert check_drift(diff_runs(entry, entry), limits) == []
