@@ -155,7 +155,7 @@ def cached_full_run(
         )
         if vli is not None:
             trackers.append(vli)
-        result = CMPSim(binary, memory, program_input).run_full(
+        result = CMPSim(binary, memory, program_input, cache=cache).run_full(
             trackers=tuple(trackers)
         )
         return TrackedRun(
@@ -199,10 +199,10 @@ def cached_region_run(
     the assembled result; determinism makes those identical to the
     fresh pass, which the bit-identity tests enforce.
     """
-    sim = CMPSim(binary, memory, program_input)
     region_list = list(regions)
     if cache is None:
         cache = active_cache()
+    sim = CMPSim(binary, memory, program_input, cache=cache)
     if cache is None or not region_list:
         return sim.run_regions(region_list, table, warm=warm)
     keys, tail_key = region_run_keys(

@@ -47,7 +47,7 @@ from repro.profiling.bbv import collect_fli_bbvs
 from repro.profiling.intervals import Interval
 from repro.programs.inputs import ProgramInput, REF_INPUT
 from repro.programs.suite import build_benchmark
-from repro.runtime.cache import cache_from_root, merge_stats
+from repro.runtime.cache import cache_from_root, merge_stats, no_cache_kinds
 from repro.runtime.config import (
     active_cache,
     resolve_jobs,
@@ -420,13 +420,21 @@ def run_benchmark(
 
 def _benchmark_task(task):
     """Worker: one benchmark's full experiment (nested fan-out is
-    suppressed inside workers, so this runs serially there)."""
+    suppressed inside workers, so this runs serially there).
+
+    The task's cache handle becomes the active cache; the match
+    threshold and disabled cache kinds the worker inherited stay.
+    """
     name, config, cache_root = task
     cache = cache_from_root(cache_root)
     if cache is not None:
         from repro.runtime.config import runtime_session
 
-        with runtime_session(cache=cache):
+        with runtime_session(
+            cache=cache,
+            match_confidence=resolve_match_confidence(),
+            no_cache_kinds=no_cache_kinds(),
+        ):
             run = run_benchmark(name, config)
     else:
         run = run_benchmark(name, config)

@@ -10,11 +10,32 @@ A from-scratch Lloyd's-algorithm k-means with:
 * **empty-cluster repair** — an emptied cluster is reseeded on the
   point farthest from its centroid.
 
-Everything is seeded and deterministic. Restarts run serially through
-the single :func:`_lloyd` kernel: a full (n x k) distance matrix per
-iteration, with the per-point norms hoisted out of the loop (computed
-once per call, or once per k sweep by the caller, and shared with
-k-means++ seeding and the final inertia pass).
+Everything is seeded and deterministic, and results are pinned byte
+for byte to the per-cluster oracle in ``tests/oracles/kmeans.py``.
+
+**The kernel.** :func:`_lloyd` builds a full (n x k) distance matrix
+per iteration, in place on one GEMM output, with the per-point norms
+and weighted points computed once per call. The centroid update sorts
+the labels once (stably) and reduces each cluster's contiguous block
+of members; the repair loop runs only when some cluster is empty; a
+run that converges without a repair reads its inertia from the last
+distance matrix.
+
+**Order-sensitive reductions.** numpy sums a 1-D array pairwise and
+the rows of a 2-D block one after another (a single column is 1-D
+again), so a reduction that visits the same numbers in another order
+can change the last bit. Each cluster's weight total and coordinate
+sums are therefore slice ``.sum`` calls over exactly the members, in
+index order, that a boolean mask would select. Segmented shortcuts
+(``np.add.reduceat`` for the totals, a flat ``bincount`` for the sums
+of single-column points) round differently.
+
+**Serial restarts.** Restarts run one after another, each seeded from
+the same generator, so restart ``i`` sees exactly the k-means++ draws
+it would if every restart were seeded up front. Stepping all restarts
+through one batched GEMM per iteration gives the same bits but was
+slower on the ``select`` benchmark, so there is one kernel and no
+batching.
 """
 
 from __future__ import annotations
@@ -50,7 +71,6 @@ def _squared_distances(
     points: np.ndarray,
     centroids: np.ndarray,
     point_norms: Optional[np.ndarray] = None,
-    centroid_norms: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """(n x k) matrix of squared euclidean distances.
 
@@ -58,17 +78,18 @@ def _squared_distances(
     single GEMM and peak memory is O(n*k) instead of the O(n*k*d)
     broadcast of explicit differences. The expansion can go slightly
     negative under floating-point cancellation, so it is clamped at 0.
+    It is built in place on the GEMM output: ``(-2 x.c) + ||x||^2`` is
+    exactly ``||x||^2 - 2 x.c`` in IEEE arithmetic.
 
-    ``point_norms`` (and ``centroid_norms``) may be passed precomputed;
-    the arithmetic is identical either way, so hoisting the norms out
-    of a loop never changes a result.
+    ``point_norms`` may be passed precomputed; the arithmetic is
+    identical either way.
     """
     if point_norms is None:
         point_norms = _point_norms(points)
-    if centroid_norms is None:
-        centroid_norms = np.einsum("kd,kd->k", centroids, centroids)
-    distances = point_norms[:, None] - 2.0 * (points @ centroids.T)
-    distances += centroid_norms[None, :]
+    distances = points @ centroids.T
+    distances *= -2.0
+    distances += point_norms[:, None]
+    distances += np.einsum("kd,kd->k", centroids, centroids)[None, :]
     return np.maximum(distances, 0.0, out=distances)
 
 
@@ -82,9 +103,8 @@ def _kmeanspp_init(
     """Weighted k-means++ seeding.
 
     Each added centroid needs only its own single-centroid distance
-    column; the per-point norms are hoisted in from the caller (or
-    computed once here), instead of being recomputed for every
-    centroid as a full ``_squared_distances`` pass used to do.
+    column; the per-point norms come from the caller (or are computed
+    once here).
     """
     n = points.shape[0]
     if point_norms is None:
@@ -125,6 +145,8 @@ def _repair_empty_clusters(
     Returns whether any repair happened (centroids moved mid-iteration).
     """
     k = centroids.shape[0]
+    if np.bincount(new_labels, minlength=k).all():
+        return False
     point_dists: Optional[np.ndarray] = None
     for cluster in range(k):
         if not np.any(new_labels == cluster):
@@ -140,30 +162,36 @@ def _repair_empty_clusters(
 
 
 def _update_centroids(
-    points: np.ndarray,
+    weighted_points: np.ndarray,
     weights: np.ndarray,
     labels: np.ndarray,
     centroids: np.ndarray,
 ) -> None:
-    k = centroids.shape[0]
-    for cluster in range(k):
-        members = labels == cluster
-        member_weights = weights[members]
-        total = member_weights.sum()
+    """Move each cluster with positive weight to its weighted mean.
+
+    One stable sort by label lays every cluster's members out as a
+    contiguous block in index order, so each slice ``.sum`` runs the
+    exact reduction of a boolean-masked copy of the members: pairwise
+    for the 1-D weight total, row by row for the coordinate sums (or
+    pairwise, when there is a single coordinate).
+    """
+    order = np.argsort(labels, kind="stable")
+    sorted_weights = weights[order]
+    sorted_points = weighted_points[order]
+    ends = np.cumsum(np.bincount(labels, minlength=centroids.shape[0]))
+    start = 0
+    for cluster, end in enumerate(ends.tolist()):
+        total = sorted_weights[start:end].sum()
         if total > 0:
             centroids[cluster] = (
-                points[members] * member_weights[:, None]
-            ).sum(axis=0) / total
+                sorted_points[start:end].sum(axis=0) / total
+            )
+        start = end
 
 
-def _final_inertia(
-    points: np.ndarray,
-    weights: np.ndarray,
-    centroids: np.ndarray,
-    labels: np.ndarray,
-    point_norms: np.ndarray,
+def _inertia(
+    distances: np.ndarray, weights: np.ndarray, labels: np.ndarray
 ) -> float:
-    distances = _squared_distances(points, centroids, point_norms)
     return float(
         (distances[np.arange(len(labels)), labels] * weights).sum()
     )
@@ -176,23 +204,36 @@ def _lloyd(
     max_iter: int,
     point_norms: Optional[np.ndarray] = None,
 ) -> KMeansResult:
-    """Lloyd iteration from ``centroids`` (updated in place)."""
+    """Lloyd iteration from ``centroids`` (updated in place).
+
+    On convergence without a repair, the last distance matrix was
+    computed from the final centroids, so the inertia is read from it
+    instead of from a fresh distance pass.
+    """
     n = points.shape[0]
     if point_norms is None:
         point_norms = _point_norms(points)
+    weighted_points = points * weights[:, None]
     labels = np.full(n, -1, dtype=np.int64)
     iterations = 0
+    current = False  # ``distances`` matches the final centroids
     for iterations in range(1, max_iter + 1):
         distances = _squared_distances(points, centroids, point_norms)
         new_labels = distances.argmin(axis=1)
-        _repair_empty_clusters(points, centroids, distances, new_labels)
+        repaired = _repair_empty_clusters(
+            points, centroids, distances, new_labels
+        )
         if np.array_equal(new_labels, labels):
+            current = not repaired
             break
         labels = new_labels
-        _update_centroids(points, weights, labels, centroids)
-    inertia = _final_inertia(points, weights, centroids, labels, point_norms)
+        _update_centroids(weighted_points, weights, labels, centroids)
+    if not current:
+        distances = _squared_distances(points, centroids, point_norms)
     return KMeansResult(
-        centroids=centroids, labels=labels, inertia=inertia,
+        centroids=centroids,
+        labels=labels,
+        inertia=_inertia(distances, weights, labels),
         iterations=iterations,
     )
 
@@ -204,19 +245,16 @@ def weighted_kmeans(
     n_init: int = 5,
     max_iter: int = 100,
     seed: int = 0,
-    *,
-    point_norms: Optional[np.ndarray] = None,
 ) -> KMeansResult:
     """Cluster ``points`` into ``k`` clusters, minimizing weighted inertia.
 
     Runs ``n_init`` k-means++-seeded restarts from one generator seeded
     with ``seed`` and returns the one with the smallest inertia (ties
-    keep the earliest restart). ``point_norms`` may carry the per-point
-    squared norms hoisted by a caller that clusters the same points
-    repeatedly.
+    keep the earliest restart).
 
     Raises :class:`~repro.errors.ClusteringError` if ``k`` exceeds the
-    number of points or parameters are out of range.
+    number of points, parameters are out of range, or a point or weight
+    is not finite.
     """
     if points.ndim != 2 or points.shape[0] == 0:
         raise ClusteringError("weighted_kmeans expects a non-empty 2-D array")
@@ -227,11 +265,15 @@ def weighted_kmeans(
         raise ClusteringError(f"n_init must be >= 1, got {n_init}")
     if max_iter < 1:
         raise ClusteringError(f"max_iter must be >= 1, got {max_iter}")
+    if not np.isfinite(points).all():
+        raise ClusteringError("points must be finite (no NaN or inf)")
     if weights is None:
         weights = np.ones(n, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (n,):
         raise ClusteringError("weights must be one per point")
+    if not np.isfinite(weights).all():
+        raise ClusteringError("weights must be finite (no NaN or inf)")
     if np.any(weights < 0) or weights.sum() <= 0:
         raise ClusteringError("weights must be non-negative with positive sum")
     if k == 1:
@@ -246,8 +288,7 @@ def weighted_kmeans(
             inertia=inertia,
             iterations=1,
         )
-    if point_norms is None:
-        point_norms = _point_norms(points)
+    point_norms = _point_norms(points)
     rng = np.random.default_rng(seed)
     best: Optional[KMeansResult] = None
     for _ in range(n_init):

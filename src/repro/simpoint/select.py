@@ -13,14 +13,14 @@ a weight equal to the phase's share of executed instructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.errors import ClusteringError
 from repro.observability import metrics, trace
 from repro.simpoint.bic import bic_score
-from repro.simpoint.kmeans import KMeansResult, _point_norms, weighted_kmeans
+from repro.simpoint.kmeans import KMeansResult, weighted_kmeans
 
 
 def _cluster_and_score(
@@ -30,12 +30,11 @@ def _cluster_and_score(
     n_init: int,
     max_iter: int,
     seed: int,
-    point_norms: Optional[np.ndarray] = None,
 ) -> Tuple[KMeansResult, float]:
     """One instrumented clustering: k-means at ``k`` plus its BIC."""
     result = weighted_kmeans(
         points, k, weights, n_init=n_init, max_iter=max_iter,
-        seed=seed + k, point_norms=point_norms,
+        seed=seed + k,
     )
     with trace.span("cluster", k=k):
         score = bic_score(points, result, weights)
@@ -71,8 +70,7 @@ def choose_clustering(
 ) -> ClusteringChoice:
     """Cluster for k = 1..max_k and pick by the SimPoint BIC rule.
 
-    Each k is clustered with its own generator seeded at ``seed + k``;
-    the point norms are hoisted once for the whole sweep.
+    Each k is clustered with its own generator seeded at ``seed + k``.
     """
     if not 0.0 < bic_threshold <= 1.0:
         raise ClusteringError(
@@ -83,15 +81,9 @@ def choose_clustering(
     if k_max < 1:
         raise ClusteringError("need at least one interval to cluster")
     weights = np.asarray(weights, dtype=np.float64)
-    # k = 1 runs first: it validates the input before the norms are
-    # hoisted for the rest of the sweep.
-    scored = [_cluster_and_score(points, weights, 1, n_init, max_iter, seed)]
-    point_norms = _point_norms(points)
-    scored += [
-        _cluster_and_score(
-            points, weights, k, n_init, max_iter, seed, point_norms
-        )
-        for k in range(2, k_max + 1)
+    scored = [
+        _cluster_and_score(points, weights, k, n_init, max_iter, seed)
+        for k in range(1, k_max + 1)
     ]
     scores = [score for _, score in scored]
     best = max(scores)
@@ -146,12 +138,11 @@ def choose_clustering_binary_search(
         raise ClusteringError("need at least one interval to cluster")
 
     evaluated: Dict[int, Tuple[KMeansResult, float]] = {}
-    point_norms = _point_norms(points)
 
     def evaluate(k: int) -> float:
         if k not in evaluated:
             evaluated[k] = _cluster_and_score(
-                points, weights, k, n_init, max_iter, seed, point_norms
+                points, weights, k, n_init, max_iter, seed
             )
         return evaluated[k][1]
 

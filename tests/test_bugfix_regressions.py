@@ -16,7 +16,16 @@ Each test here fails on the pre-fix code:
   boundary semantics of the per-execution loop;
 * ``weighted_kmeans`` and ``SimPointConfig`` accepted ``n_init < 1``
   (silently run as one restart) and ``max_iter < 1`` (all labels -1,
-  inertia measured against the last centroid).
+  inertia measured against the last centroid);
+* ``weighted_kmeans`` and ``choose_clustering`` accepted a NaN point
+  or a NaN/inf weight: at k=1 they returned NaN centroids and a NaN
+  inertia, at k>=2 numpy's raw ``ValueError`` escaped from the
+  k-means++ draw;
+* a sweep worker installed its task's cache through a fresh runtime
+  session, which also dropped the match threshold and disabled cache
+  kinds it inherited, so a ``--jobs 2`` sweep matched exactly under
+  ``--match-confidence 0.7`` and reused simulation results under
+  ``--no-cache-kind simresult``.
 """
 
 import random
@@ -29,6 +38,10 @@ from repro.compilation.binary import BlockKind, LoweredBlock
 from repro.core.markers import MarkerSet, MarkerTable
 from repro.errors import ClusteringError, SimulationError
 from repro.simpoint.kmeans import _lloyd, weighted_kmeans
+from repro.simpoint.select import (
+    choose_clustering,
+    choose_clustering_binary_search,
+)
 from repro.simpoint.simpoint import SimPointConfig
 
 from tests.chunks import attribute_rows
@@ -140,6 +153,43 @@ class TestClusteringParameterValidation:
     def test_simpoint_config_rejects(self, name, value):
         with pytest.raises(ClusteringError, match=name):
             SimPointConfig(**{name: value})
+
+
+def _non_finite_inputs():
+    """(points, weights) pairs with one NaN point or non-finite weight."""
+    points = np.arange(12, dtype=np.float64).reshape(6, 2)
+    weights = np.ones(6)
+    cases = []
+    for bad in (np.nan, np.inf):
+        bad_weights = weights.copy()
+        bad_weights[2] = bad
+        cases.append((points, bad_weights))
+    bad_points = points.copy()
+    bad_points[3, 1] = np.nan
+    cases.append((bad_points, weights))
+    return cases
+
+
+_NON_FINITE = pytest.mark.parametrize(
+    "points,weights", _non_finite_inputs(),
+    ids=["nan-weight", "inf-weight", "nan-point"],
+)
+
+
+class TestNonFiniteClusteringInput:
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    @_NON_FINITE
+    def test_weighted_kmeans_rejects(self, points, weights, k):
+        with pytest.raises(ClusteringError, match="finite"):
+            weighted_kmeans(points, k, weights)
+
+    @pytest.mark.parametrize(
+        "choose", (choose_clustering, choose_clustering_binary_search)
+    )
+    @_NON_FINITE
+    def test_choose_clustering_rejects(self, points, weights, choose):
+        with pytest.raises(ClusteringError, match="finite"):
+            choose(points, weights, max_k=4, n_init=2)
 
 
 class TestFLITrackerZeroInstructionChunks:
@@ -450,3 +500,35 @@ class TestRuntimeSessionValidation:
         assert proc.returncode != 0
         assert error in proc.stderr
         assert "benchmark" not in proc.stdout  # nothing ran
+
+
+class TestSweepWorkerSettings:
+    def test_worker_keeps_inherited_settings(self, tmp_path, monkeypatch):
+        from repro.experiments import runner
+        from repro.runtime import runtime_session
+        from repro.runtime.cache import no_cache_kinds
+        from repro.runtime.config import (
+            active_cache,
+            resolve_match_confidence,
+        )
+
+        seen = {}
+
+        def run_benchmark(name, config):
+            seen.update(
+                cache=active_cache(),
+                confidence=resolve_match_confidence(),
+                kinds=no_cache_kinds(),
+            )
+            return name
+
+        monkeypatch.setattr(runner, "run_benchmark", run_benchmark)
+        with runtime_session(
+            match_confidence=0.7, no_cache_kinds=["simresult"]
+        ):
+            run, stats = runner._benchmark_task(("art", None, tmp_path))
+            assert no_cache_kinds() == {"simresult"}
+        assert run == "art"
+        assert seen["cache"].stats is stats
+        assert seen["confidence"] == 0.7
+        assert seen["kinds"] == {"simresult"}

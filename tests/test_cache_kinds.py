@@ -171,6 +171,16 @@ def test_cold_run_records_only_known_kinds(tmp_path):
     assert recorded == set(CACHE_KINDS)
 
 
+def _assert_row_matches_counters(manifest, kind):
+    counters = manifest["metrics"]["counters"]
+    assert "parallel.pool_fallback" not in counters  # real workers
+    row = manifest["cache"]["kinds"].get(kind, {})
+    hits, misses = row.get("hits", 0), row.get("misses", 0)
+    assert hits == counters.get(f"cache.{kind}.hits", 0)
+    assert misses == counters.get(f"cache.{kind}.misses", 0)
+    return hits, misses
+
+
 @pytest.mark.slow
 def test_kind_rows_include_worker_lookups(tmp_path):
     """A --jobs 2 sweep's ``kinds.simresult`` row equals the run's
@@ -185,10 +195,27 @@ def test_kind_rows_include_worker_lookups(tmp_path):
             with observe(trace_out=tmp_path / run / "trace.json") as session:
                 sweep_interval_sizes("art", sizes, _FAST_CONFIG, jobs=2)
         clear_cache()
-        counters = session.manifest["metrics"]["counters"]
-        assert "parallel.pool_fallback" not in counters  # real workers
-        row = session.manifest["cache"]["kinds"]["simresult"]
-        assert row["hits"] == counters.get("cache.simresult.hits", 0)
-        assert row["misses"] == counters.get("cache.simresult.misses", 0)
-        rows.append((row["hits"], row["misses"]))
+        rows.append(
+            _assert_row_matches_counters(session.manifest, "simresult")
+        )
     assert rows == [(0, simulations), (simulations, 0)]
+
+
+@pytest.mark.slow
+def test_trace_row_includes_simulator_lookups(tmp_path):
+    """With every profile cached but simulation results disabled, the
+    --jobs 2 workers' first trace lookups come from the simulator. It
+    looks the trace up in the task's cache handle, so ``kinds.trace``
+    equals the ``cache.trace.*`` counters the workers ship back."""
+    rows = []
+    for disabled in ((), ("simresult",)):
+        clear_cache()
+        clear_trace_memo()
+        with runtime_session(jobs=2, cache=ProfileCache(tmp_path / "c"),
+                             no_cache_kinds=disabled):
+            with observe(trace_out=tmp_path / "run" / "trace.json") as session:
+                run_benchmark("art", _FAST_CONFIG, jobs=2)
+        clear_cache()
+        rows.append(_assert_row_matches_counters(session.manifest, "trace"))
+    # Warm, only the simulator needs each of the four traces.
+    assert sum(rows[1]) == len(_FAST_CONFIG.targets)

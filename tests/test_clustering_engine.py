@@ -4,13 +4,13 @@
 ``_lloyd`` kernel, and ``cached_choose_clustering`` reuses a chosen
 clustering through the ``"clustering"`` cache kind. Both promise
 *bit-identical* results: the restart loop must make exactly the
-k-means++ draws of seeding every restart up front (checked with
-hypothesis on tie-heavy integer grids, where an argmin tie-break or a
-reordered draw would surface first), and a cached choice must equal a
-recomputed one. The suite also exercises exact ties and the
-empty-cluster repair path explicitly, and covers the cache key schema,
-the cache-kind switch, and the observability surface in the style of
-``tests/test_simcache.py``.
+k-means++ draws of seeding every restart up front on the per-cluster
+oracle (``tests/oracles/kmeans.py``; checked with hypothesis on
+tie-heavy integer grids, where an argmin tie-break or a reordered draw
+would surface first), and a cached choice must equal a recomputed one.
+The suite also exercises exact ties and the empty-cluster repair path
+explicitly, and covers the cache key schema, the cache-kind switch,
+and the observability surface in the style of ``tests/test_simcache.py``.
 """
 
 import pickle
@@ -40,15 +40,12 @@ from repro.simpoint.clustercache import (
     cached_choose_clustering,
     clustering_key,
 )
-from repro.simpoint.kmeans import (
-    _kmeanspp_init,
-    _lloyd,
-    _point_norms,
-    weighted_kmeans,
-)
+from repro.simpoint.kmeans import _lloyd, _point_norms, weighted_kmeans
 from repro.simpoint.select import choose_clustering
 from repro.simpoint.simpoint import SimPointConfig, run_simpoint
 from repro.simpoint.vectors import Interval
+
+from tests.oracles.kmeans import oracle_kmeanspp_init, oracle_lloyd
 
 _SETTINGS = settings(deadline=None, max_examples=40)
 
@@ -79,16 +76,16 @@ def _assert_same_result(a, b):
 
 
 def _upfront_seeded(points, k, weights, n_init, seed):
-    """Every restart seeded before any Lloyd run, best by strictly
-    smaller inertia: the restart order ``weighted_kmeans`` must keep."""
+    """Every restart seeded before any Lloyd run on the oracle kernel,
+    best by strictly smaller inertia: the restart order
+    ``weighted_kmeans`` must keep."""
     weights = np.ones(len(points)) if weights is None else weights
-    norms = _point_norms(points)
     rng = np.random.default_rng(seed)
     inits = [
-        _kmeanspp_init(points, weights, k, rng, norms)
+        oracle_kmeanspp_init(points, weights, k, rng)
         for _ in range(n_init)
     ]
-    results = [_lloyd(points, weights, init, 100, norms) for init in inits]
+    results = [oracle_lloyd(points, weights, init, 100) for init in inits]
     best = results[0]
     for result in results[1:]:
         if result.inertia < best.inertia:
@@ -122,7 +119,7 @@ class TestRestartOrder:
 
 class TestPrunedEquivalence:
     """Exact ties and the empty-cluster repair, on ``weighted_kmeans``
-    and ``_lloyd`` directly."""
+    and ``_lloyd`` directly, against the oracle kernel."""
 
     def test_duplicate_points_and_exact_ties(self):
         # Every point duplicated; centroids land exactly on points, so
@@ -166,6 +163,9 @@ class TestPrunedEquivalence:
         # Hoisting the norms never changes the arithmetic.
         _assert_same_result(
             result, _lloyd(points, weights, init.copy(), 100)
+        )
+        _assert_same_result(
+            result, oracle_lloyd(points, weights, init.copy(), 100)
         )
 
 

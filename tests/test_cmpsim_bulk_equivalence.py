@@ -434,6 +434,8 @@ class TestFullRunEquivalence:
         assert scalar.hierarchy == batched.hierarchy
         assert scalar.stats.cycles == batched.stats.cycles
         assert scalar.stats.cpi == batched.stats.cpi
+        assert batched.stats.cpi > 0.5
+        assert scalar.stats.cpi > 0.5
 
 
 class TestTinyWindows:
