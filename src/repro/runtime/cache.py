@@ -13,10 +13,12 @@ addressed again.
 
 Writes are atomic (temp file + ``os.replace``) so concurrent worker
 processes can share one cache directory; a corrupt or unreadable entry
-is treated as a miss and rewritten. :class:`CacheStats` counts hits,
-misses, stale evictions, and bytes moved — both in aggregate and per
-entry kind — and worker-process deltas can be merged back into the
-parent's stats; the per-kind rows are the run's one reuse receipt.
+is treated as a miss and rewritten (an entry whose bytes fail to
+unpickle, whatever the exception, is evicted and counted as stale).
+:class:`CacheStats` counts hits, misses, stale evictions, and bytes
+moved — both in aggregate and per entry kind — and worker-process
+deltas can be merged back into the parent's stats; the per-kind rows
+are the run's one reuse receipt.
 
 Every kind the pipeline stores is listed in :data:`CACHE_KINDS`. Any of
 them can be switched off while the rest keep working: the disabled set
@@ -152,6 +154,9 @@ class ProfileCache:
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.stats = CacheStats()
+        #: The digest the last :meth:`lookup` computed (``None`` for a
+        #: disabled kind); :meth:`get_or_compute` writes under it.
+        self._probed_digest: Optional[str] = None
 
     def _path(self, kind: str, digest: str) -> Path:
         return self.root / kind / digest[:2] / f"{digest}.pkl"
@@ -170,9 +175,10 @@ class ProfileCache:
         probes (per-region reuse) pair this with :meth:`store`. A
         disabled kind is a miss that is not counted.
         """
+        self._probed_digest = None
         if kind in no_cache_kinds():
             return False, None
-        digest = self._digest(kind, key_material)
+        digest = self._probed_digest = self._digest(kind, key_material)
         path = self._path(kind, digest)
         payload: Optional[bytes]
         try:
@@ -182,16 +188,12 @@ class ProfileCache:
         if payload is not None:
             try:
                 value = pickle.loads(payload)
-            except (
-                pickle.UnpicklingError,
-                EOFError,
-                ValueError,
-                # A stale entry can reference a class that moved or
-                # disappeared in a refactor; unpickling then raises an
-                # import/attribute failure rather than a pickle error.
-                AttributeError,
-                ImportError,  # covers ModuleNotFoundError
-            ):
+            except Exception:
+                # Damaged bytes raise whatever the unpickler trips over
+                # (UnpicklingError, EOFError, OverflowError, MemoryError,
+                # ...), and a stale entry naming a class that moved or
+                # disappeared in a refactor raises an import/attribute
+                # failure: either way the entry is unusable.
                 self._evict_stale(kind, path)
             else:
                 self.stats.hits += 1
@@ -210,15 +212,22 @@ class ProfileCache:
         return False, None
 
     def store(
-        self, kind: str, key_material: Sequence[Any], value: Any
+        self,
+        kind: str,
+        key_material: Sequence[Any],
+        value: Any,
+        *,
+        digest: Optional[str] = None,
     ) -> None:
         """Write one entry (atomic; safe against concurrent writers).
 
-        A disabled kind writes nothing.
+        ``digest`` is the key material's digest when the caller already
+        has it from a probe. A disabled kind writes nothing.
         """
         if kind in no_cache_kinds():
             return
-        digest = self._digest(kind, key_material)
+        if digest is None:
+            digest = self._digest(kind, key_material)
         self._write(kind, self._path(kind, digest), value)
 
     def get_or_compute(
@@ -227,12 +236,18 @@ class ProfileCache:
         key_material: Sequence[Any],
         compute: Callable[[], Any],
     ) -> Any:
-        """Return the cached value for the key, computing it on a miss."""
+        """Return the cached value for the key, computing it on a miss.
+
+        The key is digested once, inside :meth:`lookup` (so profiles
+        charge it to the probe), and a miss is written under that
+        digest.
+        """
         found, value = self.lookup(kind, key_material)
         if found:
             return value
+        digest = self._probed_digest
         value = compute()
-        self.store(kind, key_material, value)
+        self.store(kind, key_material, value, digest=digest)
         return value
 
     def _evict_stale(self, kind: str, path: Path) -> None:

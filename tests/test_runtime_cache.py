@@ -1,5 +1,6 @@
 """Tests for the runtime profile cache and content fingerprints."""
 
+import contextlib
 import dataclasses
 import multiprocessing
 import os
@@ -7,6 +8,7 @@ import pickle
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.pipeline import (
     CrossBinaryConfig,
@@ -105,6 +107,49 @@ class TestProfileCache:
         assert fresh.get_or_compute(
             "kind", ("key",), lambda: "unused"
         ) == "recomputed"
+
+    def test_overflowing_frame_length_is_evicted(self, tmp_path):
+        """Regression: a payload whose frame length has its top bit
+        flipped makes unpickling raise OverflowError, which used to
+        escape get_or_compute instead of counting as a stale entry."""
+        cache = ProfileCache(tmp_path)
+        cache.get_or_compute("kind", ("key",), lambda: {"value": 1})
+        (entry,) = tmp_path.rglob("*.pkl")
+        payload = bytearray(entry.read_bytes())
+        assert payload[2:3] == pickle.FRAME  # after the protocol header
+        payload[10] ^= 0x80  # the 8-byte frame length's top byte
+        with pytest.raises(OverflowError):
+            pickle.loads(bytes(payload))
+        entry.write_bytes(bytes(payload))
+        value = cache.get_or_compute("kind", ("key",), lambda: {"value": 2})
+        assert value == {"value": 2}
+        assert cache.stats.stale_evictions == 1
+        assert cache.stats.for_kind("kind").stale_evictions == 1
+        assert pickle.loads(entry.read_bytes()) == {"value": 2}
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["miss", "hit"])
+    def test_get_or_compute_digests_the_key_once(
+        self, tmp_path, monkeypatch, warm
+    ):
+        cache = ProfileCache(tmp_path)
+        if warm:
+            cache.get_or_compute("kind", ("key",), lambda: "value")
+        digested = []
+        original = cache._digest
+
+        def counting(kind, key_material):
+            digested.append(kind)
+            return original(kind, key_material)
+
+        monkeypatch.setattr(cache, "_digest", counting)
+        assert cache.get_or_compute("kind", ("key",), lambda: "value") == (
+            "value"
+        )
+        assert digested == ["kind"]
+        assert cache.stats.hits == int(warm)
+        assert cache_from_root(tmp_path).lookup("kind", ("key",)) == (
+            True, "value"
+        )
 
     def test_stale_entry_naming_missing_module_is_evicted(self, tmp_path):
         """Regression: an entry pickled before a refactor can reference
@@ -225,6 +270,79 @@ class TestProfileCache:
         assert value == "v-next"
         assert cache.stats.misses == 2 and cache.stats.hits == 0
         assert cache.stats.stale_evictions == 0
+
+
+@contextlib.contextmanager
+def _address_space_cap(headroom=512 * 2**20):
+    """Cap this process's address space near its current size.
+
+    A damaged pickle can name a memo index in the hundreds of millions,
+    and the unpickler then sizes its memo table to match. Under the cap
+    that request fails with MemoryError instead of touching gigabytes
+    of a shared host's memory.
+    """
+    try:
+        import resource
+
+        with open("/proc/self/status") as status:
+            vm_kb = next(
+                int(line.split()[1]) for line in status
+                if line.startswith("VmSize:")
+            )
+    except (ImportError, OSError, StopIteration):
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = vm_kb * 1024 + headroom
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+_ENTRY_VALUE = {
+    "binary": "gcc/32u",
+    "counts": list(range(40)),
+    "ratio": 0.25,
+    "nested": (("a", 1), frozenset({2, 3}), None, True),
+    "blob": b"\x00\x01" * 8,
+}
+
+
+class TestDamagedEntries:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.one_of(
+            st.lists(
+                st.tuples(st.integers(min_value=0),
+                          st.integers(min_value=0, max_value=255)),
+                min_size=1, max_size=3,
+            ),
+            st.integers(min_value=0),
+        )
+    )
+    def test_flips_and_truncations_never_raise(self, tmp_path_factory,
+                                               damage):
+        """Byte flips (lists of (offset, byte)) and truncations (an
+        int length) of a stored entry are a hit or a miss, never an
+        exception."""
+        cache = ProfileCache(tmp_path_factory.mktemp("damaged"))
+        cache.store("kind", ("key",), _ENTRY_VALUE)
+        (entry,) = cache.root.rglob("*.pkl")
+        payload = bytearray(entry.read_bytes())
+        if isinstance(damage, int):
+            payload = payload[: damage % len(payload)]
+        else:
+            for offset, byte in damage:
+                payload[offset % len(payload)] = byte
+        entry.write_bytes(bytes(payload))
+        with _address_space_cap():
+            found, value = cache.lookup("kind", ("key",))
+        assert found or value is None
+        assert cache.stats.lookups == 1
 
 
 class TestRuntimeConfig:
