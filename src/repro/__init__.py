@@ -4,8 +4,8 @@ The library implements the paper's contribution — finding a single set
 of simulation points mappable across multiple binaries of one program —
 together with every substrate the evaluation depends on: a synthetic
 SPEC2000-like benchmark suite, a compiler producing the paper's four
-binaries per program, a Pin-like execution engine, SimPoint 3.0, and a
-CMP$im-style cache-hierarchy simulator.
+binaries per program, compiled execution traces in place of Pin
+profiling, SimPoint 3.0, and a CMP$im-style cache-hierarchy simulator.
 
 Typical use::
 
@@ -62,7 +62,6 @@ from repro.core import (
     run_per_binary_simpoints,
 )
 from repro.errors import ReproError
-from repro.execution import ExecutionEngine, PinTool, run_binary, run_with_tools
 from repro.profiling import (
     CallBranchProfile,
     Interval,
@@ -126,10 +125,6 @@ __all__ = [
     "ProfileCache",
     "parallel_map",
     "runtime_session",
-    "ExecutionEngine",
-    "PinTool",
-    "run_binary",
-    "run_with_tools",
     "CallBranchProfile",
     "Interval",
     "collect_call_branch_profile",

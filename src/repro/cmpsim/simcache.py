@@ -19,7 +19,7 @@ dedicated :data:`SIMRESULT_KIND` kind in the
   region after it), while the unchanged prefix still hits; one
   simulation pass refills exactly the missing entries.
 
-The execution engine and simulator are deterministic, so a cached
+Execution and the simulator are deterministic, so a cached
 value is bit-identical to recomputing it; the equivalence tests
 enforce this. Reuse is on whenever a profile cache is active. Like
 every kind, it is switched off with ``--no-cache-kind simresult``

@@ -1,6 +1,6 @@
 """Binary representation produced by the compiler.
 
-A :class:`Binary` is what the execution engine runs and what the
+A :class:`Binary` is what a compiled trace executes and what the
 cross-binary matcher inspects. It contains:
 
 * :class:`LoweredBlock` — static basic blocks with per-execution

@@ -1,52 +1,29 @@
-"""Deterministic execution engine and Pin-like instrumentation.
+"""Compiled execution traces: the reproduction's Pin pass.
 
-The paper profiles binaries with Pin. Here,
-:class:`~repro.execution.engine.ExecutionEngine` walks a compiled
-:class:`~repro.compilation.binary.Binary` under a program input and
-drives :class:`~repro.execution.events.ExecutionConsumer` objects with
-an exact, ordered stream of basic-block executions. Innermost
-straight-line loops are delivered as bulk *iteration spans*
-(:meth:`~repro.execution.events.ExecutionConsumer.on_iterations`) so
-profilers can process millions of instructions in bulk while consumers
-that need precise boundaries can split spans at iteration granularity.
-
-:mod:`repro.execution.pin` adds a friendlier Pin-style tool API on top
-(procedure-entry / loop-entry / loop-iteration callbacks).
-
-:mod:`repro.execution.trace` lowers one ``(binary, input)`` execution
-to a :class:`~repro.execution.trace.CompiledTrace` of flat numpy
-arrays — compiled once, memoized through the profile cache, and
-replayed in bulk by every profiling consumer.
+The paper profiles binaries with Pin, one instrumented run per binary
+and input. Here :func:`~repro.execution.trace.compile_trace` lowers one
+``(binary, input)`` execution of a compiled
+:class:`~repro.compilation.binary.Binary` to a
+:class:`~repro.execution.trace.CompiledTrace` of flat numpy arrays by
+structural template expansion: an exact, ordered stream of block runs,
+innermost-loop iteration spans and procedure entries.
+:func:`~repro.execution.trace.compiled_trace` memoizes it in-process and
+through the profile cache, and every profiling consumer and the
+simulator replay it in bulk.
 """
 
-from repro.execution.engine import ExecutionEngine, RunTotals, run_binary
-from repro.execution.events import (
-    ExecutionConsumer,
-    InstructionCounter,
-    IterationProfile,
-    MultiConsumer,
-    iteration_profile,
-)
-from repro.execution.pin import PinTool, PinToolAdapter, run_with_tools
 from repro.execution.trace import (
     CompiledTrace,
+    IterationProfile,
     clear_trace_memo,
     compile_trace,
     compiled_trace,
+    iteration_profile,
 )
 
 __all__ = [
-    "ExecutionEngine",
-    "RunTotals",
-    "run_binary",
-    "ExecutionConsumer",
-    "InstructionCounter",
     "IterationProfile",
-    "MultiConsumer",
     "iteration_profile",
-    "PinTool",
-    "PinToolAdapter",
-    "run_with_tools",
     "CompiledTrace",
     "clear_trace_memo",
     "compile_trace",

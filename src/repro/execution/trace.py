@@ -1,12 +1,13 @@
 """Compile-once execution traces with vectorized replay.
 
-For a fixed ``(binary, input)`` the execution engine's event stream is
-bit-identical across profiling passes, yet every consumer used to
-re-walk the lowered statement tree and process it one Python event at a
-time. A :class:`CompiledTrace` lowers one execution to flat numpy
-arrays — a run-length-encoded stream of block runs, iteration-span
-records, and procedure-entry markers — produced by a *single* engine
-walk and memoized both in-process and through the on-disk
+A binary's execution under a fixed input is fully deterministic: the
+lowered statement tree has no conditionals and every trip count
+resolves statically. A :class:`CompiledTrace` is that execution lowered
+to flat numpy arrays — a run-length-encoded stream of block runs,
+iteration-span records, and procedure-entry markers — produced by
+structural template expansion (:func:`compile_trace`, the
+reproduction's one instrumented pass per binary and input, where the
+paper runs Pin) and memoized both in-process and through the on-disk
 :class:`~repro.runtime.cache.ProfileCache` (kind ``"trace"``, keyed by
 the binary/input content fingerprint).
 
@@ -22,12 +23,11 @@ The replay functions in this module consume those arrays in bulk:
 * :func:`replay_call_branch` reduces the whole stream with
   ``np.add.at``.
 
-Every replay is bit-identical to the scalar event-stream consumer it
-replaces (those consumers are kept as test oracles in
-``tests/oracles/profiling.py`` and compared by
-``tests/test_trace_replay_equivalence.py``); the trace encodes the
-exact event order the engine emits, so no ordering semantics are
-lost.
+Every replay is bit-identical to a scalar consumer of a step-by-step
+walk of the same execution. The walk and those consumers are test
+oracles (``tests/oracles/engine.py``, ``tests/oracles/profiling.py``),
+compared by ``tests/test_trace_engine_parity.py`` and
+``tests/test_trace_replay_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -43,16 +43,6 @@ import numpy as np
 from repro.compilation.binary import Binary, LBlock, LCall, LLoop, LStatement
 from repro.core.markers import ExecutionCoordinate, MarkerSet, MarkerTable
 from repro.errors import ExecutionError, MappingError, ProfilingError
-from repro.execution.engine import (
-    MAX_CALL_DEPTH,
-    ExecutionEngine,
-    _is_innermost_straight_line,
-)
-from repro.execution.events import (
-    ExecutionConsumer,
-    IterationProfile,
-    iteration_profile,
-)
 from repro.observability import metrics
 from repro.profiling.intervals import Interval
 from repro.programs.inputs import ProgramInput, REF_INPUT
@@ -65,8 +55,7 @@ def _record_replay(kind: str, trace: "CompiledTrace") -> None:
 
     The event count IS the replay's batch size — each replay consumes
     the whole flat stream in one vectorized pass — so a drifting
-    distribution here means traces are being cut differently (or the
-    structural expander started falling back to recorded walks).
+    distribution here means traces are being cut differently.
     """
     metrics.counter("trace.replays").inc()
     metrics.counter(f"trace.replays.{kind}").inc()
@@ -77,12 +66,54 @@ EVENT_BLOCK = 0  #: ``ids`` = block id, ``reps`` = consecutive executions
 EVENT_SPAN = 1  #: ``ids`` = loop id, ``reps`` = iterations
 EVENT_PROC = 2  #: ``ids`` = procedure index, ``reps`` = entry block id
 
+#: Call-depth guard: the compiler never emits recursion (the IR
+#: validator rejects cycles), but hand-built binaries could; fail loudly
+#: instead of expanding forever.
+MAX_CALL_DEPTH = 256
+
+
+@dataclass(frozen=True)
+class IterationProfile:
+    """Per-iteration shape of an innermost straight-line loop."""
+
+    loop_id: int
+    body_blocks: Tuple[int, ...]
+    body_instructions: int
+    branch_block: int
+    branch_instructions: int
+
+    @property
+    def instructions_per_iteration(self) -> int:
+        return self.body_instructions + self.branch_instructions
+
+    def block_counts(self, iterations: int) -> List[Tuple[int, int]]:
+        """``(block_id, execs)`` pairs for ``iterations`` iterations."""
+        counts = [(block_id, iterations) for block_id in self.body_blocks]
+        counts.append((self.branch_block, iterations))
+        return counts
+
+
+def iteration_profile(binary: Binary, loop: LLoop) -> IterationProfile:
+    """The per-iteration profile of an innermost straight-line loop."""
+    body_blocks = tuple(
+        stmt.block_id for stmt in loop.body if isinstance(stmt, LBlock)
+    )
+    return IterationProfile(
+        loop_id=loop.loop_id,
+        body_blocks=body_blocks,
+        body_instructions=sum(
+            binary.block(b).instructions for b in body_blocks
+        ),
+        branch_block=loop.branch_block,
+        branch_instructions=binary.block(loop.branch_block).instructions,
+    )
+
 
 @dataclass(frozen=True)
 class CompiledTrace:
     """One ``(binary, input)`` execution, lowered to flat arrays.
 
-    ``kinds``/``ids``/``reps`` encode the exact engine event stream in
+    ``kinds``/``ids``/``reps`` encode the exact execution event stream in
     order (see the ``EVENT_*`` constants). ``event_instr`` is each
     event's total committed instructions and ``event_end`` its
     inclusive prefix sum, so ``event_end[i] - event_instr[i]`` is the
@@ -211,116 +242,11 @@ class CompiledTrace:
         return self._attribution[3]
 
 
-class _TraceRecorder(ExecutionConsumer):
-    """Records the raw engine stream into flat Python lists."""
-
-    def __init__(self) -> None:
-        self.kinds: List[int] = []
-        self.ids: List[int] = []
-        self.reps: List[int] = []
-        self.proc_names: List[str] = []
-        self.loops: Dict[int, LLoop] = {}
-        self._proc_index: Dict[str, int] = {}
-
-    def on_procedure_entry(self, name: str, entry_block: int) -> None:
-        index = self._proc_index.get(name)
-        if index is None:
-            index = len(self.proc_names)
-            self._proc_index[name] = index
-            self.proc_names.append(name)
-        self.kinds.append(EVENT_PROC)
-        self.ids.append(index)
-        self.reps.append(entry_block)
-
-    def on_block(self, block_id: int, execs: int = 1) -> None:
-        if execs <= 0:
-            return
-        # Run-length encode consecutive executions of one block. The
-        # engine never actually emits adjacent duplicates today, but
-        # merged runs replay identically (every consumer's per-exec
-        # semantics are linear in ``execs``), so compression is safe.
-        if (
-            self.kinds
-            and self.kinds[-1] == EVENT_BLOCK
-            and self.ids[-1] == block_id
-        ):
-            self.reps[-1] += execs
-            return
-        self.kinds.append(EVENT_BLOCK)
-        self.ids.append(block_id)
-        self.reps.append(execs)
-
-    def on_iterations(self, loop: LLoop, iterations: int) -> None:
-        self.loops.setdefault(loop.loop_id, loop)
-        self.kinds.append(EVENT_SPAN)
-        self.ids.append(loop.loop_id)
-        self.reps.append(iterations)
-
-
 #: (kinds, ids, reps) arrays plus entry-ordered procedure names and the
 #: innermost loops that produced iteration spans.
 _Stream = Tuple[np.ndarray, np.ndarray, np.ndarray, List[str], Dict[int, LLoop]]
 
-
-def _recorded_stream(binary: Binary, program_input: ProgramInput) -> _Stream:
-    """The event stream via a real engine walk (oracle / fallback)."""
-    recorder = _TraceRecorder()
-    ExecutionEngine(binary, program_input).run(recorder)
-    return (
-        np.asarray(recorder.kinds, dtype=np.uint8),
-        np.asarray(recorder.ids, dtype=np.int64),
-        np.asarray(recorder.reps, dtype=np.int64),
-        recorder.proc_names,
-        recorder.loops,
-    )
-
-
-def _expandable(binary: Binary) -> bool:
-    """Whether the call graph admits structural template expansion.
-
-    Requires the reachable call graph to be acyclic with entry-chain
-    depth within the engine's ``MAX_CALL_DEPTH`` guard; anything else
-    (only possible in hand-built binaries) falls back to the recorded
-    walk so the engine's own error behavior is preserved exactly.
-    """
-
-    depth_of: Dict[str, int] = {}
-    in_progress: set = set()
-
-    def depth(name: str) -> int:
-        known = depth_of.get(name)
-        if known is not None:
-            return known
-        if name in in_progress:
-            raise _Cyclic()
-        proc = binary.procedures.get(name)
-        if proc is None:
-            return 0  # expansion raises the engine's error at the site
-        in_progress.add(name)
-        deepest = 0
-
-        def body_depth(body: Tuple[LStatement, ...]) -> None:
-            nonlocal deepest
-            for stmt in body:
-                if isinstance(stmt, LCall):
-                    deepest = max(deepest, depth(stmt.callee))
-                elif isinstance(stmt, LLoop):
-                    body_depth(stmt.body)
-
-        body_depth(proc.body)
-        in_progress.discard(name)
-        depth_of[name] = deepest + 1
-        return deepest + 1
-
-    class _Cyclic(Exception):
-        pass
-
-    try:
-        return depth(binary.entry) <= MAX_CALL_DEPTH
-    except _Cyclic:
-        return False
-    except RecursionError:  # pragma: no cover - extreme static nesting
-        return False
+_Arrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _structural_stream(
@@ -328,15 +254,21 @@ def _structural_stream(
 ) -> _Stream:
     """The event stream by memoized per-procedure template expansion.
 
-    The engine's walk is fully deterministic given ``(binary, input)``
-    — the lowered tree has no conditionals and trip counts resolve
-    statically — so each procedure's event stream is a fixed template:
-    its blocks in statement order with callee templates spliced at call
-    sites and non-innermost loop bodies tiled ``trips`` times. Every
-    distinct procedure is expanded once; the full stream is the entry
-    procedure's template. Matches :func:`_recorded_stream` exactly
-    (procedure indices are assigned at first encounter in execution
-    order, which *is* first dynamic entry order).
+    The walk is fully deterministic given ``(binary, input)`` — the
+    lowered tree has no conditionals and trip counts resolve statically
+    — so each procedure's event stream is a fixed template: its blocks
+    in statement order with callee templates spliced at call sites and
+    non-innermost loop bodies tiled ``trips`` times. Every distinct
+    procedure is expanded once; the full stream is the entry
+    procedure's template. Procedure indices are assigned at first
+    encounter in execution order, which *is* first dynamic entry order.
+
+    Expansion proceeds in execution order, so it raises the error a
+    step-by-step walk meets first: a call to an unknown procedure, or a
+    procedure entered deeper than :data:`MAX_CALL_DEPTH` (the entry
+    procedure is depth 1). A template is reused only where its deepest
+    call chain stays within that guard; elsewhere the procedure is
+    expanded again, which raises at the exact procedure a walk would.
     """
     trips_of: Dict[int, int] = {}
     innermost_of: Dict[int, bool] = {}
@@ -347,8 +279,8 @@ def _structural_stream(
                 trips_of[stmt.loop_id] = program_input.resolve_trips(
                     stmt.trips, stmt.input_scaled
                 )
-                innermost_of[stmt.loop_id] = _is_innermost_straight_line(
-                    stmt.body
+                innermost_of[stmt.loop_id] = all(
+                    isinstance(inner, LBlock) for inner in stmt.body
                 )
                 prepare(stmt.body)
 
@@ -358,16 +290,16 @@ def _structural_stream(
     proc_names: List[str] = []
     proc_index: Dict[str, int] = {}
     loops: Dict[int, LLoop] = {}
-    templates: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    #: name -> (template, height): height counts the procedures on the
+    #: template's deepest call chain, itself included.
+    templates: Dict[str, Tuple[_Arrays, int]] = {}
     _EMPTY = (
         np.empty(0, dtype=np.uint8),
         np.empty(0, dtype=np.int64),
         np.empty(0, dtype=np.int64),
     )
 
-    def concat(
-        parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def concat(parts: List[_Arrays]) -> _Arrays:
         if not parts:
             return _EMPTY
         if len(parts) == 1:
@@ -379,7 +311,7 @@ def _structural_stream(
         )
 
     def flush(
-        parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+        parts: List[_Arrays],
         pend_kinds: List[int],
         pend_ids: List[int],
         pend_reps: List[int],
@@ -399,11 +331,13 @@ def _structural_stream(
     def expand_body(
         body: Tuple[LStatement, ...],
         depth: int,
-        parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+        parts: List[_Arrays],
         pend_kinds: List[int],
         pend_ids: List[int],
         pend_reps: List[int],
-    ) -> None:
+    ) -> int:
+        """Append ``body``'s events; return its deepest callee height."""
+        height = 0
         for stmt in body:
             if isinstance(stmt, LBlock):
                 pend_kinds.append(EVENT_BLOCK)
@@ -414,7 +348,9 @@ def _structural_stream(
                 pend_ids.append(stmt.call_block)
                 pend_reps.append(1)
                 flush(parts, pend_kinds, pend_ids, pend_reps)
-                parts.append(expand_proc(stmt.callee, depth + 1))
+                template, callee_height = expand_proc(stmt.callee, depth + 1)
+                parts.append(template)
+                height = max(height, callee_height)
             elif isinstance(stmt, LLoop):
                 pend_kinds.append(EVENT_BLOCK)
                 pend_ids.append(stmt.entry_block)
@@ -427,15 +363,16 @@ def _structural_stream(
                     pend_reps.append(trips)
                 else:
                     flush(parts, pend_kinds, pend_ids, pend_reps)
-                    sub_parts: List[
-                        Tuple[np.ndarray, np.ndarray, np.ndarray]
-                    ] = []
+                    sub_parts: List[_Arrays] = []
                     sub_kinds: List[int] = []
                     sub_ids: List[int] = []
                     sub_reps: List[int] = []
-                    expand_body(
-                        stmt.body, depth, sub_parts,
-                        sub_kinds, sub_ids, sub_reps,
+                    height = max(
+                        height,
+                        expand_body(
+                            stmt.body, depth, sub_parts,
+                            sub_kinds, sub_ids, sub_reps,
+                        ),
                     )
                     sub_kinds.append(EVENT_BLOCK)
                     sub_ids.append(stmt.branch_block)
@@ -449,23 +386,22 @@ def _structural_stream(
                             np.tile(segment[2], trips),
                         )
                     )
-            else:  # pragma: no cover - mirrors the engine's guard
+            else:  # pragma: no cover - lowering emits no other statements
                 raise ExecutionError(
                     f"cannot execute statement type {type(stmt).__name__}"
                 )
+        return height
 
-    def expand_proc(
-        name: str, depth: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        template = templates.get(name)
-        if template is not None:
-            return template
+    def expand_proc(name: str, depth: int) -> Tuple[_Arrays, int]:
+        memoized = templates.get(name)
+        if memoized is not None and depth + memoized[1] - 1 <= MAX_CALL_DEPTH:
+            return memoized
         proc = binary.procedures.get(name)
         if proc is None:
             raise ExecutionError(
                 f"{binary.name}: call to unknown procedure {name!r}"
             )
-        if depth > MAX_CALL_DEPTH:  # pragma: no cover - _expandable gates
+        if depth > MAX_CALL_DEPTH:
             raise ExecutionError(
                 f"{binary.name}: call depth exceeded "
                 f"{MAX_CALL_DEPTH} at {name!r} (recursive binary?)"
@@ -475,23 +411,22 @@ def _structural_stream(
             proc_index[name] = len(proc_names)
             index = proc_index[name]
             proc_names.append(name)
-        parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        parts: List[_Arrays] = []
         pend_kinds = [EVENT_PROC, EVENT_BLOCK]
         pend_ids = [index, proc.entry_block]
         pend_reps = [proc.entry_block, 1]
-        expand_body(
+        height = 1 + expand_body(
             proc.body, depth, parts, pend_kinds, pend_ids, pend_reps
         )
         flush(parts, pend_kinds, pend_ids, pend_reps)
-        template = concat(parts)
-        templates[name] = template
-        return template
+        templates[name] = (concat(parts), height)
+        return templates[name]
 
-    kinds, ids, reps = expand_proc(binary.entry, 1)
+    kinds, ids, reps = expand_proc(binary.entry, 1)[0]
 
-    # Run-length merge of adjacent same-block events, exactly as the
-    # recorder does (template splicing can in principle create
-    # adjacency the engine's one-event-at-a-time stream cannot).
+    # Run-length merge of adjacent same-block events (template splicing
+    # can in principle create adjacency a one-event-at-a-time walk
+    # cannot; merged runs replay identically).
     if kinds.shape[0] > 1:
         dup = (
             (kinds[1:] == EVENT_BLOCK)
@@ -509,20 +444,25 @@ def _structural_stream(
     return kinds, ids, reps, proc_names, loops
 
 
-#: Per-binary statics (pure functions of the binary object): the block
-#: instruction table and the expandability verdict. Keyed by object
-#: identity (verified), like ``iteration_profile``'s own memo; both the
-#: structural and recorded compile paths benefit equally.
-_STATICS_CAPACITY = 32
-_statics_memo: "OrderedDict[int, Tuple[Binary, np.ndarray, bool]]"
-_statics_memo = OrderedDict()
+def compile_trace(
+    binary: Binary, program_input: ProgramInput = REF_INPUT
+) -> CompiledTrace:
+    """Compile one execution to a trace, without running it.
 
+    The event stream comes from structural template expansion
+    (:func:`_structural_stream`), which raises
+    :class:`~repro.errors.ExecutionError` for a call to an unknown
+    procedure or a call chain deeper than :data:`MAX_CALL_DEPTH` — both
+    only possible in hand-built binaries.
+    """
+    kinds, ids, reps, stream_proc_names, stream_loops = _structural_stream(
+        binary, program_input
+    )
+    n_events = kinds.shape[0]
+    if n_events == 0:  # pragma: no cover - a binary always has an entry
+        ids = ids.reshape(0)
+        reps = reps.reshape(0)
 
-def _statics_for(binary: Binary) -> Tuple[np.ndarray, bool]:
-    memoized = _statics_memo.get(id(binary))
-    if memoized is not None and memoized[0] is binary:
-        _statics_memo.move_to_end(id(binary))
-        return memoized[1], memoized[2]
     n_blocks = len(binary.blocks)
     instr_of_block = np.zeros(
         (max(binary.blocks) + 1) if binary.blocks else 1, dtype=np.int64
@@ -536,33 +476,6 @@ def _statics_for(binary: Binary) -> Tuple[np.ndarray, bool]:
             dtype=np.int64,
             count=n_blocks,
         )
-    expandable = _expandable(binary)
-    _statics_memo[id(binary)] = (binary, instr_of_block, expandable)
-    if len(_statics_memo) > _STATICS_CAPACITY:
-        _statics_memo.popitem(last=False)
-    return instr_of_block, expandable
-
-
-def compile_trace(
-    binary: Binary, program_input: ProgramInput = REF_INPUT
-) -> CompiledTrace:
-    """Compile one execution to a trace, without running it.
-
-    The event stream comes from structural template expansion
-    (:func:`_structural_stream`) whenever the call graph allows it —
-    an engine-walk-free compile — and from a recorded engine walk
-    otherwise. Both produce the identical stream.
-    """
-    instr_of_block, expandable = _statics_for(binary)
-    if expandable:
-        stream = _structural_stream(binary, program_input)
-    else:
-        stream = _recorded_stream(binary, program_input)
-    kinds, ids, reps, stream_proc_names, stream_loops = stream
-    n_events = kinds.shape[0]
-    if n_events == 0:  # pragma: no cover - a binary always has an entry
-        ids = ids.reshape(0)
-        reps = reps.reshape(0)
 
     span_profiles = {
         loop_id: iteration_profile(binary, loop)
@@ -611,7 +524,6 @@ def clear_trace_memo() -> None:
     """Drop the in-process trace memos (tests and benchmarks)."""
     _memo.clear()
     _firings_memo.clear()
-    _statics_memo.clear()
 
 
 def compiled_trace(
@@ -622,8 +534,8 @@ def compiled_trace(
 ) -> CompiledTrace:
     """The trace for ``(binary, input)``, memoized at two levels.
 
-    In-process, the trace is keyed by binary object identity (verified,
-    like :func:`~repro.execution.events.iteration_profile`); across
+    In-process, the trace is keyed by binary object identity (verified
+    against the memoized binary); across
     processes it goes through the profile cache (explicit or the
     process-wide one) under kind ``"trace"`` with the binary/input
     content fingerprint as key.

@@ -1,4 +1,4 @@
-"""Profilers built on the execution engine.
+"""Profilers built on the compiled execution trace.
 
 * :mod:`repro.profiling.intervals` — the interval record shared by the
   fixed-length (FLI) and variable-length (VLI) pipelines;

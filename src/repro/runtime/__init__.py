@@ -1,6 +1,6 @@
 """Runtime layer: profile caching and process-pool fan-out.
 
-The execution engine is deterministic, so every profile it produces is
+Execution is deterministic, so every profile of a binary is
 a pure function of ``(binary, program input, consumer kind, params)``.
 This package exploits that twice:
 

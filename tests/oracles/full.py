@@ -31,8 +31,12 @@ from repro.cmpsim.simulator import (
 from repro.compilation.binary import Binary, LLoop
 from repro.core.markers import ExecutionCoordinate, MarkerTable
 from repro.errors import SimulationError
-from repro.execution.engine import ExecutionEngine
-from repro.execution.events import ExecutionConsumer, iteration_profile
+
+from tests.oracles.engine import (
+    ExecutionConsumer,
+    ExecutionEngine,
+    iteration_profile,
+)
 
 
 class ScalarFLITracker:

@@ -18,16 +18,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.compilation.binary import Binary, LLoop
 from repro.core.markers import ExecutionCoordinate, MarkerSet, MarkerTable
 from repro.errors import MappingError, ProfilingError
-from repro.execution.engine import ExecutionEngine
-from repro.execution.events import (
-    ExecutionConsumer,
-    IterationProfile,
-    iteration_profile,
-)
-from repro.execution.pin import PinTool, run_with_tools
 from repro.profiling.callbranch import CallBranchProfile, LoopProfile
 from repro.profiling.intervals import Interval
 from repro.programs.inputs import ProgramInput, REF_INPUT
+
+from tests.oracles.engine import (
+    ExecutionConsumer,
+    ExecutionEngine,
+    IterationProfile,
+    PinTool,
+    iteration_profile,
+    run_with_tools,
+)
 
 
 class FixedLengthBBVCollector(ExecutionConsumer):

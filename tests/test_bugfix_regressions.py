@@ -25,18 +25,28 @@ Each test here fails on the pre-fix code:
   session, which also dropped the match threshold and disabled cache
   kinds it inherited, so a ``--jobs 2`` sweep matched exactly under
   ``--match-confidence 0.7`` and reused simulation results under
-  ``--no-cache-kind simresult``.
+  ``--no-cache-kind simresult``;
+* ``iteration_profile`` memoized per-loop profiles in a module dict
+  keyed by ``id(binary)`` that held each binary, had no size bound and
+  was not cleared by ``clear_trace_memo``, so every binary ever
+  compiled to a trace stayed alive for the life of the process.
 """
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.cmpsim.simulator import CMPSim, FLITracker, VLITracker
 from repro.compilation.binary import BlockKind, LoweredBlock
+from repro.compilation.compiler import compile_standard_binaries
 from repro.core.markers import MarkerSet, MarkerTable
 from repro.errors import ClusteringError, SimulationError
+from repro.execution.trace import clear_trace_memo, compiled_trace
+from repro.programs.inputs import TEST_INPUT
+from repro.programs.suite import build_benchmark
 from repro.simpoint.kmeans import _lloyd, weighted_kmeans
 from repro.simpoint.select import (
     choose_clustering,
@@ -532,3 +542,19 @@ class TestSweepWorkerSettings:
         assert seen["cache"].stats is stats
         assert seen["confidence"] == 0.7
         assert seen["kinds"] == {"simresult"}
+
+
+class TestTraceMemoReleasesBinaries:
+    def test_cleared_memo_frees_every_binary(self):
+        refs = []
+        for name in ("art", "gcc"):
+            binaries = compile_standard_binaries(build_benchmark(name))
+            for binary in binaries.values():
+                trace = compiled_trace(binary, TEST_INPUT)
+                assert trace.span_profiles  # innermost loops profiled
+                refs.append(weakref.ref(binary))
+            del binaries, binary, trace
+        clear_trace_memo()
+        gc.collect()
+        alive = [ref().name for ref in refs if ref() is not None]
+        assert alive == []

@@ -15,11 +15,11 @@ from repro.core.mapping import interval_boundaries
 from repro.core.matching import find_mappable_points
 from repro.core.vli import collect_vli_bbvs
 from repro.errors import SimulationError
-from repro.execution.engine import run_binary
 from repro.profiling.callbranch import collect_call_branch_profile
 from repro.programs.suite import build_benchmark
 
 from tests.conftest import MICRO_INTERVAL
+from tests.oracles.engine import run_binary
 
 
 @pytest.fixture(scope="module")

@@ -26,12 +26,16 @@ from repro.cmpsim.memory import (
 from repro.compilation.binary import AccessSpec
 from repro.compilation.compiler import compile_standard_binaries
 from repro.compilation.targets import TARGET_32U, TARGET_64O
-from repro.execution.events import ExecutionConsumer, iteration_profile
-from repro.execution.engine import ExecutionEngine
 from repro.execution.trace import EVENT_SPAN, compiled_trace
 from repro.programs.behaviors import AccessKind
 from repro.programs.inputs import REF_INPUT, ProgramInput
 from repro.programs.suite import build_benchmark
+
+from tests.oracles.engine import (
+    ExecutionConsumer,
+    ExecutionEngine,
+    iteration_profile,
+)
 
 
 def stream_state(state):

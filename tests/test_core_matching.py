@@ -112,8 +112,11 @@ class TestMatchingOnMicroProgram:
     ):
         """The core invariant: every mappable point fires the same number
         of times in every binary."""
-        from repro.execution.engine import ExecutionEngine
-        from repro.execution.events import ExecutionConsumer, iteration_profile
+        from tests.oracles.engine import (
+            ExecutionConsumer,
+            ExecutionEngine,
+            iteration_profile,
+        )
 
         marker_set, _ = micro_marker_set
 

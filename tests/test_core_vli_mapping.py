@@ -7,13 +7,13 @@ from repro.core.matching import find_mappable_points
 from repro.core.vli import collect_vli_bbvs
 from repro.core.weights import measure_interval_instructions, phase_weights
 from repro.errors import MappingError, ProfilingError
-from repro.execution.engine import run_binary
 from repro.execution.trace import compiled_trace, replay_vli
 from repro.profiling.callbranch import collect_call_branch_profile
 from repro.profiling.intervals import Interval
 from repro.simpoint.simpoint import SimPointConfig, run_simpoint
 
 from tests.conftest import MICRO_INTERVAL
+from tests.oracles.engine import run_binary
 
 
 @pytest.fixture(scope="module")

@@ -14,9 +14,10 @@ import pytest
 
 from repro.compilation.compiler import compile_standard_binaries
 from repro.compilation.targets import STANDARD_TARGETS
-from repro.execution.engine import run_binary
 from repro.programs.ir import Compute, Loop, iter_program_statements
 from repro.programs.suite import benchmark_names, build_benchmark
+
+from tests.oracles.engine import run_binary
 
 
 def _program_fingerprint(name: str) -> str:

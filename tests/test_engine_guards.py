@@ -1,4 +1,8 @@
-"""Guard tests for the execution engine on malformed binaries."""
+"""Guard tests for trace compilation on malformed binaries.
+
+Parity of these errors with the execution-engine oracle is pinned in
+``tests/test_trace_engine_parity.py``.
+"""
 
 import pytest
 
@@ -11,7 +15,7 @@ from repro.compilation.binary import (
 )
 from repro.compilation.targets import TARGET_32U
 from repro.errors import ExecutionError
-from repro.execution.engine import MAX_CALL_DEPTH, run_binary
+from repro.execution.trace import MAX_CALL_DEPTH, compile_trace
 
 
 def _block(block_id):
@@ -46,7 +50,7 @@ def _recursive_binary():
 class TestEngineGuards:
     def test_recursion_detected(self):
         with pytest.raises(ExecutionError, match="call depth exceeded"):
-            run_binary(_recursive_binary())
+            compile_trace(_recursive_binary())
 
     def test_unknown_callee_detected(self):
         blocks = {0: _block(0), 1: _block(1)}
@@ -65,7 +69,7 @@ class TestEngineGuards:
             symbols=frozenset({"main"}),
         )
         with pytest.raises(ExecutionError, match="unknown procedure"):
-            run_binary(binary)
+            compile_trace(binary)
 
     def test_depth_limit_is_generous(self):
         """Legitimate (deep but finite) call chains run fine."""
@@ -94,5 +98,5 @@ class TestEngineGuards:
             loops={},
             symbols=frozenset(procedures),
         )
-        totals = run_binary(binary)
-        assert totals.instructions == 2 * depth - 1
+        trace = compile_trace(binary)
+        assert trace.total_instructions == 2 * depth - 1

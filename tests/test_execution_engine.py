@@ -1,18 +1,23 @@
-"""Tests for repro.execution: engine, events, and the Pin tool API."""
+"""Tests for the execution-engine oracle and the Pin tool API.
+
+The oracle (:mod:`tests.oracles.engine`) walks a binary one event at a
+time. The assertions that describe what any execution must do — exact
+instruction counts, input scaling, innermost loops as bulk spans, outer
+loops as explicit iterations, procedure-entry order — are also made on
+the production stream, :func:`repro.execution.trace.compile_trace`.
+"""
 
 import pytest
 
 from repro.compilation.compiler import compile_program
 from repro.compilation.targets import TARGET_32O, TARGET_32U
 from repro.errors import ExecutionError
-from repro.execution.engine import ExecutionEngine, run_binary
-from repro.execution.events import (
-    ExecutionConsumer,
-    InstructionCounter,
-    MultiConsumer,
+from repro.execution.trace import (
+    EVENT_BLOCK,
+    EVENT_PROC,
+    compile_trace,
     iteration_profile,
 )
-from repro.execution.pin import PinTool, run_with_tools
 from repro.programs.behaviors import streaming
 from repro.programs.inputs import ProgramInput, REF_INPUT
 from repro.programs.ir import (
@@ -22,6 +27,17 @@ from repro.programs.ir import (
     Procedure,
     Program,
     finalize_program,
+)
+
+from tests.oracles.engine import (
+    ExecutionConsumer,
+    ExecutionEngine,
+    InstructionCounter,
+    MultiConsumer,
+    PinTool,
+    iteration_profile as oracle_iteration_profile,
+    run_binary,
+    run_with_tools,
 )
 
 
@@ -83,6 +99,29 @@ class _Recorder(ExecutionConsumer):
         self.events.append(("finish",))
 
 
+def _trace_events(binary):
+    """``compile_trace``'s stream in the recorder's event form."""
+    trace = compile_trace(binary)
+    events = []
+    for kind, ident, reps in zip(
+        trace.kinds.tolist(), trace.ids.tolist(), trace.reps.tolist()
+    ):
+        if kind == EVENT_PROC:
+            events.append(("proc", trace.proc_names[ident]))
+        elif kind == EVENT_BLOCK:
+            events.append(("block", ident, reps))
+        else:
+            events.append(("iters", ident, reps))
+    return events
+
+
+def _event_streams(binary):
+    """The oracle engine's recorded events, then ``compile_trace``'s."""
+    recorder = _Recorder()
+    ExecutionEngine(binary).run(recorder)
+    return (recorder.events, _trace_events(binary))
+
+
 class TestEngine:
     def test_totals_are_deterministic(self, nested_binary):
         a = run_binary(nested_binary)
@@ -109,32 +148,30 @@ class TestEngine:
             )
         )
         assert run_binary(nested_binary).instructions == expected
+        assert compile_trace(nested_binary).total_instructions == expected
 
     def test_innermost_loop_is_bulk(self, nested_binary):
-        recorder = _Recorder()
-        ExecutionEngine(nested_binary).run(recorder)
-        iters = [e for e in recorder.events if e[0] == "iters"]
-        # The inner loop runs bulk once per outer iteration.
-        assert len(iters) == 3
-        assert all(event[2] == 4 for event in iters)
+        for events in _event_streams(nested_binary):
+            iters = [e for e in events if e[0] == "iters"]
+            # The inner loop runs bulk once per outer iteration.
+            assert len(iters) == 3
+            assert all(event[2] == 4 for event in iters)
 
     def test_outer_loop_is_explicit(self, nested_binary):
-        recorder = _Recorder()
-        ExecutionEngine(nested_binary).run(recorder)
         outer_branch = next(
             stmt for stmt in nested_binary.procedures["main"].body
         ).branch_block
-        branch_events = [
-            e for e in recorder.events
-            if e[0] == "block" and e[1] == outer_branch
-        ]
-        assert len(branch_events) == 3
+        for events in _event_streams(nested_binary):
+            branch_events = [
+                e for e in events
+                if e[0] == "block" and e[1] == outer_branch
+            ]
+            assert len(branch_events) == 3
 
     def test_procedure_entries_in_order(self, nested_binary):
-        recorder = _Recorder()
-        ExecutionEngine(nested_binary).run(recorder)
-        procs = [e[1] for e in recorder.events if e[0] == "proc"]
-        assert procs == ["main", "leaf", "leaf", "leaf"]
+        for events in _event_streams(nested_binary):
+            procs = [e[1] for e in events if e[0] == "proc"]
+            assert procs == ["main", "leaf", "leaf", "leaf"]
 
     def test_finish_called_once(self, nested_binary):
         recorder = _Recorder()
@@ -162,6 +199,11 @@ class TestEngine:
         full = run_binary(binary, ProgramInput("full", 1.0))
         double = run_binary(binary, ProgramInput("double", 2.0))
         assert double.instructions > full.instructions
+        full_trace = compile_trace(binary, ProgramInput("full", 1.0))
+        double_trace = compile_trace(binary, ProgramInput("double", 2.0))
+        assert (
+            double_trace.total_instructions > full_trace.total_instructions
+        )
 
     def test_resolved_trips_exposed(self, nested_binary):
         engine = ExecutionEngine(nested_binary)
@@ -196,6 +238,7 @@ class TestIterationProfile:
         assert profile.instructions_per_iteration == (
             profile.body_instructions + profile.branch_instructions
         )
+        assert oracle_iteration_profile(nested_binary, loop) == profile
 
     def test_block_counts(self, nested_binary):
         loop = next(

@@ -224,9 +224,9 @@ class TestFuzzyMatchingOnMicroProgram:
     ):
         """The count-equality invariant holds for fuzzy markers too:
         confidence scores identity risk, never count mismatch."""
-        from repro.execution.engine import ExecutionEngine
-        from repro.execution.events import (
+        from tests.oracles.engine import (
             ExecutionConsumer,
+            ExecutionEngine,
             iteration_profile,
         )
 

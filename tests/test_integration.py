@@ -13,10 +13,10 @@ from repro.cmpsim.simulator import CMPSim, IntervalStats, VLITracker
 from repro.core.mapping import interval_boundaries, map_simulation_points
 from repro.core.pipeline import CrossBinaryConfig, run_cross_binary_simpoint
 from repro.errors import ReproError
-from repro.execution.engine import run_binary
 from repro.simpoint.simpoint import SimPointConfig
 
 from tests.conftest import MICRO_INTERVAL
+from tests.oracles.engine import run_binary
 
 
 @pytest.fixture(scope="module")

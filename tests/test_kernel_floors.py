@@ -19,13 +19,13 @@ from repro.core.mapping import interval_boundaries
 from repro.core.matching import find_mappable_points
 from repro.core.vli import collect_vli_bbvs
 from repro.core.weights import measure_interval_instructions
-from repro.execution.engine import run_binary
 from repro.execution.trace import compile_trace, compiled_trace, replay_fli
 from repro.profiling.bbv import collect_fli_bbvs
 from repro.profiling.callbranch import collect_call_branch_profile
 from repro.programs.suite import build_benchmark
 from repro.simpoint.kmeans import weighted_kmeans
 
+from tests.oracles.engine import run_binary
 from tests.oracles.profiling import (
     scalar_fli_bbvs,
     scalar_interval_counts,

@@ -4,12 +4,12 @@ import pytest
 
 from repro.compilation.binary import BlockKind
 from repro.errors import ProfilingError
-from repro.execution.engine import run_binary
 from repro.profiling.bbv import collect_fli_bbvs
 from repro.profiling.callbranch import collect_call_branch_profile
 from repro.profiling.intervals import Interval
 
 from tests.conftest import MICRO_INTERVAL
+from tests.oracles.engine import run_binary
 
 
 class TestInterval:

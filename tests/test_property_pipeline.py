@@ -14,11 +14,15 @@ from repro.core.mapping import interval_boundaries
 from repro.core.matching import find_mappable_points
 from repro.core.vli import collect_vli_bbvs
 from repro.core.weights import measure_interval_instructions
-from repro.execution.engine import ExecutionEngine, run_binary
-from repro.execution.events import ExecutionConsumer, iteration_profile
 from repro.profiling.bbv import collect_fli_bbvs
 from repro.profiling.callbranch import collect_call_branch_profile
 
+from tests.oracles.engine import (
+    ExecutionConsumer,
+    ExecutionEngine,
+    iteration_profile,
+    run_binary,
+)
 from tests.strategies import programs
 
 _SETTINGS = settings(

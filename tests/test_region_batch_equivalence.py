@@ -23,13 +23,16 @@ from repro.compilation.targets import STANDARD_TARGETS, TARGET_32O, TARGET_32U
 from repro.core.matching import find_mappable_points
 from repro.core.vli import collect_vli_bbvs
 from repro.errors import SimulationError
-from repro.execution.engine import ExecutionEngine
-from repro.execution.events import ExecutionConsumer, iteration_profile
 from repro.profiling.callbranch import collect_call_branch_profile
 from repro.programs.inputs import REF_INPUT, ProgramInput
 from repro.programs.suite import build_benchmark
 
 from tests.conftest import MICRO_INTERVAL
+from tests.oracles.engine import (
+    ExecutionConsumer,
+    ExecutionEngine,
+    iteration_profile,
+)
 from tests.oracles.regions import scalar_run_regions
 
 CONFIGS = [TABLE1_CONFIG, PREFETCH_CONFIG, BIG_LLC_CONFIG]

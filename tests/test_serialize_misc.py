@@ -40,7 +40,7 @@ class TestSourceEstimator:
         the compiler's O2 shrink factor band."""
         from repro.compilation.compiler import compile_standard_binaries
         from repro.compilation.targets import TARGET_32O
-        from repro.execution.engine import run_binary
+        from tests.oracles.engine import run_binary
 
         program = build_benchmark("art")
         estimate = estimate_source_instructions(program)

@@ -16,8 +16,9 @@ from repro.core.mapping import interval_boundaries
 from repro.core.matching import find_mappable_points
 from repro.core.vli import collect_vli_bbvs
 from repro.core.weights import measure_interval_instructions
-from repro.execution.engine import run_binary
 from repro.programs.suite import benchmark_names, build_benchmark
+
+from tests.oracles.engine import run_binary
 
 INTERVAL = 100_000
 

@@ -21,7 +21,6 @@ from repro.core.matching import find_mappable_points
 from repro.core.vli import collect_vli_bbvs
 from repro.core.weights import measure_interval_instructions
 from repro.errors import MappingError
-from repro.execution.engine import run_binary
 from repro.execution.trace import (
     EVENT_BLOCK,
     EVENT_PROC,
@@ -36,6 +35,7 @@ from repro.programs.inputs import REF_INPUT, TEST_INPUT
 from repro.programs.suite import benchmark_names, build_benchmark
 from repro.runtime.cache import ProfileCache
 
+from tests.oracles.engine import run_binary
 from tests.oracles.profiling import (
     scalar_call_branch_profile,
     scalar_fli_bbvs,
