@@ -1,35 +1,34 @@
-"""Array-backed set-associative LRU write-back cache.
+"""Set-associative LRU write-back cache with numpy-resident state.
 
 Lines are identified by integer line ids (byte address divided by line
-size). Storage is three flat preallocated arrays of ``n_sets *
-associativity`` entries — line tags (``-1`` empty), dirty flags, and
-recency stamps from a monotone clock — instead of per-set Python
-lists. The stamp order of a set is a bijection of the old MRU-list
-order: every access and fill touches the stamp, ``contains`` does not,
-so "evict the minimum stamp" is exactly "evict the list tail".
-Empty ways keep stamp ``0`` and the clock starts at ``1``, so the
-minimum-stamp way is the first empty way while a set is filling and
-the true LRU way afterwards — matching the list semantics (append
-while not full, evict the tail when full).
+size). A cache owns its state as three ``(n_sets, associativity)``
+numpy arrays — line tags (``-1`` empty), dirty flags, and recency
+stamps from a monotone clock. The stamp order of a set is its LRU
+order: every access and fill touches the stamp, a presence check does
+not, so "evict the minimum stamp" is "evict the least recently used
+way". Empty ways keep stamp ``0`` and the clock starts at ``1``, so the
+minimum-stamp way is the first empty way while a set is filling and the
+true LRU way afterwards.
 
 A write marks the line dirty; evicting a dirty line reports it so the
 hierarchy can write it back to the next level.
 
-Two batch entry points complement the scalar ``access``/``fill``:
+:meth:`SetAssociativeCache.access_many` replays a batch of demand
+accesses in submission order; the private ``_replay`` additionally
+understands fill and prefetch operations — the per-level op streams
+:meth:`repro.cmpsim.hierarchy.MemoryHierarchy.access_many` builds.
 
-* :meth:`SetAssociativeCache.access_many` replays a batch of demand
-  accesses in submission order;
-* the private ``_replay`` engine additionally understands fill and
-  prefetch operations — the per-level op streams
-  :meth:`repro.cmpsim.hierarchy.MemoryHierarchy.access_many` builds.
-
-Small batches run through a tight Python loop over the flat arrays.
-Large batches run through a vectorized *lane* engine: the batch is
-grouped by set index (stable argsort, so each set's substream keeps
-its order — the only order that matters, because sets are
-independent), each touched set becomes one lane, and numpy processes
-one operation per lane per step. Both engines leave bit-identical
-state, statistics, and outputs; the scalar path is their oracle.
+Every batch runs through one of two engines, both of which group the
+batch by set index with a stable sort (each set's substream keeps its
+order — the only order that matters, because sets are independent).
+The set index is sorted in the narrowest unsigned dtype that holds
+``2 * n_sets - 1``, where numpy's stable sort is a radix sort.
+Pure-demand batches at associativity 2 go to a closed form with no step
+loop; every other batch goes to the *lane* engine, where each touched
+set becomes one lane and numpy processes one operation per lane per
+step. Both leave state, statistics and outputs bit-identical to
+replaying the batch one reference at a time, which
+``tests/oracles/hierarchy.py`` keeps as their oracle.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ OP_ACCESS = 0  # demand access; flag = write
 OP_FILL = 1  # install from an upper level; flag = dirty
 OP_PREFETCH = 2  # install when absent; no LRU touch when present
 
-#: Batches at least this large use the vectorized lane engine.
-_LANE_MIN_OPS = 1024
+#: A replay's dirty victims: ascending batch positions and their lines.
+Victims = Tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -84,6 +83,27 @@ class CacheStats:
         return self.misses / total if total else 0.0
 
 
+def _groups(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Start offsets and lengths of the equal runs of sorted ``keys``."""
+    head = np.empty(keys.size, dtype=np.bool_)
+    head[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    return starts, np.diff(starts, append=keys.size)
+
+
+def _sorted_victims(
+    pos_parts: List[np.ndarray], line_parts: List[np.ndarray]
+) -> Victims:
+    """Concatenate victim parts and order them by batch position."""
+    if not pos_parts:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    victim_pos = np.concatenate(pos_parts)
+    victim_line = np.concatenate(line_parts)
+    resort = np.argsort(victim_pos)
+    return victim_pos[resort], victim_line[resort]
+
+
 class SetAssociativeCache:
     """One cache level with LRU replacement and write-back policy."""
 
@@ -91,94 +111,18 @@ class SetAssociativeCache:
         self.config = config
         self._n_sets = config.n_sets
         self._assoc = config.associativity
-        size = self._n_sets * self._assoc
-        self._tags: List[int] = [-1] * size
-        self._dirty: List[bool] = [False] * size
-        self._stamp: List[int] = [0] * size
-        self._clock = 1
-        self.stats = CacheStats()
-
-    # ------------------------------------------------------------------
-    # Scalar operations
-    # ------------------------------------------------------------------
-
-    def access(
-        self, line: int, write: bool, count: bool = True
-    ) -> Tuple[bool, Optional[int]]:
-        """Access a line; returns ``(hit, evicted dirty line or None)``.
-
-        On a miss the line is allocated (fetch-on-write for write
-        misses, as a write-back write-allocate cache does); if the set
-        is full, the LRU entry is evicted and returned when dirty.
-        With ``count=False`` the state transition happens but no
-        statistics are recorded (functional warmup).
-        """
-        assoc = self._assoc
-        base = (line % self._n_sets) * assoc
-        seg = self._tags[base : base + assoc]
-        if line in seg:
-            way = base + seg.index(line)
-            self._stamp[way] = self._clock
-            self._clock += 1
-            if write:
-                self._dirty[way] = True
-                if count:
-                    self.stats.write_hits += 1
-            elif count:
-                self.stats.read_hits += 1
-            return True, None
-        if count:
-            if write:
-                self.stats.write_misses += 1
-            else:
-                self.stats.read_misses += 1
-        return False, self._insert(base, line, write, count)
-
-    def fill(self, line: int, dirty: bool, count: bool = True) -> Optional[int]:
-        """Install a line without counting a demand access (writebacks
-        arriving from an upper level). Returns an evicted dirty line."""
-        assoc = self._assoc
-        base = (line % self._n_sets) * assoc
-        seg = self._tags[base : base + assoc]
-        if line in seg:
-            way = base + seg.index(line)
-            self._stamp[way] = self._clock
-            self._clock += 1
-            if dirty:
-                self._dirty[way] = True
-            return None
-        return self._insert(base, line, dirty, count)
-
-    def _insert(
-        self, base: int, line: int, dirty: bool, count: bool
-    ) -> Optional[int]:
-        """Install into the empty-or-LRU way; returns an evicted dirty
-        line (always returned so state cascades even when uncounted)."""
-        stamp = self._stamp
-        seg = stamp[base : base + self._assoc]
-        way = base + seg.index(min(seg))
-        tags = self._tags
-        dirty_bits = self._dirty
-        victim_line = tags[way]
-        victim: Optional[int] = None
-        if victim_line >= 0 and dirty_bits[way]:
-            if count:
-                self.stats.writebacks_out += 1
-            victim = victim_line
-        tags[way] = line
-        dirty_bits[way] = dirty
-        stamp[way] = self._clock
-        self._clock += 1
-        return victim
+        # Holds a set index and the 2-way engine's ``set * 2 + parity``
+        # key; 8- and 16-bit keys get numpy's radix sort.
+        self._key_dtype = np.min_scalar_type(2 * self._n_sets - 1)
+        self.reset()
 
     def contains(self, line: int) -> bool:
         """Presence check without touching LRU state (tests/inspection)."""
-        base = (line % self._n_sets) * self._assoc
-        return line in self._tags[base : base + self._assoc]
+        return bool((self._tags[line % self._n_sets] == line).any())
 
     def resident_lines(self) -> int:
         """Number of lines currently cached."""
-        return sum(1 for tag in self._tags if tag >= 0)
+        return int(np.count_nonzero(self._tags >= 0))
 
     def set_lines(self, index: int) -> List[int]:
         """Resident lines of one set, most recently used first."""
@@ -191,38 +135,33 @@ class SetAssociativeCache:
         raw stamp values are internal bookkeeping the batch engines
         are free to permute, recency *order* and dirty bits are not.
         """
-        base = index * self._assoc
-        ways = [
-            (self._stamp[way], self._tags[way], self._dirty[way])
-            for way in range(base, base + self._assoc)
-            if self._tags[way] >= 0
+        tags = self._tags[index]
+        dirty = self._dirty[index]
+        return [
+            (int(tags[way]), bool(dirty[way]))
+            for way in np.argsort(self._stamp[index])[::-1]
+            if tags[way] >= 0
         ]
-        ways.sort(reverse=True)
-        return [(line, dirty) for _, line, dirty in ways]
 
     def reset(self) -> None:
         """Drop all contents and statistics (cold restart)."""
-        size = self._n_sets * self._assoc
-        self._tags = [-1] * size
-        self._dirty = [False] * size
-        self._stamp = [0] * size
+        shape = (self._n_sets, self._assoc)
+        self._tags = np.full(shape, -1, dtype=np.int64)
+        self._dirty = np.zeros(shape, dtype=np.bool_)
+        self._stamp = np.zeros(shape, dtype=np.int64)
         self._clock = 1
         self.stats = CacheStats()
 
-    # ------------------------------------------------------------------
-    # Batched operations
-    # ------------------------------------------------------------------
-
     def access_many(
         self, lines: np.ndarray, writes: np.ndarray
-    ) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
+    ) -> Tuple[np.ndarray, Victims]:
         """Replay a batch of demand accesses in submission order.
 
-        Returns ``(miss_positions, victims)``: the positions (into the
-        batch) of demand misses as an ascending int64 array, and the
-        dirty victims as an ascending list of ``(position, line)``
-        pairs. State and statistics end bit-identical to the same
-        sequence of scalar :meth:`access` calls.
+        Returns ``(miss_positions, (victim_pos, victim_line))``: the
+        positions (into the batch) of demand misses as an ascending
+        int64 array, and the dirty victims as two int64 arrays, the
+        evicting positions ascending. State and statistics end
+        bit-identical to accessing the references one at a time.
         """
         return self._replay(
             np.asarray(lines, dtype=np.int64),
@@ -235,89 +174,18 @@ class SetAssociativeCache:
         lines: np.ndarray,
         flags: np.ndarray,
         kinds: Optional[np.ndarray],
-    ) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
+    ) -> Tuple[np.ndarray, Victims]:
         """Replay a mixed op stream (``kinds=None`` means all demand)."""
-        if lines.size >= _LANE_MIN_OPS:
-            if kinds is None and self._assoc == 2:
-                return self._replay_demand_2way(lines, flags)
-            return self._replay_lanes(lines, flags, kinds)
-        return self._replay_python(
-            lines.tolist(),
-            flags.tolist(),
-            None if kinds is None else kinds.tolist(),
-        )
-
-    def _replay_python(
-        self,
-        lines: List[int],
-        flags: List[bool],
-        kinds: Optional[List[int]],
-    ) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
-        """In-order replay through a tight loop over the flat arrays."""
-        metrics.counter("cmpsim.cache_python_ops").inc(len(lines))
-        tags = self._tags
-        dirty = self._dirty
-        stamp = self._stamp
-        n_sets = self._n_sets
-        assoc = self._assoc
-        clock = self._clock
-        read_hits = read_misses = write_hits = write_misses = 0
-        writebacks = 0
-        miss: List[int] = []
-        victims: List[Tuple[int, int]] = []
-        for position in range(len(lines)):
-            line = lines[position]
-            base = (line % n_sets) * assoc
-            end = base + assoc
-            seg = tags[base:end]
-            kind = OP_ACCESS if kinds is None else kinds[position]
-            flag = flags[position]
-            if line in seg:
-                if kind == OP_PREFETCH:
-                    continue  # present: no LRU touch (contains + skip)
-                way = base + seg.index(line)
-                stamp[way] = clock
-                clock += 1
-                if flag:
-                    dirty[way] = True
-                if kind == OP_ACCESS:
-                    if flag:
-                        write_hits += 1
-                    else:
-                        read_hits += 1
-                continue
-            if kind == OP_ACCESS:
-                miss.append(position)
-                if flag:
-                    write_misses += 1
-                else:
-                    read_misses += 1
-                new_dirty = flag
-            elif kind == OP_FILL:
-                new_dirty = flag
-            else:
-                new_dirty = False
-            seg = stamp[base:end]
-            way = base + seg.index(min(seg))
-            if tags[way] >= 0 and dirty[way]:
-                writebacks += 1
-                victims.append((position, tags[way]))
-            tags[way] = line
-            dirty[way] = new_dirty
-            stamp[way] = clock
-            clock += 1
-        self._clock = clock
-        stats = self.stats
-        stats.read_hits += read_hits
-        stats.read_misses += read_misses
-        stats.write_hits += write_hits
-        stats.write_misses += write_misses
-        stats.writebacks_out += writebacks
-        return np.array(miss, dtype=np.int64), victims
+        if lines.size == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, (empty, empty)
+        if kinds is None and self._assoc == 2:
+            return self._replay_demand_2way(lines, flags)
+        return self._replay_lanes(lines, flags, kinds)
 
     def _replay_demand_2way(
         self, lines: np.ndarray, flags: np.ndarray
-    ) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
+    ) -> Tuple[np.ndarray, Victims]:
         """Closed-form replay for pure-demand batches at 2-way.
 
         Every demand op promotes its line to MRU (hits refresh, misses
@@ -336,8 +204,7 @@ class SetAssociativeCache:
         """
         n = lines.size
         metrics.counter("cmpsim.cache_2way_ops").inc(n)
-        n_sets = self._n_sets
-        set_index = lines % n_sets
+        set_index = (lines % self._n_sets).astype(self._key_dtype)
         order = np.argsort(set_index, kind="stable")
         s_sets = set_index[order]
         s_lines = lines[order]
@@ -365,16 +232,15 @@ class SetAssociativeCache:
             s_pos = s_pos[head_idx]
         m = s_lines.size
 
-        uniq, starts, counts = np.unique(
-            s_sets, return_index=True, return_counts=True
-        )
+        starts, counts = _groups(s_sets)
+        uniq = s_sets[starts]
         col = np.arange(m, dtype=np.int64) - np.repeat(starts, counts)
 
         # Pre-batch state of each touched set as an (MRU, LRU) pair;
         # empty ways have stamp 0 so they sort to the LRU side.
-        tags2 = np.array(self._tags, dtype=np.int64).reshape(n_sets, 2)
-        dirty2 = np.array(self._dirty, dtype=np.bool_).reshape(n_sets, 2)
-        stamp2 = np.array(self._stamp, dtype=np.int64).reshape(n_sets, 2)
+        tags2 = self._tags
+        dirty2 = self._dirty
+        stamp2 = self._stamp
         g_stamp = stamp2[uniq]
         g_tags = tags2[uniq]
         g_dirty = dirty2[uniq]
@@ -400,7 +266,7 @@ class SetAssociativeCache:
         # Parity classes: stable-sort by (set, col parity) keeps col
         # order inside each class; residency runs are equal-value runs
         # there, and hit(j >= 2) is exactly "not a run head".
-        pkey = s_sets * 2 + (col & 1)
+        pkey = (s_sets << 1) | (col & 1).astype(self._key_dtype)
         porder = np.argsort(pkey, kind="stable")
         py = s_lines[porder]
         pkey_s = pkey[porder]
@@ -457,11 +323,9 @@ class SetAssociativeCache:
         dirty2[uniq, 1] = lru_dirty
         stamp2[uniq, 0] = clock + 1
         stamp2[uniq, 1] = np.where(lru_real, clock, 0)
-        self._tags = tags2.reshape(-1).tolist()
-        self._dirty = dirty2.reshape(-1).tolist()
-        self._stamp = stamp2.reshape(-1).tolist()
         self._clock = clock + 2
 
+        victims = _sorted_victims(victim_pos_parts, victim_line_parts)
         hits_total = int(hit.sum())
         write_hits = int((hit & s_flags).sum())
         write_misses = int((~hit & s_flags).sum())
@@ -470,21 +334,10 @@ class SetAssociativeCache:
         stats.write_hits += write_hits + foll_write_hits
         stats.read_misses += m - hits_total - write_misses
         stats.write_misses += write_misses
+        stats.writebacks_out += int(victims[0].size)
 
         miss = s_pos[~hit]
         miss.sort()
-        victim_pos = np.concatenate(victim_pos_parts)
-        victims: List[Tuple[int, int]] = []
-        if victim_pos.size:
-            victim_line = np.concatenate(victim_line_parts)
-            stats.writebacks_out += int(victim_pos.size)
-            resort = np.argsort(victim_pos)
-            victims = list(
-                zip(
-                    victim_pos[resort].tolist(),
-                    victim_line[resort].tolist(),
-                )
-            )
         return miss, victims
 
     def _replay_lanes(
@@ -492,7 +345,7 @@ class SetAssociativeCache:
         lines: np.ndarray,
         flags: np.ndarray,
         kinds: Optional[np.ndarray],
-    ) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
+    ) -> Tuple[np.ndarray, Victims]:
         """Set-grouped vectorized replay.
 
         The batch is stable-sorted by set index, so each set's
@@ -501,8 +354,8 @@ class SetAssociativeCache:
         *lane*; numpy then processes one op per lane per step, with
         lanes sorted longest-first so the lanes active at step ``s``
         are a contiguous prefix. Per-step stamps are ``clock + s``:
-        within any one set that preserves the exact scalar stamp
-        *order*, which is all LRU replacement ever observes.
+        within any one set that preserves the exact one-at-a-time
+        stamp *order*, which is all LRU replacement ever observes.
 
         For pure-demand batches, consecutive same-line ops within a
         set's substream are collapsed first: once the head op runs,
@@ -511,14 +364,12 @@ class SetAssociativeCache:
         statistics, a dirty-bit OR, and an MRU refresh that cannot
         change the set's recency order. The head op carries the run's
         OR-ed write flag for state (``eff``) while keeping its own
-        flag for hit/miss classification — exactly the scalar
-        outcome.
+        flag for hit/miss classification — exactly the
+        one-at-a-time outcome.
         """
         n = lines.size
         metrics.counter("cmpsim.cache_lane_ops").inc(n)
-        n_sets = self._n_sets
-        assoc = self._assoc
-        set_index = lines % n_sets
+        set_index = (lines % self._n_sets).astype(self._key_dtype)
         order = np.argsort(set_index, kind="stable")
         s_sets = set_index[order]
         s_lines = lines[order]
@@ -551,11 +402,9 @@ class SetAssociativeCache:
             s_kinds = kinds[order]
         n_ops = s_lines.size
 
-        uniq, starts, counts = np.unique(
-            s_sets, return_index=True, return_counts=True
-        )
+        starts, counts = _groups(s_sets)
         lane_perm = np.argsort(-counts, kind="stable")
-        n_lanes = uniq.size
+        n_lanes = starts.size
         depth = int(counts[lane_perm[0]])
         lane_id = np.empty(n_lanes, dtype=np.int64)
         lane_id[lane_perm] = np.arange(n_lanes)
@@ -584,22 +433,12 @@ class SetAssociativeCache:
             op_kind[col, lane] = s_kinds
         hit_mat = np.zeros((depth, n_lanes), dtype=np.bool_)
 
-        tags_full = np.array(self._tags, dtype=np.int64).reshape(
-            n_sets, assoc
-        )
-        dirty_full = np.array(self._dirty, dtype=np.bool_).reshape(
-            n_sets, assoc
-        )
-        stamp_full = np.array(self._stamp, dtype=np.int64).reshape(
-            n_sets, assoc
-        )
-        touched = uniq[lane_perm]
-        lane_tags = tags_full[touched]
-        lane_dirty = dirty_full[touched]
-        lane_stamp = stamp_full[touched]
+        touched = s_sets[starts[lane_perm]]
+        lane_tags = self._tags[touched]
+        lane_dirty = self._dirty[touched]
+        lane_stamp = self._stamp[touched]
         clock = self._clock
 
-        writebacks = 0
         victim_pos_parts: List[np.ndarray] = []
         victim_line_parts: List[np.ndarray] = []
         flatnonzero = np.flatnonzero
@@ -636,19 +475,15 @@ class SetAssociativeCache:
                     lane_dirty[ins, slot] & (victim_line >= 0)
                 )
                 if evict.size:
-                    writebacks += evict.size
                     victim_pos_parts.append(op_pos[step, :width][ins[evict]])
                     victim_line_parts.append(victim_line[evict])
                 lane_tags[ins, slot] = line[ins]
                 lane_dirty[ins, slot] = insert_dirty_src[ins]
                 lane_stamp[ins, slot] = stamp_value
 
-        tags_full[touched] = lane_tags
-        dirty_full[touched] = lane_dirty
-        stamp_full[touched] = lane_stamp
-        self._tags = tags_full.reshape(-1).tolist()
-        self._dirty = dirty_full.reshape(-1).tolist()
-        self._stamp = stamp_full.reshape(-1).tolist()
+        self._tags[touched] = lane_tags
+        self._dirty[touched] = lane_dirty
+        self._stamp[touched] = lane_stamp
         self._clock = clock + depth
 
         # Deferred statistics: classification never feeds back into the
@@ -666,24 +501,14 @@ class SetAssociativeCache:
         write_misses = int((demand_miss & op_flag).sum())
         read_misses = int(demand_miss.sum()) - write_misses
 
+        victims = _sorted_victims(victim_pos_parts, victim_line_parts)
         stats = self.stats
         stats.read_hits += read_hits + foll_read_hits
         stats.write_hits += write_hits + foll_write_hits
         stats.read_misses += read_misses
         stats.write_misses += write_misses
-        stats.writebacks_out += writebacks
+        stats.writebacks_out += int(victims[0].size)
 
         miss = op_pos[demand_miss]
         miss.sort()
-        victims: List[Tuple[int, int]] = []
-        if victim_pos_parts:
-            victim_pos = np.concatenate(victim_pos_parts)
-            victim_line = np.concatenate(victim_line_parts)
-            resort = np.argsort(victim_pos)
-            victims = list(
-                zip(
-                    victim_pos[resort].tolist(),
-                    victim_line[resort].tolist(),
-                )
-            )
         return miss, victims

@@ -9,22 +9,23 @@ charge); an L3 dirty victim counts as a DRAM writeback.
 The hierarchy reports, per access, the level that serviced it, from
 which the CPU model derives the stall penalty.
 
-:meth:`MemoryHierarchy.access_many` replays a whole batch through the
-levels one level at a time, bit-identically to the scalar loop. Each
+Batches are the only way in. :meth:`MemoryHierarchy.access_many`
+replays a whole batch through the levels one level at a time. Each
 level's work is a single op stream (demand accesses, victim fills,
 prefetch installs); replaying it produces the demand misses and dirty
-victims, from which the next level's stream is assembled. The scalar
-interleaving is reproduced exactly by ordering the next level's ops
-with ``lexsort`` on ``(source op index, priority)`` where a source
-op's victim fill has priority 0, its demand continuation priority 1,
-and its prefetch priority 2 — in the scalar path a miss writes its
-victim back before probing the next level, and a next-line prefetch
-fires only after the triggering access finishes its whole chain.
-Prefetch ops propagate through every outer level unconditionally
-(matching the scalar install loop) and are dropped at DRAM.
+victims, from which the next level's stream is assembled. The
+reference-at-a-time interleaving (kept as the oracle in
+``tests/oracles/hierarchy.py``) is reproduced exactly by ordering the
+next level's ops with ``lexsort`` on ``(source op index, priority)``
+where a source op's victim fill has priority 0, its demand continuation
+priority 1, and its prefetch priority 2 — one reference at a time, a
+miss writes its victim back before probing the next level, and a
+next-line prefetch fires only after the triggering access finishes its
+whole chain. Prefetch ops propagate through every outer level
+unconditionally (a prefetch installs a line at each outer level that
+lacks it) and are dropped at DRAM.
 
-:meth:`MemoryHierarchy.warm_many` is the batched form of
-:meth:`MemoryHierarchy.warm_access` (functional warming): the same
+:meth:`MemoryHierarchy.warm_many` is functional warming: the same
 replay with every statistic saved before and restored after, so there
 is one replay engine whether or not a batch counts.
 """
@@ -52,8 +53,8 @@ _EMPTY = np.empty(0, dtype=np.int64)
 class AccessResult(enum.IntEnum):
     """Which level serviced a demand access (index into the hierarchy).
 
-    :meth:`MemoryHierarchy.access` returns these as plain ints (the
-    simulator's hot loop indexes penalty tables with them); the enum
+    :meth:`MemoryHierarchy.access_many` returns these as plain int64
+    levels (the simulator indexes penalty tables with them); the enum
     exists for readable comparisons in tests and reports.
     """
 
@@ -89,35 +90,12 @@ class MemoryHierarchy:
         self.prefetches = 0
         self._prefetch_enabled = config.next_line_prefetch
 
-    def access(self, line: int, write: bool) -> int:
-        """Perform one demand access; returns the servicing level (0-3).
-
-        Missed levels allocate the line on the way (levels then age
-        independently — non-inclusive); compare the result against
-        :class:`AccessResult` for readability. With next-line
-        prefetching enabled, an L1 miss also pulls ``line + 1`` into
-        the outer levels (no demand-access charge).
-        """
-        serviced = len(self.caches)
-        for depth, cache in enumerate(self.caches):
-            hit, victim = cache.access(line, write)
-            if victim is not None:
-                self._writeback(depth + 1, victim)
-            if hit:
-                serviced = depth
-                break
-        else:
-            self.dram_reads += 1
-        if serviced > 0 and self._prefetch_enabled:
-            self._prefetch(line + 1)
-        return serviced
-
     def access_many(self, lines: np.ndarray, writes: np.ndarray) -> np.ndarray:
         """Replay a batch of demand accesses; returns servicing levels.
 
-        Bit-identical in state and statistics to calling
-        :meth:`access` once per reference in order; the returned
-        int64 array holds each reference's servicing level (0-3).
+        Bit-identical in state and statistics to accessing the
+        references one at a time, in order; the returned int64 array
+        holds each reference's servicing level (0-3).
         """
         op_lines = np.asarray(lines, dtype=np.int64)
         op_flags = np.asarray(writes, dtype=np.bool_)
@@ -130,12 +108,14 @@ class MemoryHierarchy:
         for depth, cache in enumerate(self.caches):
             if op_lines.size == 0:
                 break
-            miss, victims = cache._replay(op_lines, op_flags, op_kinds)
+            miss, (v_pos, v_line) = cache._replay(
+                op_lines, op_flags, op_kinds
+            )
             if miss.size:
                 serviced[op_refs[miss]] = depth + 1
             if depth + 1 == n_levels:
                 self.dram_reads += int(miss.size)
-                self.dram_writebacks += len(victims)
+                self.dram_writebacks += int(v_pos.size)
                 break
             if depth == 0:
                 if self._prefetch_enabled and miss.size:
@@ -149,18 +129,13 @@ class MemoryHierarchy:
                 pf_lines = op_lines[pf_keys]
             else:
                 pf_keys = pf_lines = _EMPTY
-            if not victims and pf_keys.size == 0:
+            if v_pos.size == 0 and pf_keys.size == 0:
                 # Pure continuation stream: already in order.
                 op_lines = op_lines[miss]
                 op_flags = op_flags[miss]
                 op_refs = op_refs[miss]
                 op_kinds = None
                 continue
-            if victims:
-                v_pos = np.array([p for p, _ in victims], dtype=np.int64)
-                v_line = np.array([l for _, l in victims], dtype=np.int64)
-            else:
-                v_pos = v_line = _EMPTY
             n_v = v_pos.size
             n_m = miss.size
             n_p = pf_keys.size
@@ -199,48 +174,11 @@ class MemoryHierarchy:
             )[order]
         return serviced
 
-    def _prefetch(self, line: int, count: bool = True) -> None:
-        """Install a prefetched line into the outer cache levels."""
-        if count:
-            self.prefetches += 1
-        for depth in range(1, len(self.caches)):
-            cache = self.caches[depth]
-            if cache.contains(line):
-                continue
-            victim = cache.fill(line, dirty=False, count=count)
-            if victim is not None:
-                self._writeback(depth + 1, victim, count=count)
-
-    def _writeback(self, depth: int, line: int, count: bool = True) -> None:
-        """Install a dirty victim in the next level down (or DRAM)."""
-        if depth >= len(self.caches):
-            if count:
-                self.dram_writebacks += 1
-            return
-        victim = self.caches[depth].fill(line, dirty=True, count=count)
-        if victim is not None:
-            self._writeback(depth + 1, victim, count=count)
-
-    def warm_access(self, line: int, write: bool) -> None:
-        """Update cache state as :meth:`access` would, without touching
-        any statistics (functional warmup between detailed regions)."""
-        serviced = len(self.caches)
-        for depth, cache in enumerate(self.caches):
-            hit, victim = cache.access(line, write, count=False)
-            if victim is not None:
-                self._writeback(depth + 1, victim, count=False)
-            if hit:
-                serviced = depth
-                break
-        if serviced > 0 and self._prefetch_enabled:
-            self._prefetch(line + 1, count=False)
-
     def warm_many(self, lines: np.ndarray, writes: np.ndarray) -> None:
         """Functionally warm with a whole batch of references.
 
-        Bit-identical in state to calling :meth:`warm_access` once per
-        reference in order (because :meth:`access_many` is to
-        :meth:`access`); every statistic is left exactly as it was.
+        Bit-identical in state to :meth:`access_many` on the same
+        batch; every statistic is left exactly as it was.
         """
         saved = [replace(cache.stats) for cache in self.caches]
         counters = (self.dram_reads, self.dram_writebacks, self.prefetches)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.compilation.binary import (
@@ -97,12 +98,21 @@ def kernel_scaling(program_name: str, compute: Compute) -> KernelScaling:
     fewer (more registers). Unoptimized code runs 1.9-3.2x the
     instructions of the source-level work estimate.
     """
-    rng = random.Random(f"{program_name}:{compute.name}:cost")
-    o0_mult = rng.uniform(1.9, 3.2)
-    o2_mult = rng.uniform(0.88, 0.98)
     pointer_heavy = (
         compute.behavior is not None and compute.behavior.pointer_fraction > 0.3
     )
+    return _kernel_scaling(program_name, compute.name, pointer_heavy)
+
+
+@lru_cache(maxsize=8192)
+def _kernel_scaling(
+    program_name: str, kernel_name: str, pointer_heavy: bool
+) -> KernelScaling:
+    """:func:`kernel_scaling` memoized on plain keys: every target of a
+    suite build asks for the same kernels' factors."""
+    rng = random.Random(f"{program_name}:{kernel_name}:cost")
+    o0_mult = rng.uniform(1.9, 3.2)
+    o2_mult = rng.uniform(0.88, 0.98)
     if pointer_heavy:
         x64_mult = rng.uniform(0.95, 1.08)
     else:
@@ -130,9 +140,18 @@ def base_cpi(program_name: str, block_name: str, target: Target) -> float:
     """
     opt_base = 1.15 if target.optimized else 0.92
     isa_mult = 1.05 if target.isa is ISA.X86_32 else 1.0
-    rng = random.Random(f"{program_name}:{block_name}:cpi")
-    jitter = rng.uniform(-0.08, 0.08)
+    jitter = _cpi_jitter(program_name, block_name)
     return max(0.5, opt_base * isa_mult + jitter)
+
+
+@lru_cache(maxsize=8192)
+def _cpi_jitter(program_name: str, block_name: str) -> float:
+    """The per-block base-CPI jitter. It does not depend on the target,
+    so one suite build draws it once per block instead of once per
+    block per target."""
+    return random.Random(f"{program_name}:{block_name}:cpi").uniform(
+        -0.08, 0.08
+    )
 
 
 class _Layout:

@@ -86,12 +86,6 @@ class IterationProfile:
     def instructions_per_iteration(self) -> int:
         return self.body_instructions + self.branch_instructions
 
-    def block_counts(self, iterations: int) -> List[Tuple[int, int]]:
-        """``(block_id, execs)`` pairs for ``iterations`` iterations."""
-        counts = [(block_id, iterations) for block_id in self.body_blocks]
-        counts.append((self.branch_block, iterations))
-        return counts
-
 
 def iteration_profile(binary: Binary, loop: LLoop) -> IterationProfile:
     """The per-iteration profile of an innermost straight-line loop."""

@@ -2,8 +2,8 @@
 
 :class:`_ScalarDetailedConsumer` is detailed simulation one reference
 at a time, driven by the execution engine: every demand access goes
-through :meth:`MemoryHierarchy.access`, and cycles are accumulated and
-handed to the trackers chunk by chunk, in event order.
+through :meth:`OracleHierarchy.access`, and cycles are accumulated
+and handed to the trackers chunk by chunk, in event order.
 :class:`ScalarFLITracker` and :class:`ScalarVLITracker` are the
 per-chunk trackers it drives. ``CMPSim.run_full`` replays the compiled
 trace in windows of bulk-generated references and
@@ -20,7 +20,6 @@ import math
 from typing import Dict, List, Sequence, Tuple
 
 from repro.cmpsim.cpu import CPIModel
-from repro.cmpsim.hierarchy import MemoryHierarchy
 from repro.cmpsim.memory import AddressStreamState, generate_refs
 from repro.cmpsim.simulator import (
     CMPSim,
@@ -37,6 +36,7 @@ from tests.oracles.engine import (
     ExecutionEngine,
     iteration_profile,
 )
+from tests.oracles.hierarchy import OracleHierarchy
 
 
 class ScalarFLITracker:
@@ -193,7 +193,7 @@ class _ScalarDetailedConsumer(ExecutionConsumer):
     def __init__(
         self,
         binary: Binary,
-        hierarchy: MemoryHierarchy,
+        hierarchy: OracleHierarchy,
         cpi_model: CPIModel,
         trackers: Sequence,
     ) -> None:
@@ -256,7 +256,7 @@ class _ScalarDetailedConsumer(ExecutionConsumer):
 def scalar_run_full(sim: CMPSim, trackers: Sequence = ()) -> FullRunResult:
     """``sim.run_full(trackers)`` one reference at a time; ``trackers``
     are :class:`ScalarFLITracker` / :class:`ScalarVLITracker`."""
-    hierarchy = MemoryHierarchy(sim._config)
+    hierarchy = OracleHierarchy(sim._config)
     consumer = _ScalarDetailedConsumer(
         sim.binary, hierarchy, sim._cpi_model, trackers
     )

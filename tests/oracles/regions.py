@@ -1,8 +1,8 @@
 """Scalar region-simulation oracle.
 
 :class:`_RegionConsumer` is sampled simulation one reference at a time:
-every demand access goes through :meth:`MemoryHierarchy.access`, every
-functionally warmed one through :meth:`MemoryHierarchy.warm_access`,
+every demand access goes through :meth:`OracleHierarchy.access`, every
+functionally warmed one through :meth:`OracleHierarchy.warm_access`,
 and every block execution checks for a region boundary.
 ``CMPSim.run_regions`` batches the same work through the hierarchy's
 batch engine and must match this oracle exactly — the
@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cmpsim.cpu import CPIModel
-from repro.cmpsim.hierarchy import MemoryHierarchy
 from repro.cmpsim.memory import (
     AddressStreamState,
     advance_stream,
@@ -36,6 +35,7 @@ from tests.oracles.engine import (
     ExecutionEngine,
     iteration_profile,
 )
+from tests.oracles.hierarchy import OracleHierarchy
 
 
 class _RegionConsumer(ExecutionConsumer):
@@ -51,7 +51,7 @@ class _RegionConsumer(ExecutionConsumer):
     def __init__(
         self,
         binary: Binary,
-        hierarchy: MemoryHierarchy,
+        hierarchy: OracleHierarchy,
         cpi_model: CPIModel,
         table: MarkerTable,
         regions: Sequence[RegionSpec],
@@ -162,12 +162,12 @@ def scalar_run_regions(
     regions: Sequence[RegionSpec],
     table: MarkerTable,
     warm: bool = True,
-) -> Tuple[RegionResult, MemoryHierarchy]:
+) -> Tuple[RegionResult, OracleHierarchy]:
     """``sim.run_regions`` one reference at a time; also returns the
     hierarchy so callers can compare its final cache state."""
     if not regions:
         raise SimulationError("run_regions needs at least one region")
-    hierarchy = MemoryHierarchy(sim._config)
+    hierarchy = OracleHierarchy(sim._config)
     consumer = _RegionConsumer(
         sim.binary, hierarchy, sim._cpi_model, table, regions, warm
     )

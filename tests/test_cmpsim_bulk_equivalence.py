@@ -6,7 +6,8 @@ replay engines behind :meth:`SetAssociativeCache.access_many`, the
 hierarchy's level-by-level :meth:`MemoryHierarchy.access_many`, and the
 trace-fed windowed simulator with array interval attribution — must be
 *bit-identical* to the scalar reference-at-a-time implementations,
-which serve as the oracle (for full runs,
+which serve as the oracle (:mod:`tests.oracles.hierarchy` for caches
+and hierarchies; for full runs,
 :func:`tests.oracles.full.scalar_run_full` with its per-chunk
 trackers).
 Identity is asserted on outputs, statistics, and observable cache state
@@ -45,11 +46,13 @@ from repro.programs.behaviors import AccessKind
 from repro.programs.inputs import REF_INPUT, ProgramInput
 from repro.programs.suite import build_benchmark
 
+from tests.one_ref import OneRefCache, OneRefHierarchy
 from tests.oracles.full import (
     ScalarFLITracker,
     ScalarVLITracker,
     scalar_run_full,
 )
+from tests.oracles.hierarchy import OracleCache, OracleHierarchy
 
 
 def stream_state(state):
@@ -79,16 +82,26 @@ def hierarchy_state(hierarchy):
 
 
 def scalar_cache_replay(cache, lines, writes):
-    """The oracle: one scalar access per reference, in order."""
+    """The oracle: one scalar access per reference, in order. Victims
+    come back as ``(positions, lines)``, the batch engines' layout."""
     miss = []
-    victims = []
+    victim_pos = []
+    victim_line = []
     for position, (line, write) in enumerate(zip(lines, writes)):
         hit, victim = cache.access(line, write)
         if not hit:
             miss.append(position)
         if victim is not None:
-            victims.append((position, victim))
-    return miss, victims
+            victim_pos.append(position)
+            victim_line.append(victim)
+    return miss, (victim_pos, victim_line)
+
+
+def victim_lists(victims):
+    """A batch engine's victim arrays as ``(positions, lines)`` lists."""
+    victim_pos, victim_line = victims
+    assert victim_pos.dtype == victim_line.dtype == np.int64
+    return victim_pos.tolist(), victim_line.tolist()
 
 
 def dup_heavy_workload(rng, n, span, write_p, dup_p):
@@ -193,9 +206,9 @@ class TestAccessManyEquivalence:
         min_size=1, max_size=200,
     ))
     def test_small_batches(self, accesses):
-        """Small batches (Python replay path) match scalar exactly."""
+        """Small batches match scalar exactly."""
         config = CacheLevelConfig(name="t", capacity=4096, associativity=4)
-        scalar = SetAssociativeCache(config)
+        scalar = OracleCache(config)
         batched = SetAssociativeCache(config)
         lines = [line for line, _ in accesses]
         writes = [write for _, write in accesses]
@@ -206,7 +219,7 @@ class TestAccessManyEquivalence:
             np.array(lines, dtype=np.int64), np.array(writes, dtype=bool)
         )
         assert miss.tolist() == expected_miss
-        assert victims == expected_victims
+        assert victim_lists(victims) == expected_victims
         assert cache_state(scalar) == cache_state(batched)
 
     @pytest.mark.parametrize("assoc", [2, 4, 8])
@@ -219,7 +232,7 @@ class TestAccessManyEquivalence:
             name="t", capacity=64 * 64 * assoc, associativity=assoc
         )
         lines, writes = dup_heavy_workload(rng, 6000, 4000, 0.35, dup_p)
-        scalar = SetAssociativeCache(config)
+        scalar = OracleCache(config)
         batched = SetAssociativeCache(config)
         expected_miss, expected_victims = scalar_cache_replay(
             scalar, lines, writes
@@ -228,17 +241,18 @@ class TestAccessManyEquivalence:
             np.array(lines, dtype=np.int64), np.array(writes, dtype=bool)
         )
         assert miss.tolist() == expected_miss
-        assert victims == expected_victims
+        assert victim_lists(victims) == expected_victims
         assert cache_state(scalar) == cache_state(batched)
 
     def test_batch_then_scalar_handoff(self):
-        """State left by a batch is indistinguishable to later scalar
-        accesses (mixed-use sessions: warmup batched, probe scalar)."""
+        """State left by a batch is indistinguishable to later
+        one-reference batches (mixed-use sessions: warmup batched,
+        probe one reference at a time)."""
         rng = random.Random(9)
         config = CacheLevelConfig(name="t", capacity=8192, associativity=2)
         lines, writes = dup_heavy_workload(rng, 9000, 600, 0.4, 0.5)
-        scalar = SetAssociativeCache(config)
-        mixed = SetAssociativeCache(config)
+        scalar = OracleCache(config)
+        mixed = OneRefCache(config)  # one reference per batch
         for line, write in zip(lines[:3000], writes[:3000]):
             scalar.access(line, write)
             mixed.access(line, write)
@@ -250,7 +264,7 @@ class TestAccessManyEquivalence:
             np.array(writes[3000:6000], dtype=bool),
         )
         assert miss.tolist() == expected_miss
-        assert victims == expected_victims
+        assert victim_lists(victims) == expected_victims
         for line, write in zip(lines[6000:], writes[6000:]):
             hit_a, _ = scalar.access(line, write)
             hit_b, _ = mixed.access(line, write)
@@ -268,7 +282,7 @@ class TestHierarchyBatchEquivalence:
         rng = random.Random(17)
         for n in (10, 300, 2000, 20000):
             lines, writes = dup_heavy_workload(rng, n, 70_000, 0.35, 0.3)
-            scalar = MemoryHierarchy(config)
+            scalar = OracleHierarchy(config)
             expected = [
                 scalar.access(line, write)
                 for line, write in zip(lines, writes)
@@ -288,23 +302,30 @@ class TestHierarchyBatchEquivalence:
     def test_scalar_batch_interleave(self, config):
         rng = random.Random(23)
         lines, writes = dup_heavy_workload(rng, 4000, 50_000, 0.35, 0.3)
-        scalar = MemoryHierarchy(config)
-        mixed = MemoryHierarchy(config)
-        for line, write in zip(lines[:2000], writes[:2000]):
-            scalar.access(line, write)
-        mixed.access_many(
-            np.array(lines[:2000], dtype=np.int64),
-            np.array(writes[:2000], dtype=bool),
-        )
+        scalar = OracleHierarchy(config)
+        mixed = OneRefHierarchy(config)
         expected = [
-            scalar.access(line, write)
-            for line, write in zip(lines[2000:], writes[2000:])
+            scalar.access(line, write) for line, write in zip(lines, writes)
         ]
-        serviced = mixed.access_many(
-            np.array(lines[2000:], dtype=np.int64),
-            np.array(writes[2000:], dtype=bool),
-        )
-        assert serviced.tolist() == expected
+        # Alternate one-reference batches with large ones.
+        serviced = []
+        for begin, end, one_ref in (
+            (0, 500, True),
+            (500, 2000, False),
+            (2000, 2500, True),
+            (2500, 4000, False),
+        ):
+            if one_ref:
+                serviced += [
+                    mixed.access(line, write)
+                    for line, write in zip(lines[begin:end], writes[begin:end])
+                ]
+            else:
+                serviced += mixed.access_many(
+                    np.array(lines[begin:end], dtype=np.int64),
+                    np.array(writes[begin:end], dtype=bool),
+                ).tolist()
+        assert serviced == expected
         assert hierarchy_state(scalar) == hierarchy_state(mixed)
 
 

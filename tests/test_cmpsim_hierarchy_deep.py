@@ -1,5 +1,9 @@
 """Deeper hierarchy tests: writeback chains, non-inclusion, prefetch
-interactions, and conservation properties under random access streams."""
+interactions, and conservation properties under random access streams.
+
+Each script runs against the reference-at-a-time oracle and against
+production (:mod:`tests.one_ref`): one reference per batch where a test
+steps through accesses, one batch per stream in the property tests."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +13,9 @@ from repro.cmpsim.config import (
     MemoryConfig,
     PREFETCH_CONFIG,
 )
-from repro.cmpsim.hierarchy import AccessResult, MemoryHierarchy
+from repro.cmpsim.hierarchy import AccessResult
+
+from tests.one_ref import HIERARCHIES, run_stream
 
 #: A tiny hierarchy where evictions are easy to force.
 TINY = MemoryConfig(
@@ -24,20 +30,22 @@ TINY = MemoryConfig(
 
 class TestWritebackChains:
     def test_dirty_line_survives_into_l2_after_l1_eviction(self):
-        hierarchy = MemoryHierarchy(TINY)
-        hierarchy.access(0, write=True)    # dirty in L1 (set 0)
-        hierarchy.access(4, write=False)   # same L1 set -> evict 0 dirty
-        # 0 was written back into L2; it must hit there, still dirty.
-        assert hierarchy.access(0, write=False) == AccessResult.L2
+        for make in HIERARCHIES:
+            hierarchy = make(TINY)
+            hierarchy.access(0, write=True)    # dirty in L1 (set 0)
+            hierarchy.access(4, write=False)   # same L1 set -> evict 0
+            # 0 was written back into L2; it must hit there, still dirty.
+            assert hierarchy.access(0, write=False) == AccessResult.L2
 
     def test_dirty_eviction_cascade_reaches_dram(self):
-        hierarchy = MemoryHierarchy(TINY)
-        hierarchy.access(0, write=True)
-        # March conflicting lines through every level: L1 set 0 is
-        # lines = 0 mod 4; L2 set 0 is 0 mod 8; L3 set 0 is 0 mod 16.
-        for line in (16, 32, 48, 64, 80, 96, 112, 128):
-            hierarchy.access(line, write=True)
-        assert hierarchy.dram_writebacks >= 1
+        for make in HIERARCHIES:
+            hierarchy = make(TINY)
+            hierarchy.access(0, write=True)
+            # March conflicting lines through every level: L1 set 0 is
+            # lines = 0 mod 4; L2 set 0 is 0 mod 8; L3 set 0 is 0 mod 16.
+            for line in (16, 32, 48, 64, 80, 96, 112, 128):
+                hierarchy.access(line, write=True)
+            assert hierarchy.dram_writebacks >= 1
 
     def test_non_inclusion_l1_can_hold_lines_l2_lost(self):
         """A line can live in L1 after L2 has evicted it — the defining
@@ -53,35 +61,39 @@ class TestWritebackChains:
             ),
             dram_latency=50,
         )
-        hierarchy = MemoryHierarchy(config)
-        hierarchy.access(0, write=False)
-        hierarchy.access(8, write=False)  # evicts 0 from L2, not L1
-        assert hierarchy.caches[0].contains(0)
-        assert not hierarchy.caches[1].contains(0)
-        # And the demand access is serviced by L1 regardless.
-        assert hierarchy.access(0, write=False) == AccessResult.L1
+        for make in HIERARCHIES:
+            hierarchy = make(config)
+            hierarchy.access(0, write=False)
+            hierarchy.access(8, write=False)  # evicts 0 from L2, not L1
+            assert hierarchy.caches[0].contains(0)
+            assert not hierarchy.caches[1].contains(0)
+            # And the demand access is serviced by L1 regardless.
+            assert hierarchy.access(0, write=False) == AccessResult.L1
 
 
 class TestPrefetchInteractions:
     def test_prefetch_does_not_perturb_l1(self):
-        hierarchy = MemoryHierarchy(PREFETCH_CONFIG)
-        for line in range(0, 64, 2):
-            hierarchy.access(line, write=False)
-        l1 = hierarchy.caches[0]
-        for line in range(1, 64, 2):
-            assert not l1.contains(line)
+        for make in HIERARCHIES:
+            hierarchy = make(PREFETCH_CONFIG)
+            for line in range(0, 64, 2):
+                hierarchy.access(line, write=False)
+            l1 = hierarchy.caches[0]
+            for line in range(1, 64, 2):
+                assert not l1.contains(line)
 
     def test_prefetch_counter_matches_l1_misses(self):
-        hierarchy = MemoryHierarchy(PREFETCH_CONFIG)
-        for line in range(100):
-            hierarchy.access(line, write=False)
-        assert hierarchy.prefetches == hierarchy.caches[0].stats.misses
+        for make in HIERARCHIES:
+            hierarchy = make(PREFETCH_CONFIG)
+            for line in range(100):
+                hierarchy.access(line, write=False)
+            assert hierarchy.prefetches == hierarchy.caches[0].stats.misses
 
     def test_reset_clears_prefetch_counter(self):
-        hierarchy = MemoryHierarchy(PREFETCH_CONFIG)
-        hierarchy.access(0, write=False)
-        hierarchy.reset()
-        assert hierarchy.prefetches == 0
+        for make in HIERARCHIES:
+            hierarchy = make(PREFETCH_CONFIG)
+            hierarchy.access(0, write=False)
+            hierarchy.reset()
+            assert hierarchy.prefetches == 0
 
 
 class TestConservationProperties:
@@ -93,14 +105,15 @@ class TestConservationProperties:
     def test_accesses_conserve_down_the_hierarchy(self, stream):
         """Demand accesses at level N+1 equal misses at level N, and
         DRAM reads equal LLC misses — for arbitrary access streams."""
-        hierarchy = MemoryHierarchy(TINY)
-        for line, write in stream:
-            hierarchy.access(line, write)
-        l1, l2, l3 = hierarchy.caches
-        assert l1.stats.accesses == len(stream)
-        assert l2.stats.accesses == l1.stats.misses
-        assert l3.stats.accesses == l2.stats.misses
-        assert hierarchy.dram_reads == l3.stats.misses
+        lines, writes = zip(*stream)
+        for make in HIERARCHIES:
+            hierarchy = make(TINY)
+            run_stream(hierarchy, lines, writes)
+            l1, l2, l3 = hierarchy.caches
+            assert l1.stats.accesses == len(stream)
+            assert l2.stats.accesses == l1.stats.misses
+            assert l3.stats.accesses == l2.stats.misses
+            assert hierarchy.dram_reads == l3.stats.misses
 
     @settings(deadline=None, max_examples=30)
     @given(st.lists(
@@ -108,14 +121,16 @@ class TestConservationProperties:
         min_size=1, max_size=400,
     ))
     def test_servicing_level_is_consistent_with_stats(self, stream):
-        hierarchy = MemoryHierarchy(TINY)
-        serviced = {0: 0, 1: 0, 2: 0, 3: 0}
-        for line, write in stream:
-            serviced[hierarchy.access(line, write)] += 1
-        assert serviced[0] == hierarchy.caches[0].stats.hits
-        assert serviced[1] == hierarchy.caches[1].stats.hits
-        assert serviced[2] == hierarchy.caches[2].stats.hits
-        assert serviced[3] == hierarchy.dram_reads
+        lines, writes = zip(*stream)
+        for make in HIERARCHIES:
+            hierarchy = make(TINY)
+            serviced = {0: 0, 1: 0, 2: 0, 3: 0}
+            for level in run_stream(hierarchy, lines, writes):
+                serviced[level] += 1
+            assert serviced[0] == hierarchy.caches[0].stats.hits
+            assert serviced[1] == hierarchy.caches[1].stats.hits
+            assert serviced[2] == hierarchy.caches[2].stats.hits
+            assert serviced[3] == hierarchy.dram_reads
 
     @settings(deadline=None, max_examples=20)
     @given(st.lists(
@@ -129,22 +144,18 @@ class TestConservationProperties:
         never exceeds the plain hierarchy's by more than the number of
         prefetch-displaced lines — bounded sanity, not strict
         dominance)."""
-        plain = MemoryHierarchy(TINY)
-        fetching = MemoryHierarchy(
-            MemoryConfig(
-                levels=TINY.levels,
-                dram_latency=TINY.dram_latency,
-                next_line_prefetch=True,
-            )
+        lines, writes = zip(*stream)
+        fetching_config = MemoryConfig(
+            levels=TINY.levels,
+            dram_latency=TINY.dram_latency,
+            next_line_prefetch=True,
         )
-        plain_dram = sum(
-            1 for line, write in stream
-            if plain.access(line, write) == 3
-        )
-        prefetch_dram = sum(
-            1 for line, write in stream
-            if fetching.access(line, write) == 3
-        )
-        # Prefetching can displace useful lines in the tiny hierarchy,
-        # but never pathologically: bounded by the prefetch count.
-        assert prefetch_dram <= plain_dram + fetching.prefetches
+        for make in HIERARCHIES:
+            plain = make(TINY)
+            fetching = make(fetching_config)
+            plain_dram = run_stream(plain, lines, writes).count(3)
+            prefetch_dram = run_stream(fetching, lines, writes).count(3)
+            # Prefetching can displace useful lines in the tiny
+            # hierarchy, but never pathologically: bounded by the
+            # prefetch count.
+            assert prefetch_dram <= plain_dram + fetching.prefetches

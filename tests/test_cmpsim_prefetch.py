@@ -1,4 +1,7 @@
-"""Tests for the next-line prefetcher and the design-space configs."""
+"""Tests for the next-line prefetcher and the design-space configs.
+
+The prefetcher tests run against the reference-at-a-time oracle and
+against production (:mod:`tests.one_ref`)."""
 
 import pytest
 
@@ -7,8 +10,10 @@ from repro.cmpsim.config import (
     PREFETCH_CONFIG,
     TABLE1_CONFIG,
 )
-from repro.cmpsim.hierarchy import AccessResult, MemoryHierarchy
+from repro.cmpsim.hierarchy import AccessResult
 from repro.cmpsim.simulator import CMPSim
+
+from tests.one_ref import HIERARCHIES, run_stream
 
 
 class TestDesignSpaceConfigs:
@@ -28,50 +33,57 @@ class TestDesignSpaceConfigs:
 
 class TestNextLinePrefetch:
     def test_miss_triggers_prefetch(self):
-        hierarchy = MemoryHierarchy(PREFETCH_CONFIG)
-        hierarchy.access(100, write=False)  # miss everywhere
-        assert hierarchy.prefetches == 1
-        # line 101 was pulled into L2/L3 but not L1.
-        assert not hierarchy.caches[0].contains(101)
-        assert hierarchy.caches[1].contains(101)
-        assert hierarchy.caches[2].contains(101)
+        for make in HIERARCHIES:
+            hierarchy = make(PREFETCH_CONFIG)
+            hierarchy.access(100, write=False)  # miss everywhere
+            assert hierarchy.prefetches == 1
+            # line 101 was pulled into L2/L3 but not L1.
+            assert not hierarchy.caches[0].contains(101)
+            assert hierarchy.caches[1].contains(101)
+            assert hierarchy.caches[2].contains(101)
 
     def test_prefetched_line_hits_l2(self):
-        hierarchy = MemoryHierarchy(PREFETCH_CONFIG)
-        hierarchy.access(100, write=False)
-        assert hierarchy.access(101, write=False) == AccessResult.L2
+        for make in HIERARCHIES:
+            hierarchy = make(PREFETCH_CONFIG)
+            hierarchy.access(100, write=False)
+            assert hierarchy.access(101, write=False) == AccessResult.L2
 
     def test_l1_hit_does_not_prefetch(self):
-        hierarchy = MemoryHierarchy(PREFETCH_CONFIG)
-        hierarchy.access(100, write=False)
-        before = hierarchy.prefetches
-        hierarchy.access(100, write=False)  # L1 hit
-        assert hierarchy.prefetches == before
+        for make in HIERARCHIES:
+            hierarchy = make(PREFETCH_CONFIG)
+            hierarchy.access(100, write=False)
+            before = hierarchy.prefetches
+            hierarchy.access(100, write=False)  # L1 hit
+            assert hierarchy.prefetches == before
 
     def test_disabled_by_default(self):
-        hierarchy = MemoryHierarchy(TABLE1_CONFIG)
-        hierarchy.access(100, write=False)
-        assert hierarchy.prefetches == 0
-        assert not hierarchy.caches[1].contains(101)
+        for make in HIERARCHIES:
+            hierarchy = make(TABLE1_CONFIG)
+            hierarchy.access(100, write=False)
+            assert hierarchy.prefetches == 0
+            assert not hierarchy.caches[1].contains(101)
 
     def test_prefetch_counts_no_demand_accesses(self):
-        hierarchy = MemoryHierarchy(PREFETCH_CONFIG)
-        hierarchy.access(100, write=False)
-        # L2 saw one demand access (the miss path), not two.
-        assert hierarchy.caches[1].stats.accesses == 1
+        for make in HIERARCHIES:
+            hierarchy = make(PREFETCH_CONFIG)
+            hierarchy.access(100, write=False)
+            # L2 saw one demand access (the miss path), not two.
+            assert hierarchy.caches[1].stats.accesses == 1
 
     def test_streaming_benefits_from_prefetch(self):
         """A forward sweep: with prefetch, most accesses hit in L2."""
-        plain = MemoryHierarchy(TABLE1_CONFIG)
-        prefetching = MemoryHierarchy(PREFETCH_CONFIG)
         lines = range(100_000, 104_096)  # beyond any cache, no reuse
-        plain_penalty = sum(1 for l in lines
-                            if plain.access(l, False) == AccessResult.DRAM)
-        prefetch_penalty = sum(
-            1 for l in lines
-            if prefetching.access(l, False) == AccessResult.DRAM
-        )
-        assert prefetch_penalty < 0.1 * plain_penalty
+        writes = [False] * len(lines)
+        for make in HIERARCHIES:
+            plain = make(TABLE1_CONFIG)
+            prefetching = make(PREFETCH_CONFIG)
+            plain_penalty = run_stream(plain, lines, writes).count(
+                AccessResult.DRAM
+            )
+            prefetch_penalty = run_stream(prefetching, lines, writes).count(
+                AccessResult.DRAM
+            )
+            assert prefetch_penalty < 0.1 * plain_penalty
 
     def test_simulator_cpi_improves_on_streaming_benchmark(self):
         """End to end: swim (streaming) runs faster with the prefetcher."""

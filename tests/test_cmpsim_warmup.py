@@ -1,11 +1,13 @@
 """Functional-warmup correctness: state without statistics.
 
-``MemoryHierarchy.warm_access`` — and its batched form ``warm_many`` —
-must perform exactly the state transitions of a demand access — probes,
-fills, writebacks, next-line prefetches — while leaving every statistic
-untouched. The seed implementation simply called ``access()``, so warm
-fast-forward traffic polluted the demand-access counters; these tests
-pin the fix.
+Functional warming — the oracle's ``warm_access`` one reference at a
+time, production's ``MemoryHierarchy.warm_many`` on batches of any
+size, including one reference — must perform exactly the state
+transitions of a demand access — probes, fills, writebacks, next-line
+prefetches — while leaving every statistic untouched. The seed
+implementation simply called ``access()``, so warm fast-forward traffic
+polluted the demand-access counters; these tests pin the fix. The
+demand twin is the reference-at-a-time oracle.
 """
 
 import numpy as np
@@ -20,6 +22,8 @@ from repro.core.vli import collect_vli_bbvs
 from repro.profiling.callbranch import collect_call_branch_profile
 
 from tests.conftest import MICRO_INTERVAL
+from tests.one_ref import HIERARCHIES, run_stream
+from tests.oracles.hierarchy import OracleHierarchy
 
 
 def hierarchy_cache_state(hierarchy):
@@ -46,14 +50,18 @@ WORKLOAD = [((line * 131) % 9973, line % 3 == 0) for line in range(5000)]
 
 
 def warm_scalar(hierarchy, workload):
+    """One reference at a time: the oracle's ``warm_access``, or
+    production's ``warm_many`` on one-reference batches."""
     for line, write in workload:
         hierarchy.warm_access(line, write)
 
 
+warm_scalar.hierarchies = HIERARCHIES
+
+
 def warm_batches(size):
-    """``warm_many`` in batches of ``size`` references. Below the cache
-    lane threshold (1024 ops) every level replays in Python; above it
-    L1 runs the 2-way closed form and the outer levels the lanes."""
+    """``warm_many`` in batches of ``size`` references: L1 runs the
+    2-way closed form and the outer levels the lanes."""
 
     def warm(hierarchy, workload):
         for begin in range(0, len(workload), size):
@@ -63,6 +71,7 @@ def warm_batches(size):
                 np.array([write for _, write in chunk], dtype=np.bool_),
             )
 
+    warm.hierarchies = (MemoryHierarchy,)
     return warm
 
 
@@ -91,14 +100,17 @@ class TestWarmAccess:
     def test_updates_state_without_statistics(self, config, warm_with):
         """Warm and demand twins end in identical cache state, but the
         warm hierarchy's statistics stay exactly zero."""
-        warm = MemoryHierarchy(config)
-        demand = MemoryHierarchy(config)
-        warm_with(warm, WORKLOAD)
+        demand = OracleHierarchy(config)
         for line, write in WORKLOAD:
             demand.access(line, write)
-        assert hierarchy_cache_state(warm) == hierarchy_cache_state(demand)
-        assert zero_stats(warm)
-        assert not zero_stats(demand)
+        for make in warm_with.hierarchies:
+            warm = make(config)
+            warm_with(warm, WORKLOAD)
+            assert hierarchy_cache_state(warm) == hierarchy_cache_state(
+                demand
+            )
+            assert zero_stats(warm)
+            assert not zero_stats(demand)
 
     @CONFIGS_AND_WARMERS
     def test_warm_then_demand_behaves_like_all_demand(
@@ -106,20 +118,23 @@ class TestWarmAccess:
     ):
         """After a warm prefix, demand accesses see the same hits and
         victims as they would after a demand prefix."""
-        warm = MemoryHierarchy(config)
-        demand = MemoryHierarchy(config)
-        warm_with(warm, WORKLOAD[:2500])
+        demand = OracleHierarchy(config)
         for line, write in WORKLOAD[:2500]:
             demand.access(line, write)
         tail = [demand.access(line, write) for line, write in WORKLOAD[2500:]]
-        warm_tail = [warm.access(line, write) for line, write in WORKLOAD[2500:]]
-        assert warm_tail == tail
-        # Only the tail was counted on the warm hierarchy.
-        assert warm.snapshot().level_accesses[0] == len(tail)
-        # Warming on top of counted traffic leaves the counts as they were.
-        counted = warm.snapshot()
-        warm_with(warm, WORKLOAD[:2500])
-        assert warm.snapshot() == counted
+        lines, writes = zip(*WORKLOAD[2500:])
+        for make in warm_with.hierarchies:
+            warm = make(config)
+            warm_with(warm, WORKLOAD[:2500])
+            warm_tail = run_stream(warm, lines, writes)
+            assert warm_tail == tail
+            # Only the tail was counted on the warm hierarchy.
+            assert warm.snapshot().level_accesses[0] == len(tail)
+            # Warming on top of counted traffic leaves the counts as
+            # they were.
+            counted = warm.snapshot()
+            warm_with(warm, WORKLOAD[:2500])
+            assert warm.snapshot() == counted
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,10 @@
 """Tests for repro.compilation.lowering and repro.compilation.binary."""
 
+import hashlib
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.compilation.binary import (
     Binary,
@@ -11,10 +15,15 @@ from repro.compilation.binary import (
     LoweredBlock,
     validate_binary,
 )
-from repro.compilation.compiler import compile_program
+from repro.compilation.compiler import (
+    compile_program,
+    compile_standard_binaries,
+)
 from repro.compilation.lowering import (
     DATA_REGION_BASE,
     STACK_REGION_BASE,
+    _cpi_jitter,
+    _kernel_scaling,
     base_cpi,
     kernel_scaling,
     lower_program,
@@ -35,6 +44,14 @@ from repro.programs.ir import (
     Procedure,
     Program,
     finalize_program,
+)
+from repro.programs.suite import benchmark_names, build_benchmark
+from repro.runtime.fingerprint import fingerprint
+
+#: Names as the suite spells programs, kernels and blocks (``:`` too).
+NAMES = st.text(
+    alphabet=st.characters(min_codepoint=32, max_codepoint=126),
+    max_size=24,
 )
 
 
@@ -104,6 +121,24 @@ class TestKernelScaling:
         compute = Compute("k", instructions=1, behavior=streaming(4096))
         assert scaled_instructions("p", compute, TARGET_32O) >= 4
 
+    @settings(deadline=None, max_examples=200)
+    @given(program=NAMES, kernel=NAMES, pointer_heavy=st.booleans())
+    def test_memoized_factors_match_direct_draws(
+        self, program, kernel, pointer_heavy
+    ):
+        rng = random.Random(f"{program}:{kernel}:cost")
+        o0_mult = rng.uniform(1.9, 3.2)
+        o2_mult = rng.uniform(0.88, 0.98)
+        if pointer_heavy:
+            x64_mult = rng.uniform(0.95, 1.08)
+        else:
+            x64_mult = rng.uniform(0.82, 0.97)
+        for _ in range(2):  # a miss, then a hit
+            scale = _kernel_scaling(program, kernel, pointer_heavy)
+            assert (scale.o0_mult, scale.o2_mult, scale.x64_mult) == (
+                o0_mult, o2_mult, x64_mult
+            )
+
 
 class TestBaseCPI:
     def test_deterministic(self):
@@ -117,6 +152,31 @@ class TestBaseCPI:
         # Denser optimized code carries more dependent work per
         # instruction on an in-order core.
         assert base_cpi("p", "b", TARGET_32O) > base_cpi("p", "b", TARGET_32U)
+
+    @settings(deadline=None, max_examples=200)
+    @given(program=NAMES, block=NAMES)
+    def test_memoized_jitter_matches_direct_draw(self, program, block):
+        expected = random.Random(f"{program}:{block}:cpi").uniform(
+            -0.08, 0.08
+        )
+        assert _cpi_jitter(program, block) == expected
+        assert _cpi_jitter(program, block) == expected  # cache hit
+
+
+class TestSuiteBinaries:
+    def test_standard_binaries_unchanged(self):
+        """Every suite binary on every standard target, as encoded for
+        cache keys (floats by exact hex): the memoized cost draws
+        produce the same binaries the per-call draws did."""
+        digest = hashlib.sha256()
+        for name in benchmark_names():
+            binaries = compile_standard_binaries(build_benchmark(name))
+            for target in sorted(binaries, key=str):
+                digest.update(fingerprint(binaries[target]).encode())
+        assert digest.hexdigest() == (
+            "09406f012513776bd1dcf4c6d884216f"
+            "d2f0e0ea3dc8befffd71b1b0f9010b74"
+        )
 
 
 class TestLowering:

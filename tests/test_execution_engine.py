@@ -240,19 +240,6 @@ class TestIterationProfile:
         )
         assert oracle_iteration_profile(nested_binary, loop) == profile
 
-    def test_block_counts(self, nested_binary):
-        loop = next(
-            inner
-            for stmt in nested_binary.procedures["main"].body
-            for inner in stmt.body
-            if hasattr(inner, "branch_block")
-        )
-        profile = iteration_profile(nested_binary, loop)
-        counts = dict(profile.block_counts(5))
-        assert counts[profile.branch_block] == 5
-        for block in profile.body_blocks:
-            assert counts[block] == 5
-
 
 class _CountingTool(PinTool):
     def __init__(self):
