@@ -131,9 +131,7 @@ def generate_refs(
             cursor += spec.stride
         state.cursors[spec.stream_id] = cursor
     else:  # RANDOM, POINTER_CHASE
-        lcg = state.lcg.get(
-            spec.stream_id, (spec.stream_id * 2654435761 + 1) & _LCG_MASK
-        )
+        lcg = state.lcg_state(spec.stream_id)
         base = spec.base
         footprint = spec.footprint
         for i in range(n):
@@ -178,9 +176,7 @@ def advance_stream(
         cursor = state.cursors.get(spec.stream_id, 0)
         state.cursors[spec.stream_id] = cursor + spec.stride * n
     else:
-        lcg = state.lcg.get(
-            spec.stream_id, (spec.stream_id * 2654435761 + 1) & _LCG_MASK
-        )
+        lcg = state.lcg_state(spec.stream_id)
         state.lcg[spec.stream_id] = _lcg_jump(lcg, n)
 
 
@@ -339,10 +335,7 @@ class BulkAccessPattern:
                 % self._footprint[s]
             ) >> 6
         draws = grouped_cumsum(is_lcg.astype(np.int64))
-        x0 = [
-            state.lcg.get(sid, (sid * 2654435761 + 1) & _LCG_MASK)
-            for sid in stream_ids
-        ]
+        x0 = [state.lcg_state(sid) for sid in stream_ids]
         if is_lcg.any():
             powers, sums = _lcg_tables(int(draws[last].max()))
             s = spec[is_lcg]

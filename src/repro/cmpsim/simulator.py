@@ -36,11 +36,11 @@ with ``np.add.accumulate`` and the trackers attribute whole windows of
 chunks at once, so every float is added in exactly the order the
 reference-at-a-time oracles (``tests/oracles``) add it.
 
-Marker anchor blocks are always overhead blocks (procedure entries,
-loop entries, loop branches) and overhead blocks never touch memory, so
-their per-execution cycles within a chunk are uniform — which makes the
-trackers' boundary arithmetic exact. It also means only the loop branch
-can fire a marker inside an iteration span, at the end of an iteration.
+VLI boundaries resolve up front too, through the same firing table,
+to run-wide chunk positions. A marker fires on its anchor block, which
+is a chunk of its own; inside an iteration span only the loop branch,
+the iteration's last chunk, can fire. So a boundary always closes its
+interval on a whole chunk, and :class:`VLITracker` never splits one.
 """
 
 from __future__ import annotations
@@ -113,14 +113,11 @@ class IntervalStats:
 class Chunks(NamedTuple):
     """One window of chunks in event order, as parallel arrays.
 
-    A chunk is ``execs`` consecutive executions of ``block`` committing
-    ``instructions`` (int64) and costing ``cycles`` (float64) with
-    ``dram`` (float64) demand accesses serviced by DRAM. The simulator
-    emits one chunk per block execution (``execs`` all ones).
+    A chunk is one block execution committing ``instructions`` (int64)
+    and costing ``cycles`` (float64) with ``dram`` (float64) demand
+    accesses serviced by DRAM.
     """
 
-    block: np.ndarray
-    execs: np.ndarray
     instructions: np.ndarray
     cycles: np.ndarray
     dram: np.ndarray
@@ -325,13 +322,14 @@ class VLITracker:
     closes an interval exactly when the expected coordinate fires in
     *this* binary's execution. A boundary only fires while it is the
     next pending one: one that already fired before its predecessor
-    never fires, and :meth:`finish` reports it.
+    never fires.
 
-    Boundaries are found from per-marker firing counts (grouped prefix
-    sums over each window's anchor chunks); a marker chunk runs
-    ``execs`` uniform executions, so it adds
-    ``(cycles / execs) * take`` for every ``take`` executions that land
-    in one interval — and no DRAM traffic.
+    :meth:`CMPSim.run_full` resolves the boundaries before the first
+    window, through the trace's marker firing table, to the run-wide
+    chunk count at each firing, and refuses the first boundary that
+    never fires. Each window's chunks then fall into intervals by one
+    ``searchsorted`` against those cut positions; the firing chunk
+    belongs to the interval it closes.
     """
 
     def __init__(
@@ -339,126 +337,50 @@ class VLITracker:
         table: MarkerTable,
         boundaries: Sequence[ExecutionCoordinate],
     ) -> None:
-        block_to_marker = table.block_to_marker()
-        # One spare slot past the largest anchor block: every other
-        # block id maps there, to "no marker".
-        self._marker_of = np.full(
-            max(block_to_marker, default=-1) + 2, -1, dtype=np.int64
-        )
-        for block_id, marker_id in block_to_marker.items():
-            self._marker_of[block_id] = marker_id
+        self._table = table
         self._boundaries: Tuple[ExecutionCoordinate, ...] = tuple(boundaries)
-        self._next = 0
-        self._marker_counts: Dict[int, int] = {}
+        self._cuts: Optional[np.ndarray] = None
+        self._seen = 0  # chunks attributed so far
         self._cur = IntervalStats()
         self.intervals: List[IntervalStats] = []
         self.binary_name = table.binary_name
 
-    def _fire(
-        self, marker: np.ndarray, chunk: np.ndarray, execs: np.ndarray
-    ) -> List[Tuple[int, int]]:
-        """Advance the marker counts over one window's anchor chunks and
-        return the pending boundaries that fire, as ``(chunk, firing)``
-        with ``firing`` the 1-based execution within the chunk."""
-        order = np.argsort(marker, kind="stable")
-        marker, chunk, execs = marker[order], chunk[order], execs[order]
-        new = np.empty(marker.shape[0], dtype=np.bool_)
-        new[0] = True
-        np.not_equal(marker[1:], marker[:-1], out=new[1:])
-        starts = np.flatnonzero(new)
-        ends = np.append(starts[1:], marker.shape[0])
-        group = np.cumsum(new) - 1
-        markers = marker[starts].tolist()
-        before = np.array(
-            [self._marker_counts.get(m, 0) for m in markers], dtype=np.int64
-        )
-        total = np.cumsum(execs)
-        count_after = total - (total[starts] - execs[starts])[group]
-        count_after += before[group]
-        index_of = {m: index for index, m in enumerate(markers)}
-
-        fired: List[Tuple[int, int]] = []
-        previous = (-1, 0)
-        while self._next < len(self._boundaries):
-            marker_id, count = self._boundaries[self._next]
-            index = index_of.get(marker_id)
-            if index is None or count <= before[index]:
-                break  # fires in a later window, or never
-            lo, hi = int(starts[index]), int(ends[index])
-            if count > count_after[hi - 1]:
-                break
-            row = lo + int(
-                np.searchsorted(count_after[lo:hi], count, side="left")
-            )
-            where = (
-                int(chunk[row]),
-                count - int(count_after[row] - execs[row]),
-            )
-            if where <= previous:
-                break  # fired before the previous boundary: never
-            fired.append(where)
-            previous = where
-            self._next += 1
-        for index, m in enumerate(markers):
-            self._marker_counts[m] = int(count_after[ends[index] - 1])
-        return fired
+    def _cut_after(self, ends: Sequence[int]) -> None:
+        """Close an interval after each boundary's run-wide chunk count
+        ``ends`` (``-1``: the coordinate never fires)."""
+        previous = 0
+        for coord, end in zip(self._boundaries, ends):
+            if end <= previous:
+                raise SimulationError(
+                    f"{self.binary_name}: boundary {coord} never fired "
+                    f"during detailed simulation"
+                )
+            previous = end
+        self._cuts = np.array(ends, dtype=np.int64)
 
     def attribute(self, chunks: Chunks) -> None:
         """Attribute one window of chunks, in order."""
-        block, execs, instructions, cycles, dram = chunks
-        n = block.shape[0]
-        if not n:
-            return
-        lookup = self._marker_of
-        marker = lookup[np.minimum(block, lookup.shape[0] - 1)]
-        anchors = np.flatnonzero(marker >= 0)
-        fired: List[Tuple[int, int]] = []
-        if anchors.shape[0]:
-            runs = execs[anchors]
-            instructions = instructions.copy()
-            cycles = cycles.copy()
-            dram = dram.copy()
-            instructions[anchors] = (instructions[anchors] // runs) * runs
-            cycles[anchors] = (cycles[anchors] / runs) * runs
-            dram[anchors] = 0.0
-            fired = self._fire(marker[anchors], anchors, runs)
-        rel = np.searchsorted(
-            np.array([j for j, _ in fired], dtype=np.int64),
-            np.arange(n, dtype=np.int64),
+        if self._cuts is None:
+            raise SimulationError(
+                "VLITracker boundaries resolve only in CMPSim.run_full"
+            )
+        n = chunks.instructions.shape[0]
+        # The interval of every chunk, then of the next window's first.
+        at = np.searchsorted(
+            self._cuts,
+            np.arange(self._seen, self._seen + n + 1, dtype=np.int64),
+            side="right",
         )
-        pieces: Dict[int, List[_Piece]] = {}
-        firings: Dict[int, List[int]] = {}
-        for j, firing in fired:
-            firings.setdefault(j, []).append(firing)
-        for j, offsets in firings.items():
-            runs = int(execs[j])
-            if offsets == [runs]:
-                continue  # the whole chunk closes its interval
-            per_instr = int(chunks.instructions[j]) // runs
-            per_cycles = float(chunks.cycles[j]) / runs
-            at = int(rel[j])
-            taken = 0
-            split: List[_Piece] = []
-            for offset in offsets + ([runs] if offsets[-1] < runs else []):
-                take = offset - taken
-                split.append((at, per_instr * take, per_cycles * take, 0.0))
-                taken = offset
-                at += 1
-            pieces[j] = split
+        self._seen += n
         self._cur = _close_intervals(
             self._cur,
             self.intervals,
-            *_splice(rel, instructions, cycles, dram, pieces),
-            n_closed=len(fired),
+            at[:-1] - at[0],
+            *chunks,
+            n_closed=int(at[-1] - at[0]),
         )
 
     def finish(self) -> None:
-        if self._next != len(self._boundaries):
-            raise SimulationError(
-                f"{self.binary_name}: boundary "
-                f"{self._boundaries[self._next]} never fired during "
-                f"detailed simulation"
-            )
         self.intervals.append(self._cur)
         self._cur = IntervalStats()
 
@@ -596,13 +518,13 @@ class _Tables:
         widths = np.array([len(t) for t in templates], dtype=np.int64)
         self.chunk_off = np.cumsum(widths) - widths
         self.chunk_width = widths
-        self.chunk_block = np.array(
+        chunk_block = np.array(
             [block_id for t in templates for block_id in t], dtype=np.int64
         )
-        self.chunk_instr = trace.instr_of_block[self.chunk_block]
-        self.chunk_base = base_cycles[self.chunk_block]
+        self.chunk_instr = trace.instr_of_block[chunk_block]
+        self.chunk_base = base_cycles[chunk_block]
         self.chunk_refs = np.array(
-            [len(block_refs[block_id]) for block_id in self.chunk_block],
+            [len(block_refs[block_id]) for block_id in chunk_block],
             dtype=np.int64,
         )
         refs = [
@@ -657,6 +579,18 @@ class _Replay:
         self.hierarchy = hierarchy
         self.streams = AddressStreamState()
         self._penalty = np.array(cpi_model.penalties, dtype=np.int64)
+
+    def firing_units(
+        self, table: MarkerTable, coords: Sequence[ExecutionCoordinate]
+    ) -> List[int]:
+        """The unit position just past each coordinate's firing: the
+        firing event's first unit plus the 1-based firing offset (-1:
+        the coordinate never fires)."""
+        t = self.tables
+        event, offset = firing_events(self.trace, table, coords)
+        return np.where(
+            event >= 0, t.unit_end[event] - t.units[event] + offset, -1
+        ).tolist()
 
     def _at(self, running: np.ndarray, per: np.ndarray, unit: int) -> int:
         """A running total (references, chunks, instructions) at the
@@ -751,8 +685,6 @@ class _Replay:
         chunks = None
         if tracked:
             chunks = Chunks(
-                block=t.chunk_block[chunk],
-                execs=np.ones(chunk.shape[0], dtype=np.int64),
                 instructions=t.chunk_instr[chunk],
                 cycles=cycles,
                 dram=dram,
@@ -882,7 +814,12 @@ class CMPSim:
 
     def run_full(self, trackers: Sequence = ()) -> FullRunResult:
         """Simulate the whole execution; trackers attribute every
-        window's chunks."""
+        window's chunks.
+
+        Each :class:`VLITracker`'s boundaries resolve to chunk positions
+        before the first window, so one that never fires is refused
+        before any simulation.
+        """
         trackers = tuple(trackers)
         for tracker in trackers:
             if (
@@ -895,9 +832,20 @@ class CMPSim:
                 )
         hierarchy = MemoryHierarchy(self._config)
         replay = self._replay(hierarchy)
+        t = replay.tables
+        for tracker in trackers:
+            if isinstance(tracker, VLITracker):
+                units = replay.firing_units(
+                    tracker._table, tracker._boundaries
+                )
+                tracker._cut_after([
+                    replay._at(t.chunks_end, t.chunks_per, unit)
+                    if unit >= 0 else -1
+                    for unit in units
+                ])
         cycles = 0.0
         memory_refs = 0
-        for lo, hi in replay.windows(0, replay.tables.total_units):
+        for lo, hi in replay.windows(0, t.total_units):
             chunk_cycles, chunks, refs, _ = replay.detailed(
                 lo, hi, bool(trackers)
             )
@@ -908,7 +856,7 @@ class CMPSim:
         for tracker in trackers:
             tracker.finish()
         stats = SimulationStats(
-            instructions=replay.instructions(0, replay.tables.total_units),
+            instructions=replay.instructions(0, t.total_units),
             cycles=cycles,
             memory_refs=memory_refs,
             level_accesses=tuple(
@@ -945,17 +893,7 @@ class CMPSim:
         }
         hierarchy = MemoryHierarchy(self._config)
         replay = self._replay(hierarchy)
-        tables = replay.tables
-        event, offset = firing_events(
-            replay.trace, table, [coord for coord, _, _ in events]
-        )
-        # A firing's unit position: the event's first unit plus the
-        # 1-based firing offset (-1: the coordinate never fires).
-        units = np.where(
-            event >= 0,
-            tables.unit_end[event] - tables.units[event] + offset,
-            -1,
-        ).tolist()
+        units = replay.firing_units(table, [coord for coord, _, _ in events])
         cuts: List[Tuple[int, Optional[int]]] = []  # (unit, active after)
         previous = 0
         for (coord, starting, label), unit in zip(events, units):
@@ -977,7 +915,7 @@ class CMPSim:
                 )
                 start, active = unit, following
         fast_forward += _simulate_segment(
-            replay, start, tables.total_units, active, warm, results
+            replay, start, replay.tables.total_units, active, warm, results
         )
         return RegionResult(
             regions=results,

@@ -206,9 +206,6 @@ class Binary:
                 f"binary {self.name}: unknown loop id {loop_id}"
             ) from None
 
-    def static_block_count(self) -> int:
-        return len(self.blocks)
-
     def iter_loops_of(self, proc_name: str) -> Tuple[LLoop, ...]:
         """All LLoop statements (recursively) in a procedure's body."""
         found = []

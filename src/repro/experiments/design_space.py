@@ -22,16 +22,17 @@ would be used in practice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.analysis.estimate import MethodEstimate, estimate_from_points
+from repro.analysis.estimate import estimate_from_points
 from repro.cmpsim.config import (
     BIG_LLC_CONFIG,
     MemoryConfig,
     PREFETCH_CONFIG,
     TABLE1_CONFIG,
 )
-from repro.cmpsim.simulator import CMPSim, FLITracker, IntervalStats, VLITracker
+from repro.cmpsim.simcache import cached_full_run
+from repro.cmpsim.simulator import IntervalStats
 from repro.compilation.binary import Binary
 from repro.compilation.compiler import compile_standard_binaries
 from repro.compilation.targets import STANDARD_TARGETS, Target
@@ -191,14 +192,15 @@ def explore_design_space(
         fli_simpoint = fli_simpoints[binary.name]
         vli_weights = cross.weights_for(binary.name)
         for arch in architectures:
-            fli_tracker = FLITracker(interval_size)
-            vli_tracker = VLITracker(
-                cross.marker_set.table_for(binary.name), cross.boundaries
+            run = cached_full_run(
+                binary,
+                memory=arch.memory,
+                program_input=program_input,
+                fli_interval_size=interval_size,
+                vli_table=cross.marker_set.table_for(binary.name),
+                vli_boundaries=cross.boundaries,
             )
-            sim = CMPSim(binary, arch.memory, program_input)
-            stats = sim.run_full(
-                trackers=(fli_tracker, vli_tracker)
-            ).stats
+            stats = run.stats
             true = IntervalStats(
                 instructions=stats.instructions, cycles=stats.cycles
             )
@@ -206,13 +208,13 @@ def explore_design_space(
                 binary.name, "fli",
                 [(p.interval_index, p.weight)
                  for p in fli_simpoint.points],
-                fli_tracker.intervals, true,
+                run.fli_intervals, true,
             )
             vli_estimate = estimate_from_points(
                 binary.name, "vli",
                 [(p.interval_index, vli_weights.get(p.cluster, 0.0))
                  for p in cross.mapped_points],
-                vli_tracker.intervals, true,
+                run.vli_intervals, true,
             )
             points.append(
                 DesignPoint(

@@ -1,10 +1,10 @@
-"""Chunk streams for driving the interval attributors directly.
+"""Chunk streams for driving the FLI attributor directly.
 
 A chunk row is ``(block_id, execs, instructions, cycles, dram)`` — the
 arguments of the oracle trackers' ``on_chunk`` in
-:mod:`tests.oracles.full`. The production attributors take the same
-stream as :class:`~repro.cmpsim.simulator.Chunks` arrays, one window
-at a time.
+:mod:`tests.oracles.full`. The production ``FLITracker`` takes the
+last three columns as :class:`~repro.cmpsim.simulator.Chunks` arrays,
+one window at a time.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ Row = Tuple[int, int, int, float, float]
 
 def as_chunks(rows: Sequence[Row]) -> Chunks:
     return Chunks(
-        block=np.array([row[0] for row in rows], dtype=np.int64),
-        execs=np.array([row[1] for row in rows], dtype=np.int64),
         instructions=np.array([row[2] for row in rows], dtype=np.int64),
         cycles=np.array([row[3] for row in rows], dtype=np.float64),
         dram=np.array([row[4] for row in rows], dtype=np.float64),

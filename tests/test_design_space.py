@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cmpsim.config import TABLE1_CONFIG
+from repro.cmpsim.simcache import SIMRESULT_KIND
 from repro.errors import SimulationError
 from repro.experiments.design_space import (
     ArchitecturePoint,
@@ -12,6 +13,7 @@ from repro.experiments.design_space import (
     explore_design_space,
     render_design_space,
 )
+from repro.runtime import ProfileCache, runtime_session
 from repro.simpoint.simpoint import SimPointConfig
 
 
@@ -82,6 +84,15 @@ class TestDesignSpaceResult:
             single.pairwise_comparison_error("fli")
 
 
+def _small_exploration():
+    """art x the first two architectures (8 design points)."""
+    return explore_design_space(
+        "art",
+        architectures=STANDARD_DESIGN_SPACE[:2],
+        simpoint=SimPointConfig(max_k=6),
+    )
+
+
 class TestExploreDesignSpace:
     def test_duplicate_architectures_rejected(self):
         arch = ArchitecturePoint("dup", TABLE1_CONFIG)
@@ -94,11 +105,7 @@ class TestExploreDesignSpace:
 
     def test_small_exploration_end_to_end(self):
         """art x two architectures: shapes, labels, rendering."""
-        result = explore_design_space(
-            "art",
-            architectures=STANDARD_DESIGN_SPACE[:2],
-            simpoint=SimPointConfig(max_k=6),
-        )
+        result = _small_exploration()
         assert len(result.points) == 4 * 2
         labels = {p.binary_label for p in result.points}
         assert labels == {"32u", "32o", "64u", "64o"}
@@ -117,3 +124,21 @@ class TestExploreDesignSpace:
                 result.cross_binary_error("vli", arch)
                 <= result.cross_binary_error("fli", arch) + 0.02
             )
+
+    def test_design_points_reuse_simulation_results(self, tmp_path):
+        """Every design point's tracked run goes through the
+        ``simresult`` cache: the same result uncached, into a cold
+        cache (one miss per point) and from a warm one (all hits)."""
+        with runtime_session(cache=None):
+            uncached = _small_exploration()
+        cold_cache = ProfileCache(tmp_path)
+        with runtime_session(cache=cold_cache):
+            cold = _small_exploration()
+        warm_cache = ProfileCache(tmp_path)
+        with runtime_session(cache=warm_cache):
+            warm = _small_exploration()
+        assert uncached == cold == warm
+        cold_row = cold_cache.stats.by_kind[SIMRESULT_KIND]
+        warm_row = warm_cache.stats.by_kind[SIMRESULT_KIND]
+        assert (cold_row.hits, cold_row.misses) == (0, 8)
+        assert (warm_row.hits, warm_row.misses) == (8, 0)

@@ -1,12 +1,14 @@
 """Property tests: tracker conservation laws and weight invariants.
 
-The interval trackers see execution as an arbitrary stream of chunks,
-cut into arbitrary windows — chunk granularity and window cuts are
+The FLI tracker sees execution as an arbitrary stream of chunks, cut
+into arbitrary windows — chunk granularity and window cuts are
 simulator implementation details, so no chunking may create or destroy
 instructions, cycles, or DRAM accesses. These properties drive the
-array attributors directly with hypothesis-generated streams (including
+array attributor directly with hypothesis-generated streams (including
 zero-instruction chunks, the subject of a past accounting bug) rather
-than through full simulations.
+than through full simulations. (VLI conservation is checked on real
+simulations in ``tests/test_property_trackers.py``; VLI window-cut
+invariance in ``tests/test_cmpsim_bulk_equivalence.py``.)
 """
 
 import math
@@ -15,8 +17,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cmpsim.simulator import FLITracker, VLITracker
-from repro.core.markers import MarkerTable
+from repro.cmpsim.simulator import FLITracker
 from repro.core.weights import phase_weights
 from repro.errors import MappingError
 from repro.runtime import ProfileCache
@@ -107,82 +108,6 @@ class TestFLIConservation:
         assert [i.instructions for i in coarse.intervals] == [
             i.instructions for i in fine.intervals
         ]
-
-
-
-@st.composite
-def _vli_streams(draw):
-    """A marker table plus a chunk stream and the boundary list.
-
-    Blocks 0-3 are plain blocks; blocks 10 and 11 anchor markers 0 and
-    1. Marker chunks are per-execution uniform and DRAM-free (marker
-    anchors are overhead blocks), matching the tracker's contract.
-    """
-    anchors = {0: 10, 1: 11}
-    table = MarkerTable(binary_name="prop/32u", anchor_blocks=anchors)
-    events = draw(st.lists(
-        st.tuples(
-            st.sampled_from([0, 1, 2, 3, 10, 11]),
-            st.integers(min_value=1, max_value=30),
-            st.integers(min_value=0, max_value=200),
-            st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
-            st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
-        ),
-        min_size=1,
-        max_size=40,
-    ))
-    marker_blocks = {block for block in anchors.values()}
-    chunks = []
-    firings = []
-    counts = {}
-    for block_id, execs, per_instr, cycles, dram in events:
-        if block_id in marker_blocks:
-            marker_id = 0 if block_id == 10 else 1
-            for _ in range(execs):
-                counts[marker_id] = counts.get(marker_id, 0) + 1
-                firings.append((marker_id, counts[marker_id]))
-            chunks.append(
-                (block_id, execs, per_instr * execs, cycles, 0.0)
-            )
-        else:
-            chunks.append((block_id, execs, per_instr, cycles, dram))
-    n_boundaries = (
-        draw(st.integers(min_value=0, max_value=min(4, len(firings))))
-        if firings else 0
-    )
-    if n_boundaries:
-        indices = sorted(draw(st.permutations(
-            range(len(firings))
-        ))[:n_boundaries])
-        boundaries = [firings[i] for i in indices]
-    else:
-        boundaries = []
-    return table, chunks, boundaries
-
-
-class TestVLIConservation:
-    @_SETTINGS
-    @given(stream=_vli_streams(), cuts=_window_cuts)
-    def test_arbitrary_chunkings_conserve_everything(self, stream, cuts):
-        table, chunks, boundaries = stream
-        tracker = VLITracker(table, boundaries)
-        attribute_rows(tracker, chunks, cuts)
-        tracker.finish()
-        intervals = tracker.intervals
-        assert len(intervals) == len(boundaries) + 1
-        assert sum(i.instructions for i in intervals) == sum(
-            c[2] for c in chunks
-        )
-        assert math.isclose(
-            sum(i.cycles for i in intervals),
-            sum(c[3] for c in chunks),
-            rel_tol=1e-9, abs_tol=1e-6,
-        )
-        assert math.isclose(
-            sum(i.dram_accesses for i in intervals),
-            sum(c[4] for c in chunks),
-            rel_tol=1e-9, abs_tol=1e-6,
-        )
 
 
 class TestPhaseWeightProperties:
