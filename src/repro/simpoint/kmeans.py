@@ -15,20 +15,31 @@ for byte to the per-cluster oracle in ``tests/oracles/kmeans.py``.
 
 **The kernel.** :func:`_lloyd` builds a full (n x k) distance matrix
 per iteration, in place on one GEMM output, with the per-point norms
-and weighted points computed once per call. The centroid update sorts
-the labels once (stably) and reduces each cluster's contiguous block
-of members; the repair loop runs only when some cluster is empty; a
-run that converges without a repair reads its inertia from the last
-distance matrix.
+and weighted points computed once per call. The repair loop runs only
+when some cluster is empty; a run that converges without a repair
+reads its inertia from the last distance matrix. k-means++ draws each
+seed by the inverse CDF that ``Generator.choice`` uses internally
+(:func:`_draw`), without its argument checks.
 
 **Order-sensitive reductions.** numpy sums a 1-D array pairwise and
 the rows of a 2-D block one after another (a single column is 1-D
 again), so a reduction that visits the same numbers in another order
-can change the last bit. Each cluster's weight total and coordinate
-sums are therefore slice ``.sum`` calls over exactly the members, in
-index order, that a boolean mask would select. Segmented shortcuts
-(``np.add.reduceat`` for the totals, a flat ``bincount`` for the sums
-of single-column points) round differently.
+can change the last bit. The oracle reduces each cluster with slice
+``.sum`` calls over its members in index order: pairwise for the
+weight total, row by row for the coordinate sums. Two update paths
+reproduce that, and :func:`weighted_kmeans` picks one per call from
+its inputs:
+
+* *bincount* — when the weights are integers summing to less than
+  2**53 and there are at least two coordinates. Every partial sum of
+  such weights is an exact integer, so the cluster totals come out the
+  same in any order and one ``np.bincount`` gives them. A flat
+  ``bincount`` over ``label * d + column`` adds each cluster's rows in
+  index order from +0.0, exactly as the axis-0 slice ``.sum`` does.
+* *slices* — otherwise. One stable sort lays each cluster out as a
+  contiguous block and a Python loop reduces the blocks. Float weight
+  totals and single-column sums are pairwise, which a ``bincount``
+  does not reproduce (nor does ``np.add.reduceat``).
 
 **Serial restarts.** Restarts run one after another, each seeded from
 the same generator, so restart ``i`` sees exactly the k-means++ draws
@@ -93,6 +104,18 @@ def _squared_distances(
     return np.maximum(distances, 0.0, out=distances)
 
 
+def _draw(rng: np.random.Generator, p: np.ndarray) -> int:
+    """One index drawn with probabilities ``p``.
+
+    The inverse-CDF draw ``Generator.choice(len(p), p=p)`` makes
+    internally, without its checks: the same index, and the generator
+    left in the same state.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _kmeanspp_init(
     points: np.ndarray,
     weights: np.ndarray,
@@ -109,7 +132,7 @@ def _kmeanspp_init(
     n = points.shape[0]
     if point_norms is None:
         point_norms = _point_norms(points)
-    first = int(rng.choice(n, p=weights / weights.sum()))
+    first = _draw(rng, weights / weights.sum())
     centroids = [points[first]]
     closest = _squared_distances(
         points, points[first][None, :], point_norms
@@ -122,7 +145,7 @@ def _kmeanspp_init(
             # choice yields the same clustering.
             index = int(rng.integers(n))
         else:
-            index = int(rng.choice(n, p=scores / total))
+            index = _draw(rng, scores / total)
         centroid = points[index]
         centroids.append(centroid)
         dist = _squared_distances(points, centroid[None, :], point_norms)[:, 0]
@@ -161,7 +184,22 @@ def _repair_empty_clusters(
     return point_dists is not None
 
 
-def _update_centroids(
+def _exact_totals(points: np.ndarray, weights: np.ndarray) -> bool:
+    """Whether :func:`_update_centroids_bincount` matches the slices.
+
+    Integer weights summing to less than 2**53 have exact partial sums
+    in any order. A computed total below 2**53 proves the exact one is
+    too: rounding is monotone and 2**53 is representable. Single-column
+    points need the slices, whose 1-D sums are pairwise.
+    """
+    return bool(
+        points.shape[1] >= 2
+        and (weights == np.floor(weights)).all()
+        and weights.sum() < 2.0**53
+    )
+
+
+def _update_centroids_bincount(
     weighted_points: np.ndarray,
     weights: np.ndarray,
     labels: np.ndarray,
@@ -169,11 +207,34 @@ def _update_centroids(
 ) -> None:
     """Move each cluster with positive weight to its weighted mean.
 
-    One stable sort by label lays every cluster's members out as a
-    contiguous block in index order, so each slice ``.sum`` runs the
-    exact reduction of a boolean-masked copy of the members: pairwise
-    for the 1-D weight total, row by row for the coordinate sums (or
-    pairwise, when there is a single coordinate).
+    Exact only where :func:`_exact_totals` holds: the totals are one
+    ``bincount`` of integer weights, and the coordinate sums one flat
+    ``bincount`` that adds every cluster's rows in index order.
+    """
+    k, d = centroids.shape
+    totals = np.bincount(labels, weights=weights, minlength=k)
+    cells = (labels[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(
+        cells, weights=weighted_points.ravel(), minlength=k * d
+    ).reshape(k, d)
+    live = totals > 0
+    centroids[live] = sums[live] / totals[live, None]
+
+
+def _update_centroids_slices(
+    weighted_points: np.ndarray,
+    weights: np.ndarray,
+    labels: np.ndarray,
+    centroids: np.ndarray,
+) -> None:
+    """Move each cluster with positive weight to its weighted mean.
+
+    Exact for any weights and any number of coordinates. One stable
+    sort by label lays every cluster's members out as a contiguous
+    block in index order, so each slice ``.sum`` runs the exact
+    reduction of a boolean-masked copy of the members: pairwise for the
+    1-D weight total, row by row for the coordinate sums (or pairwise,
+    when there is a single coordinate).
     """
     order = np.argsort(labels, kind="stable")
     sorted_weights = weights[order]
@@ -203,9 +264,12 @@ def _lloyd(
     centroids: np.ndarray,
     max_iter: int,
     point_norms: Optional[np.ndarray] = None,
+    exact_totals: Optional[bool] = None,
 ) -> KMeansResult:
     """Lloyd iteration from ``centroids`` (updated in place).
 
+    ``point_norms`` and ``exact_totals`` (see :func:`_exact_totals`)
+    may be passed precomputed; the arithmetic is identical either way.
     On convergence without a repair, the last distance matrix was
     computed from the final centroids, so the inertia is read from it
     instead of from a fresh distance pass.
@@ -213,6 +277,12 @@ def _lloyd(
     n = points.shape[0]
     if point_norms is None:
         point_norms = _point_norms(points)
+    if exact_totals is None:
+        exact_totals = _exact_totals(points, weights)
+    update = (
+        _update_centroids_bincount if exact_totals
+        else _update_centroids_slices
+    )
     weighted_points = points * weights[:, None]
     labels = np.full(n, -1, dtype=np.int64)
     iterations = 0
@@ -227,7 +297,7 @@ def _lloyd(
             current = not repaired
             break
         labels = new_labels
-        _update_centroids(weighted_points, weights, labels, centroids)
+        update(weighted_points, weights, labels, centroids)
     if not current:
         distances = _squared_distances(points, centroids, point_norms)
     return KMeansResult(
@@ -289,11 +359,14 @@ def weighted_kmeans(
             iterations=1,
         )
     point_norms = _point_norms(points)
+    exact_totals = _exact_totals(points, weights)
     rng = np.random.default_rng(seed)
     best: Optional[KMeansResult] = None
     for _ in range(n_init):
         init = _kmeanspp_init(points, weights, k, rng, point_norms)
-        result = _lloyd(points, weights, init, max_iter, point_norms)
+        result = _lloyd(
+            points, weights, init, max_iter, point_norms, exact_totals
+        )
         if best is None or result.inertia < best.inertia:
             best = result
     return best

@@ -8,8 +8,9 @@ k-means++ draws of seeding every restart up front on the per-cluster
 oracle (``tests/oracles/kmeans.py``; checked with hypothesis on
 tie-heavy integer grids, where an argmin tie-break or a reordered draw
 would surface first), and a cached choice must equal a recomputed one.
-The suite also exercises exact ties and the empty-cluster repair path
-explicitly, and covers the cache key schema, the cache-kind switch,
+The k-means++ draw helper must match ``Generator.choice`` draw for
+draw. The suite also exercises exact ties and the empty-cluster repair
+path explicitly, and covers the cache key schema, the cache-kind switch,
 and the observability surface in the style of ``tests/test_simcache.py``.
 """
 
@@ -17,7 +18,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ClusteringError
 from repro.observability import metrics
@@ -40,7 +41,12 @@ from repro.simpoint.clustercache import (
     cached_choose_clustering,
     clustering_key,
 )
-from repro.simpoint.kmeans import _lloyd, _point_norms, weighted_kmeans
+from repro.simpoint.kmeans import (
+    _draw,
+    _lloyd,
+    _point_norms,
+    weighted_kmeans,
+)
 from repro.simpoint.select import choose_clustering
 from repro.simpoint.simpoint import SimPointConfig, run_simpoint
 from repro.simpoint.vectors import Interval
@@ -91,6 +97,35 @@ def _upfront_seeded(points, k, weights, n_init, seed):
         if result.inertia < best.inertia:
             best = result
     return best
+
+
+class TestDraw:
+    """``_draw`` is the inverse-CDF draw inside ``Generator.choice``:
+    the same index and the same generator state afterwards, including
+    where zero-probability runs lead or trail the vector."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        lead=st.integers(0, 6),
+        body=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-12, 1e6)),
+            min_size=1, max_size=20,
+        ).filter(lambda body: sum(body) > 0),
+        trail=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(lead=0, body=[1.0], trail=0, seed=0)  # n == 1
+    @example(lead=4, body=[2.5], trail=3, seed=1)  # one non-zero entry
+    def test_matches_generator_choice(self, lead, body, trail, seed):
+        raw = np.concatenate([np.zeros(lead), body, np.zeros(trail)])
+        p = raw / raw.sum()
+        ours = np.random.default_rng(seed)
+        theirs = np.random.default_rng(seed)
+        for _ in range(3):
+            index = _draw(ours, p)
+            assert index == int(theirs.choice(len(p), p=p))
+            assert p[index] > 0
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestRestartOrder:

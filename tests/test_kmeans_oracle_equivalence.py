@@ -1,23 +1,29 @@
-"""The sorted-slice k-means kernel against the per-cluster oracle.
+"""The vectorized k-means kernel against the per-cluster oracle.
 
-``repro.simpoint.kmeans`` reduces each cluster's weight total and
-centroid sums over slices of one stable sort, skips the repair loop
-when no cluster is empty and reads a converged run's inertia from its
-last distance matrix. ``tests/oracles/kmeans.py`` is the kernel before
-that rewrite. Every result here must match it byte for byte —
-centroids and labels by ``tobytes``, inertia and BIC scores by
-``float.hex`` — on inputs chosen to reach each order-sensitive
-reduction: float and integer weights (some zero), tie-heavy integer
+``repro.simpoint.kmeans`` updates centroids by one of two paths chosen
+per call: flat ``bincount`` reductions when the weights are integers
+summing to less than 2**53 and there are at least two coordinates,
+sorted slices otherwise. It skips the repair loop when no cluster is
+empty, reads a converged run's inertia from its last distance matrix
+and draws k-means++ seeds without ``Generator.choice``.
+``tests/oracles/kmeans.py`` is the kernel before those rewrites. Every
+result here must match it byte for byte — centroids and labels by
+``tobytes``, inertia and BIC scores by ``float.hex`` — on inputs chosen
+to reach each order-sensitive reduction on both paths: float, small
+integer (some zero) and instruction-count weights, tie-heavy integer
 grids, piles of duplicate points (repairs on the converging
-iteration), a forced empty-cluster repair, the non-converged exits at
-``max_iter`` 1 and 2, ``k == n`` and every ``n_init`` from 1 to 5.
+iteration), a pile whose weighted coordinates are all -0.0, a forced
+empty-cluster repair, the non-converged exits at ``max_iter`` 1 and 2,
+``k == n``, every ``n_init`` from 1 to 5, and the inputs that must
+stay on the slice path.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simpoint.bic import bic_score
-from repro.simpoint.kmeans import _lloyd, weighted_kmeans
+from repro.simpoint.kmeans import _exact_totals, _lloyd, weighted_kmeans
 from repro.simpoint.select import choose_clustering
 
 from tests.oracles.kmeans import oracle_lloyd, oracle_weighted_kmeans
@@ -37,11 +43,13 @@ def _assert_bytes_equal(result, expected):
 @st.composite
 def _problems(draw, min_n=2, max_n=40):
     """(points, weights): a tie-heavy integer grid, piles of float
-    duplicates or gaussian blobs, with unit, float or integer weights
-    (integer ones may be zero)."""
+    duplicates or gaussian blobs, with unit, float, small integer (some
+    zero) or instruction-count weights; instruction counts come with up
+    to 15 coordinates, the projected dimension of production BBVs."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("unit", "float", "integer", "instructions")))
     n = draw(st.integers(min_n, max_n))
-    d = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 15 if kind == "instructions" else 6))
     layout = draw(st.sampled_from(("grid", "piles", "blobs")))
     if layout == "grid":
         points = rng.integers(0, 4, size=(n, d)).astype(np.float64)
@@ -55,14 +63,15 @@ def _problems(draw, min_n=2, max_n=40):
         points = centers[rng.integers(0, 3, size=n)] + rng.normal(
             size=(n, d)
         )
-    kind = draw(st.sampled_from(("unit", "float", "integer")))
     if kind == "unit":
         weights = None
     elif kind == "float":
         weights = rng.uniform(0.1, 3.0, size=n)
-    else:
+    elif kind == "integer":
         weights = rng.integers(0, 6, size=n).astype(np.float64)
         weights[rng.integers(n)] += 1.0  # keep the sum positive
+    else:
+        weights = rng.integers(1000, 1_000_001, size=n).astype(np.float64)
     return points, weights
 
 
@@ -166,3 +175,74 @@ class TestChooseClustering:
             bic_score(points, result, weights).hex() for result in expected
         ]
         _assert_bytes_equal(choice.result, expected[choice.k - 1])
+
+
+def _blobs(n, d, seed=0):
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(scale=5.0, size=(4, d))
+    return centers[rng.integers(0, 4, size=n)] + rng.normal(size=(n, d))
+
+
+class TestUpdatePaths:
+    """Both centroid-update paths against the oracle, on inputs pinned
+    to the path they must take."""
+
+    @pytest.mark.parametrize("case", ["above_2_53", "one_column", "float"])
+    def test_slice_path_inputs(self, case):
+        rng = np.random.default_rng(3)
+        if case == "above_2_53":
+            # One huge weight among ones: its cluster total depends on
+            # the summation order, pairwise and sequential differ.
+            points = _blobs(64, 3)
+            weights = np.ones(64)
+            weights[0] = 2.0**53
+            in_order = np.bincount(np.zeros(64, dtype=np.int64), weights)
+            assert in_order[0] != weights.sum()
+        elif case == "one_column":
+            points = _blobs(64, 1)
+            weights = rng.integers(1000, 1_000_001, size=64).astype(float)
+        else:
+            points = _blobs(64, 3)
+            weights = rng.uniform(0.1, 3.0, size=64)
+        assert not _exact_totals(points, weights)
+        for k in (2, 5):
+            _assert_bytes_equal(
+                weighted_kmeans(points, k, weights, n_init=3, seed=k),
+                oracle_weighted_kmeans(points, k, weights, n_init=3, seed=k),
+            )
+
+    def test_instruction_counts_take_bincount_path(self):
+        points = _blobs(200, 15)
+        weights = np.random.default_rng(4).integers(
+            1000, 1_000_001, size=200
+        ).astype(np.float64)
+        assert _exact_totals(points, weights)
+        for k in (2, 7):
+            _assert_bytes_equal(
+                weighted_kmeans(points, k, weights, n_init=3, seed=k),
+                oracle_weighted_kmeans(points, k, weights, n_init=3, seed=k),
+            )
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 100])
+    def test_negative_zero_pile(self, max_iter):
+        # A pile at (-0.0, -0.0) with positive weights and negative
+        # points with zero weight: every weighted coordinate of those
+        # members is exactly -0.0, so a cluster of them sums signed
+        # zeros only.
+        pile = np.array([[-0.0, -0.0]] * 4 + [[-1.0, -2.0]] * 2)
+        far = np.array([[6.0, 6.0], [6.5, 6.0], [6.0, 7.0]])
+        points = np.concatenate([pile, far])
+        weights = np.array([3.0, 1.0, 2.0, 5.0, 0.0, 0.0, 4.0, 1.0, 2.0])
+        weighted = points * weights[:, None]
+        assert (np.signbit(weighted[:6]) & (weighted[:6] == 0)).all()
+        assert _exact_totals(points, weights)
+        init = np.array([[-0.0, -0.0], [-1.0, -2.0], [6.0, 6.0]])
+        _assert_bytes_equal(
+            _lloyd(points, weights, init.copy(), max_iter),
+            oracle_lloyd(points, weights, init.copy(), max_iter),
+        )
+        for k in (2, 3):
+            _assert_bytes_equal(
+                weighted_kmeans(points, k, weights, n_init=3, seed=k),
+                oracle_weighted_kmeans(points, k, weights, n_init=3, seed=k),
+            )

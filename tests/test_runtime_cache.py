@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import gc
 import multiprocessing
 import os
 import pickle
@@ -424,6 +425,9 @@ class TestCrossPipelineCaching:
         baseline = run_cross_binary_simpoint(micro_binary_list, config)
 
         cache = ProfileCache(tmp_path)
+        # Collect before each timed window so that a pending gen-2
+        # collection cannot land inside the few-millisecond warm run.
+        gc.collect()
         start = time.perf_counter()
         cold = run_cross_binary_simpoint(
             micro_binary_list, config, cache=cache
@@ -431,6 +435,7 @@ class TestCrossPipelineCaching:
         cold_elapsed = time.perf_counter() - start
         assert cache.stats.misses > 0 and cache.stats.hits == 0
 
+        gc.collect()
         start = time.perf_counter()
         warm = run_cross_binary_simpoint(
             micro_binary_list, config, cache=cache
