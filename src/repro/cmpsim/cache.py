@@ -26,7 +26,9 @@ The set index is sorted in the narrowest unsigned dtype that holds
 Pure-demand batches at associativity 2 go to a closed form with no step
 loop; every other batch goes to the *lane* engine, where each touched
 set becomes one lane and numpy processes one operation per lane per
-step. Both leave state, statistics and outputs bit-identical to
+step — one gather of the target ways' old state and one scatter of the
+new, after collapsing same-line runs in every stream without prefetch
+ops. Both leave state, statistics and outputs bit-identical to
 replaying the batch one reference at a time, which
 ``tests/oracles/hierarchy.py`` keeps as their oracle.
 """
@@ -88,8 +90,8 @@ def _groups(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     head = np.empty(keys.size, dtype=np.bool_)
     head[0] = True
     np.not_equal(keys[1:], keys[:-1], out=head[1:])
-    starts = np.flatnonzero(head)
-    return starts, np.diff(starts, append=keys.size)
+    starts = head.nonzero()[0]
+    return starts, np.concatenate((starts[1:], (keys.size,))) - starts
 
 
 def _sorted_victims(
@@ -353,162 +355,174 @@ class SetAssociativeCache:
         because sets are independent. Each touched set becomes one
         *lane*; numpy then processes one op per lane per step, with
         lanes sorted longest-first so the lanes active at step ``s``
-        are a contiguous prefix. Per-step stamps are ``clock + s``:
+        are a prefix and the ops are laid out step-major (step ``s``
+        is one contiguous slice). Per-step stamps are ``clock + s``:
         within any one set that preserves the exact one-at-a-time
         stamp *order*, which is all LRU replacement ever observes.
 
-        For pure-demand batches, consecutive same-line ops within a
-        set's substream are collapsed first: once the head op runs,
-        the line is resident and most-recently-used, so every
-        follower is a guaranteed hit whose entire effect is hit
-        statistics, a dirty-bit OR, and an MRU refresh that cannot
-        change the set's recency order. The head op carries the run's
-        OR-ed write flag for state (``eff``) while keeping its own
-        flag for hit/miss classification — exactly the
-        one-at-a-time outcome.
+        Demand accesses and fills change state the same way (a hit
+        refreshes MRU and ORs the flag into dirty, a miss inserts with
+        dirty = flag), so in every stream without prefetch ops the
+        consecutive same-line ops of a set are collapsed first: once
+        the head op runs, the line is resident and most-recently-used,
+        and a follower's entire effect is a dirty-bit OR, an MRU
+        refresh that cannot change the set's recency order and — for
+        a demand access — one hit. The head op carries the run's
+        OR-ed flag for state (``eff``) while keeping its own kind and
+        flag for hit/miss classification — exactly the one-at-a-time
+        outcome.
+
+        Every step is one uniform update: the target way is the
+        matching way on a hit and the minimum-stamp way on a miss,
+        found by one min over the ways of a key that folds stamp and
+        way together. One gather reads the target's old tag and dirty
+        bit, and one scatter each writes tag, dirty
+        (``eff | hit & old_dirty``) and stamp; a prefetch hit keeps
+        its old stamp and a prefetch inserts clean. Hits, misses and
+        dirty victims (``~hit & old_dirty``, a real line) are derived
+        from the gathered old state once, after the loop.
         """
         n = lines.size
         metrics.counter("cmpsim.cache_lane_ops").inc(n)
         set_index = (lines % self._n_sets).astype(self._key_dtype)
-        order = np.argsort(set_index, kind="stable")
+        order = set_index.argsort(kind="stable")
         s_sets = set_index[order]
-        s_lines = lines[order]
-        s_flags = flags[order]
         s_pos = order
+        prefetch = kinds is not None and bool((kinds == OP_PREFETCH).any())
 
         foll_read_hits = 0
         foll_write_hits = 0
-        if kinds is None:
+        s_eff = None
+        if not prefetch:
             # Run collapse (same line implies same set, so equal
             # neighbours in the grouped order are exactly the runs).
+            s_lines = lines[order]
             head = np.empty(n, dtype=np.bool_)
             head[0] = True
             np.not_equal(s_lines[1:], s_lines[:-1], out=head[1:])
-            if head.all():
-                s_eff = s_flags
-            else:
-                head_idx = np.flatnonzero(head)
+            if not head.all():
+                s_flags = flags[order]
+                head_idx = head.nonzero()[0]
                 s_eff = np.logical_or.reduceat(s_flags, head_idx)
-                foll_flags = s_flags[~head]
+                follower = ~head
+                if kinds is not None:
+                    follower &= kinds[order] == OP_ACCESS
+                foll_flags = s_flags[follower]
                 foll_write_hits = int(foll_flags.sum())
                 foll_read_hits = foll_flags.size - foll_write_hits
                 s_sets = s_sets[head_idx]
-                s_lines = s_lines[head_idx]
-                s_flags = s_flags[head_idx]
                 s_pos = s_pos[head_idx]
-            s_kinds = None
-        else:
-            s_eff = s_flags
-            s_kinds = kinds[order]
-        n_ops = s_lines.size
+        n_ops = s_pos.size
 
+        # Lanes ranked longest-first: step s runs the first width[s]
+        # lanes on the step-major slice edges[s]:edges[s + 1], and
+        # ``pos`` maps each step-major slot to its batch position.
         starts, counts = _groups(s_sets)
-        lane_perm = np.argsort(-counts, kind="stable")
         n_lanes = starts.size
-        depth = int(counts[lane_perm[0]])
-        lane_id = np.empty(n_lanes, dtype=np.int64)
-        lane_id[lane_perm] = np.arange(n_lanes)
-        lane = lane_id[np.repeat(np.arange(n_lanes), counts)]
-        col = np.arange(n_ops, dtype=np.int64) - np.repeat(starts, counts)
-        counts_sorted = counts[lane_perm]
-        active = np.searchsorted(
-            -counts_sorted, -(np.arange(depth, dtype=np.int64) + 1),
-            side="right",
-        )
-
-        # (depth, n_lanes) matrices: each step's ops are one row.
-        op_line = np.full((depth, n_lanes), -1, dtype=np.int64)
-        op_line[col, lane] = s_lines
-        op_flag = np.zeros((depth, n_lanes), dtype=np.bool_)
-        op_flag[col, lane] = s_flags
-        op_pos = np.full((depth, n_lanes), -1, dtype=np.int64)
-        op_pos[col, lane] = s_pos
-        if s_eff is s_flags:
-            op_eff = op_flag
+        lane_perm = (-counts).argsort(kind="stable")
+        lane_rank = np.empty(n_lanes, dtype=np.int64)
+        lane_rank[lane_perm] = np.arange(n_lanes)
+        col = np.arange(n_ops, dtype=np.int64) - starts.repeat(counts)
+        width = np.bincount(col)
+        depth = width.size
+        metrics.counter("cmpsim.cache_lane_steps").inc(depth)
+        ends = width.cumsum()
+        slot = (ends - width)[col] + lane_rank.repeat(counts)
+        pos = np.empty(n_ops, dtype=np.int64)
+        pos[slot] = s_pos
+        seq_line = lines[pos]
+        seq_flag = flags[pos]
+        seq_kind = None if kinds is None else kinds[pos]
+        if s_eff is not None:
+            seq_eff = np.empty(n_ops, dtype=np.bool_)
+            seq_eff[slot] = s_eff
+        elif prefetch:
+            seq_pf = seq_kind == OP_PREFETCH
+            seq_eff = seq_flag & ~seq_pf
         else:
-            op_eff = np.zeros((depth, n_lanes), dtype=np.bool_)
-            op_eff[col, lane] = s_eff
-        if s_kinds is not None:
-            op_kind = np.full((depth, n_lanes), -1, dtype=np.int64)
-            op_kind[col, lane] = s_kinds
-        hit_mat = np.zeros((depth, n_lanes), dtype=np.bool_)
+            seq_eff = seq_flag
+        seq_old_tag = np.empty(n_ops, dtype=np.int64)
+        seq_old_dirty = np.empty(n_ops, dtype=np.bool_)
 
+        # Lane state in (way, lane) layout, cell = way * n_lanes + lane,
+        # so a step's active lanes are a column prefix of every way.
+        # A key is ``stamp * span + cell`` with a power-of-two span
+        # above every cell (int64 holds it while ``stamp * span <
+        # 2**63``): its min over the ways is the LRU way, a matching
+        # way reads as ``cell - span``, below every key, and
+        # ``key & (span - 1)`` recovers the cell.
         touched = s_sets[starts[lane_perm]]
-        lane_tags = self._tags[touched]
-        lane_dirty = self._dirty[touched]
-        lane_stamp = self._stamp[touched]
+        n_cells = self._assoc * n_lanes
+        shift = int(n_cells - 1).bit_length()
+        span = 1 << shift
+        cells = np.arange(n_cells, dtype=np.int64).reshape(-1, n_lanes)
+        lane_tags = self._tags[touched].T.copy()
+        lane_dirty = self._dirty[touched].T.copy()
+        lane_key = np.add(self._stamp[touched].T << shift, cells, order="C")
+        hit_key = cells - span
+        flat_tags = lane_tags.reshape(-1)
+        flat_dirty = lane_dirty.reshape(-1)
+        flat_key = lane_key.reshape(-1)
         clock = self._clock
 
-        victim_pos_parts: List[np.ndarray] = []
-        victim_line_parts: List[np.ndarray] = []
-        flatnonzero = np.flatnonzero
-
+        edges = [0] + ends.tolist()
         for step in range(depth):
-            width = int(active[step])
-            tags = lane_tags[:width]
-            line = op_line[step, :width]
-            stamp_value = clock + step
-
-            eq = tags == line[:, None]
-            hit = eq.any(axis=1)
-            hit_mat[step, :width] = hit
-            way = eq.argmax(axis=1)
-            if s_kinds is None:
-                hrows = flatnonzero(hit)
-                eff = op_eff[step, :width]
-                insert_dirty_src = eff
-            else:
-                kind = op_kind[step, :width]
-                not_prefetch = kind != OP_PREFETCH
-                hrows = flatnonzero(hit & not_prefetch)
-                eff = op_flag[step, :width]
-                insert_dirty_src = eff & not_prefetch
-            hways = way[hrows]
-            lane_stamp[hrows, hways] = stamp_value
-            setters = hrows[eff[hrows]]
-            lane_dirty[setters, way[setters]] = True
-            ins = flatnonzero(~hit)
-            if ins.size:
-                slot = lane_stamp[:width].argmin(axis=1)[ins]
-                victim_line = lane_tags[ins, slot]
-                evict = flatnonzero(
-                    lane_dirty[ins, slot] & (victim_line >= 0)
+            lo = edges[step]
+            hi = edges[step + 1]
+            w = hi - lo
+            line = seq_line[lo:hi]
+            key = lane_key[:, :w].copy()
+            np.copyto(key, hit_key[:, :w], where=lane_tags[:, :w] == line)
+            cell = key.min(axis=0)
+            cell &= span - 1
+            old_tag = flat_tags[cell]
+            old_dirty = flat_dirty[cell]
+            seq_old_tag[lo:hi] = old_tag
+            seq_old_dirty[lo:hi] = old_dirty
+            hit = old_tag == line
+            new_key = cell + ((clock + step) << shift)
+            if prefetch:
+                new_key = np.where(
+                    hit & seq_pf[lo:hi], flat_key[cell], new_key
                 )
-                if evict.size:
-                    victim_pos_parts.append(op_pos[step, :width][ins[evict]])
-                    victim_line_parts.append(victim_line[evict])
-                lane_tags[ins, slot] = line[ins]
-                lane_dirty[ins, slot] = insert_dirty_src[ins]
-                lane_stamp[ins, slot] = stamp_value
+            flat_tags[cell] = line
+            flat_dirty[cell] = seq_eff[lo:hi] | (hit & old_dirty)
+            flat_key[cell] = new_key
 
-        self._tags[touched] = lane_tags
-        self._dirty[touched] = lane_dirty
-        self._stamp[touched] = lane_stamp
+        self._tags[touched] = lane_tags.T
+        self._dirty[touched] = lane_dirty.T
+        self._stamp[touched] = lane_key.T >> shift
         self._clock = clock + depth
 
-        # Deferred statistics: classification never feeds back into the
-        # replay, so it is aggregated once from the hit matrix.
-        valid = op_pos >= 0
-        if s_kinds is None:
-            demand_hit = hit_mat
-            demand_miss = valid & ~hit_mat
+        # Deferred classification: it never feeds back into the
+        # replay, so it is derived once from the gathered old state;
+        # scattering back to batch positions keeps both outputs sorted.
+        hit = seq_old_tag == seq_line
+        victim = seq_old_dirty & ~hit & (seq_old_tag >= 0)
+        victim_at = np.empty(n, dtype=np.int64)
+        victim_at.fill(-1)
+        victim_at[pos] = np.where(victim, seq_old_tag, -1)
+        victim_pos = (victim_at >= 0).nonzero()[0]
+        victims = victim_pos, victim_at[victim_pos]
+        if seq_kind is None:
+            demand_hit = hit
+            demand_miss = ~hit
         else:
-            demand = op_kind == OP_ACCESS
-            demand_hit = hit_mat & demand
-            demand_miss = demand & ~hit_mat
-        write_hits = int((demand_hit & op_flag).sum())
-        read_hits = int(demand_hit.sum()) - write_hits
-        write_misses = int((demand_miss & op_flag).sum())
-        read_misses = int(demand_miss.sum()) - write_misses
+            demand = seq_kind == OP_ACCESS
+            demand_hit = hit & demand
+            demand_miss = demand & ~hit
+        n_hits = int(np.count_nonzero(demand_hit))
+        write_hits = int(np.count_nonzero(demand_hit & seq_flag))
+        n_misses = int(np.count_nonzero(demand_miss))
+        write_misses = int(np.count_nonzero(demand_miss & seq_flag))
 
-        victims = _sorted_victims(victim_pos_parts, victim_line_parts)
         stats = self.stats
-        stats.read_hits += read_hits + foll_read_hits
+        stats.read_hits += n_hits - write_hits + foll_read_hits
         stats.write_hits += write_hits + foll_write_hits
-        stats.read_misses += read_misses
+        stats.read_misses += n_misses - write_misses
         stats.write_misses += write_misses
-        stats.writebacks_out += int(victims[0].size)
+        stats.writebacks_out += int(victim_pos.size)
 
-        miss = op_pos[demand_miss]
-        miss.sort()
-        return miss, victims
+        miss_at = np.zeros(n, dtype=np.bool_)
+        miss_at[pos] = demand_miss
+        return miss_at.nonzero()[0], victims
