@@ -87,6 +87,11 @@ from repro.simpoint import (
     SimulationPoint,
     run_simpoint,
 )
+from repro.runtime.allocator import pin_malloc_thresholds
+
+# Steady page-fault counts for every array-heavy layer: see
+# repro.runtime.allocator.
+pin_malloc_thresholds()
 
 __version__ = "1.0.0"
 

@@ -44,7 +44,7 @@ from repro.compilation.binary import Binary, LBlock, LCall, LLoop, LStatement
 from repro.core.markers import ExecutionCoordinate, MarkerSet, MarkerTable
 from repro.errors import ExecutionError, MappingError, ProfilingError
 from repro.observability import metrics
-from repro.profiling.intervals import Interval
+from repro.profiling.intervals import BlockVector, Interval
 from repro.programs.inputs import ProgramInput, REF_INPUT
 from repro.runtime.cache import ProfileCache
 from repro.runtime.config import active_cache
@@ -561,7 +561,9 @@ def _group_ranked(
 
     Returns ``(ranks, sums, intervals)`` ordered by interval and, within
     each interval, by each key's first occurrence — the scalar
-    collectors' dict insertion order. Amounts accumulate in stream
+    collectors' dict insertion order. Both replays emit keys in time
+    order, so the interval part never decreases along ``key`` and that
+    order is plain first-occurrence order. Amounts accumulate in stream
     order, the exact chronological order the scalar ``+=`` loop uses.
 
     When the key space is comparably sized to the run count the
@@ -578,19 +580,16 @@ def _group_ranked(
         sums_all = np.bincount(
             key, weights=amounts.astype(np.float64), minlength=bins
         )
-        touched = np.zeros(bins, dtype=bool)
-        touched[key] = True
         first_index = np.empty(bins, dtype=np.int64)
         # Reversed scatter: the last write wins, leaving each key's
         # FIRST occurrence index.
         first_index[key[::-1]] = np.arange(
             n_runs - 1, -1, -1, dtype=np.int64
         )
-        pairs = np.nonzero(touched)[0]
-        pair_interval = pairs // n_uniq
-        final = np.lexsort((first_index[pairs], pair_interval))
-        ordered = pairs[final]
-        return ordered % n_uniq, sums_all[ordered], pair_interval[final]
+        ordered = key[
+            first_index[key] == np.arange(n_runs, dtype=np.int64)
+        ]
+        return ordered % n_uniq, sums_all[ordered], ordered // n_uniq
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
     new_group = np.empty(n_runs, dtype=bool)
@@ -599,10 +598,26 @@ def _group_ranked(
     starts = np.nonzero(new_group)[0]
     uniq = sorted_key[starts]
     sums = np.add.reduceat(amounts[order].astype(np.float64), starts)
-    first_index = order[starts]
-    pair_interval = uniq // n_uniq
-    final = np.lexsort((first_index, pair_interval))
-    return (uniq % n_uniq)[final], sums[final], pair_interval[final]
+    final = np.argsort(order[starts])
+    ordered = uniq[final]
+    return ordered % n_uniq, sums[final], ordered // n_uniq
+
+
+def _block_vectors(
+    pair_blocks: np.ndarray,
+    pair_sums: np.ndarray,
+    pair_interval: np.ndarray,
+    n_intervals: int,
+) -> List[BlockVector]:
+    """Each interval's BBV, sliced out of the grouped (interval, block)
+    pairs, which :func:`_group_ranked` orders by interval."""
+    bounds = np.searchsorted(
+        pair_interval, np.arange(n_intervals + 1, dtype=np.int64)
+    ).tolist()
+    return [
+        BlockVector(pair_blocks[lo:hi], pair_sums[lo:hi])
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 def replay_fli(
@@ -658,27 +673,18 @@ def replay_fli(
     pair_ranks, pair_sums, pair_interval = _group_ranked(
         key, piece_len, n_intervals, n_uniq
     )
-    bounds = np.searchsorted(
-        pair_interval, np.arange(n_intervals + 1, dtype=np.int64)
-    ).tolist()
-    pair_blocks = uniq_blocks[pair_ranks].tolist()
-    pair_sums = pair_sums.tolist()
-
-    intervals: List[Interval] = []
-    append = intervals.append
+    vectors = _block_vectors(
+        uniq_blocks[pair_ranks], pair_sums, pair_interval, n_intervals
+    )
     last_index = n_intervals - 1
-    lo_i = bounds[0]
-    for index in range(n_intervals):
-        hi_i = bounds[index + 1]
-        append(
-            Interval(
-                index,
-                size if index != last_index else total - last_index * size,
-                dict(zip(pair_blocks[lo_i:hi_i], pair_sums[lo_i:hi_i])),
-            )
+    return [
+        Interval(
+            index,
+            size if index != last_index else total - last_index * size,
+            vector,
         )
-        lo_i = hi_i
-    return intervals
+        for index, vector in enumerate(vectors)
+    ]
 
 
 @dataclass(frozen=True)
@@ -993,30 +999,15 @@ def replay_vli(
     pair_ranks, pair_sums, pair_interval = _group_ranked(
         key, all_amounts, n_intervals, n_uniq
     )
-    bounds = np.searchsorted(
-        pair_interval, np.arange(n_intervals + 1, dtype=np.int64)
-    ).tolist()
-    pair_blocks = uniq_blocks[pair_ranks].tolist()
-    pair_sums = pair_sums.tolist()
-
-    intervals: List[Interval] = []
-    append = intervals.append
-    start: Optional[ExecutionCoordinate] = None
-    lo_i = bounds[0]
-    for index, end_coord in enumerate(coords):
-        hi_i = bounds[index + 1]
-        append(
-            Interval(
-                index,
-                seg_instr[index],
-                dict(zip(pair_blocks[lo_i:hi_i], pair_sums[lo_i:hi_i])),
-                start,
-                end_coord,
-            )
+    vectors = _block_vectors(
+        uniq_blocks[pair_ranks], pair_sums, pair_interval, n_intervals
+    )
+    return [
+        Interval(index, instructions, vector, start, end)
+        for index, (instructions, vector, start, end) in enumerate(
+            zip(seg_instr, vectors, [None] + coords[:-1], coords)
         )
-        start = end_coord
-        lo_i = hi_i
-    return intervals
+    ]
 
 
 def _locate(

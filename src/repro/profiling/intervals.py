@@ -7,14 +7,81 @@ interval multiplied by the block's instruction count. Fixed-length
 intervals carry only their index and size; variable-length intervals
 additionally carry their start/end execution coordinates (set by
 :mod:`repro.core.vli`).
+
+A BBV is held as a :class:`BlockVector`: two parallel arrays that a
+trace replay slices out of its grouped result and that
+:func:`repro.simpoint.vectors.build_vector_set` scatters into the
+dense matrix, with no per-block Python object in between. It reads as
+a ``{block id: instructions}`` mapping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import ProfilingError
+
+
+class BlockVector(Mapping[int, float]):
+    """A read-only ``{block id: attributed instructions}`` mapping.
+
+    ``blocks`` (int64) holds each block once, in first-attribution
+    order; ``amounts`` (float64) holds its instructions. Equality is
+    mapping equality, so a vector compares equal to the ``dict`` with
+    the same items. It pickles as the two raw buffers.
+    """
+
+    __slots__ = ("blocks", "amounts", "_dict")
+
+    def __init__(self, blocks: np.ndarray, amounts: np.ndarray) -> None:
+        self.blocks = blocks
+        self.amounts = amounts
+        self._dict: Optional[Dict[int, float]] = None
+
+    @classmethod
+    def from_mapping(cls, mapping: Mapping[int, float]) -> "BlockVector":
+        n = len(mapping)
+        return cls(
+            np.fromiter(mapping.keys(), dtype=np.int64, count=n),
+            np.fromiter(mapping.values(), dtype=np.float64, count=n),
+        )
+
+    def as_dict(self) -> Dict[int, float]:
+        if self._dict is None:
+            self._dict = dict(zip(self.blocks.tolist(), self.amounts.tolist()))
+        return self._dict
+
+    def __getitem__(self, block_id: int) -> float:
+        return self.as_dict()[block_id]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.blocks.tolist())
+
+    def __len__(self) -> int:
+        return self.blocks.shape[0]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, BlockVector):
+            return self.as_dict() == other.as_dict()
+        if isinstance(other, Mapping):
+            return self.as_dict() == dict(other.items())
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"BlockVector({self.as_dict()!r})"
+
+    def __reduce__(self):
+        return _block_vector, (self.blocks.tobytes(), self.amounts.tobytes())
+
+
+def _block_vector(blocks: bytes, amounts: bytes) -> BlockVector:
+    return BlockVector(
+        np.frombuffer(blocks, dtype=np.int64),
+        np.frombuffer(amounts, dtype=np.float64),
+    )
 
 
 @dataclass
@@ -22,16 +89,17 @@ class Interval:
     """One execution interval and its basic block vector.
 
     ``bbv`` maps block id to *instructions attributed* (entry count x
-    block size, the paper's weighting). ``start_coord``/``end_coord``
-    are ``(marker id, execution count)`` pairs for VLI intervals; they
-    are ``None`` for fixed-length intervals, whose boundaries are plain
+    block size, the paper's weighting); any mapping given is stored as
+    a :class:`BlockVector`. ``start_coord``/``end_coord`` are
+    ``(marker id, execution count)`` pairs for VLI intervals; they are
+    ``None`` for fixed-length intervals, whose boundaries are plain
     dynamic instruction counts. ``end_coord`` is ``None`` for the final
     interval of a VLI run (it ends at program exit).
     """
 
     index: int
     instructions: int
-    bbv: Dict[int, float] = field(default_factory=dict)
+    bbv: BlockVector = field(default_factory=dict)  # type: ignore[assignment]
     start_coord: Optional[Tuple[int, int]] = None
     end_coord: Optional[Tuple[int, int]] = None
 
@@ -41,7 +109,5 @@ class Interval:
                 f"interval {self.index}: instructions must be positive, "
                 f"got {self.instructions}"
             )
-
-    def bbv_total(self) -> float:
-        """Total attributed instructions (should track ``instructions``)."""
-        return sum(self.bbv.values())
+        if not isinstance(self.bbv, BlockVector):
+            self.bbv = BlockVector.from_mapping(self.bbv)

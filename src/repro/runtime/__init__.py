@@ -21,6 +21,10 @@ configure. Cached and parallel runs are bit-identical to
 serial uncached runs: the cache stores exactly what the profilers
 return, and the pool only changes *where* each deterministic profile is
 computed, never in what order results are consumed.
+
+:mod:`repro.runtime.allocator` fixes glibc's malloc thresholds when
+:mod:`repro` is imported, so the array-heavy layers reuse heap pages
+instead of faulting fresh ones in a history-dependent amount.
 """
 
 from repro.runtime.cache import (

@@ -57,7 +57,7 @@ from repro.runtime.fingerprint import fingerprint
 # schema of any kind changes incompatibly: old entries stop being
 # addressed at all, so no process ever reads a payload written under a
 # different layout.
-CACHE_FORMAT_VERSION = 3
+CACHE_FORMAT_VERSION = 4
 
 #: Every entry kind the pipeline stores, in pipeline order: compiled
 #: traces, the four profiles, detailed-simulation results, and chosen

@@ -20,24 +20,22 @@ import numpy as np
 from repro.errors import ClusteringError
 from repro.observability import metrics, trace
 from repro.simpoint.bic import bic_score
-from repro.simpoint.kmeans import KMeansResult, weighted_kmeans
+from repro.simpoint.kmeans import KMeansResult, PointSet, prepare_points
 
 
 def _cluster_and_score(
-    points: np.ndarray,
-    weights: np.ndarray,
+    point_set: PointSet,
     k: int,
     n_init: int,
     max_iter: int,
     seed: int,
 ) -> Tuple[KMeansResult, float]:
     """One instrumented clustering: k-means at ``k`` plus its BIC."""
-    result = weighted_kmeans(
-        points, k, weights, n_init=n_init, max_iter=max_iter,
-        seed=seed + k,
+    result = point_set.kmeans(
+        k, n_init=n_init, max_iter=max_iter, seed=seed + k
     )
     with trace.span("cluster", k=k):
-        score = bic_score(points, result, weights)
+        score = bic_score(point_set.points, result, point_set.weights)
     metrics.counter("simpoint.kmeans_runs").inc()
     metrics.counter("simpoint.kmeans_iterations").inc(result.iterations)
     # Iterations-to-convergence per k: harder k values converging
@@ -70,7 +68,8 @@ def choose_clustering(
 ) -> ClusteringChoice:
     """Cluster for k = 1..max_k and pick by the SimPoint BIC rule.
 
-    Each k is clustered with its own generator seeded at ``seed + k``.
+    Each k is clustered with its own generator seeded at ``seed + k``,
+    all on one prepared :class:`~repro.simpoint.kmeans.PointSet`.
     """
     if not 0.0 < bic_threshold <= 1.0:
         raise ClusteringError(
@@ -80,9 +79,9 @@ def choose_clustering(
     k_max = min(max_k, n)
     if k_max < 1:
         raise ClusteringError("need at least one interval to cluster")
-    weights = np.asarray(weights, dtype=np.float64)
+    point_set = prepare_points(points, weights)
     scored = [
-        _cluster_and_score(points, weights, k, n_init, max_iter, seed)
+        _cluster_and_score(point_set, k, n_init, max_iter, seed)
         for k in range(1, k_max + 1)
     ]
     scores = [score for _, score in scored]
@@ -137,12 +136,13 @@ def choose_clustering_binary_search(
     if k_max < 1:
         raise ClusteringError("need at least one interval to cluster")
 
+    point_set = prepare_points(points, weights)
     evaluated: Dict[int, Tuple[KMeansResult, float]] = {}
 
     def evaluate(k: int) -> float:
         if k not in evaluated:
             evaluated[k] = _cluster_and_score(
-                points, weights, k, n_init, max_iter, seed
+                point_set, k, n_init, max_iter, seed
             )
         return evaluated[k][1]
 

@@ -39,6 +39,12 @@ from repro.programs.ir import (
 MICRO_INTERVAL = 20_000
 
 
+def bbv_total(interval) -> float:
+    """An interval's total attributed instructions (should track
+    ``interval.instructions``)."""
+    return sum(interval.bbv.values())
+
+
 def build_micro_program(name: str = "micro") -> Program:
     """A small three-phase program exercising every IR construct.
 

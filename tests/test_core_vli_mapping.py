@@ -12,7 +12,7 @@ from repro.profiling.callbranch import collect_call_branch_profile
 from repro.profiling.intervals import Interval
 from repro.simpoint.simpoint import SimPointConfig, run_simpoint
 
-from tests.conftest import MICRO_INTERVAL
+from tests.conftest import MICRO_INTERVAL, bbv_total
 from tests.oracles.engine import run_binary
 
 
@@ -59,7 +59,7 @@ class TestVLIConstruction:
 
     def test_bbv_mass_matches(self, primary_vlis):
         for interval in primary_vlis:
-            assert interval.bbv_total() == pytest.approx(
+            assert bbv_total(interval) == pytest.approx(
                 interval.instructions
             )
 

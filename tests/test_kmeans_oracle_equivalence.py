@@ -24,7 +24,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.simpoint.bic import bic_score
 from repro.simpoint.kmeans import _exact_totals, _lloyd, weighted_kmeans
-from repro.simpoint.select import choose_clustering
+from repro.simpoint.select import (
+    choose_clustering,
+    choose_clustering_binary_search,
+)
 
 from tests.oracles.kmeans import oracle_lloyd, oracle_weighted_kmeans
 
@@ -171,10 +174,25 @@ class TestChooseClustering:
             )
             for k in range(1, min(max_k, points.shape[0]) + 1)
         ]
-        assert [score.hex() for score in choice.bic_scores] == [
+        expected_scores = [
             bic_score(points, result, weights).hex() for result in expected
         ]
+        assert [score.hex() for score in choice.bic_scores] == expected_scores
         _assert_bytes_equal(choice.result, expected[choice.k - 1])
+
+        # The bisection evaluates a subset of k on the same prepared
+        # point set: its sparse trace runs from k = 1 to k = k_max in k
+        # order, every score the oracle's for some k.
+        bisected = choose_clustering_binary_search(
+            points, weights, max_k, n_init=n_init, seed=seed
+        )
+        trace = [score.hex() for score in bisected.bic_scores]
+        assert trace[0] == expected_scores[0]
+        assert trace[-1] == expected_scores[-1]
+        remaining = iter(expected_scores)
+        assert all(score in remaining for score in trace)
+        assert trace[bisected.chosen_index] == expected_scores[bisected.k - 1]
+        _assert_bytes_equal(bisected.result, expected[bisected.k - 1])
 
 
 def _blobs(n, d, seed=0):
@@ -246,3 +264,39 @@ class TestUpdatePaths:
                 weighted_kmeans(points, k, weights, n_init=3, seed=k),
                 oracle_weighted_kmeans(points, k, weights, n_init=3, seed=k),
             )
+
+    @pytest.mark.parametrize("path", ["bincount", "slices"])
+    @pytest.mark.parametrize("max_iter", [1, 2, 100])
+    def test_zero_total_cluster(self, path, max_iter):
+        # Cluster 2 holds only zero-weight points: it has members but a
+        # zero total, so the totals-based empty-cluster test must fall
+        # back to counting members, find none empty, repair nothing
+        # and leave that centroid in place.
+        near = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        far = np.array([[50.0, 50.0], [51.0, 50.0], [50.0, 51.0]])
+        points = np.concatenate([near, far])
+        if path == "bincount":
+            weights = np.array([3.0, 1.0, 2.0, 5.0, 0.0, 0.0, 0.0])
+        else:
+            weights = np.array([0.5, 1.25, 2.0, 3.5, 0.0, 0.0, 0.0])
+        assert _exact_totals(points, weights) == (path == "bincount")
+        init = np.array([[0.0, 0.0], [1.0, 1.0], [50.0, 50.0]])
+        result = _lloyd(points, weights, init.copy(), max_iter)
+        assert result.labels[4:].tolist() == [2, 2, 2]
+        assert weights[result.labels == 2].sum() == 0.0
+        assert result.centroids[2].tolist() == [50.0, 50.0]
+        _assert_bytes_equal(
+            result, oracle_lloyd(points, weights, init.copy(), max_iter)
+        )
+        # The same shape through k-means++: a weighted pile leaves every
+        # later seed to a uniform draw, which can land on the far,
+        # weightless points.
+        pile = np.concatenate([np.zeros((4, 2)), far])
+        for k in (2, 3):
+            for seed in range(6):
+                _assert_bytes_equal(
+                    weighted_kmeans(pile, k, weights, n_init=2, seed=seed),
+                    oracle_weighted_kmeans(
+                        pile, k, weights, n_init=2, seed=seed
+                    ),
+                )

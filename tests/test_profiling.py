@@ -8,7 +8,7 @@ from repro.profiling.bbv import collect_fli_bbvs
 from repro.profiling.callbranch import collect_call_branch_profile
 from repro.profiling.intervals import Interval
 
-from tests.conftest import MICRO_INTERVAL
+from tests.conftest import MICRO_INTERVAL, bbv_total
 from tests.oracles.engine import run_binary
 
 
@@ -20,7 +20,9 @@ class TestInterval:
     def test_bbv_total(self):
         interval = Interval(index=0, instructions=10,
                             bbv={1: 6.0, 2: 4.0})
-        assert interval.bbv_total() == 10.0
+        assert interval.bbv == {1: 6.0, 2: 4.0}
+        assert list(interval.bbv.items()) == [(1, 6.0), (2, 4.0)]
+        assert bbv_total(interval) == 10.0
 
 
 class TestFLICollection:
@@ -43,7 +45,7 @@ class TestFLICollection:
 
     def test_bbv_mass_matches_instructions(self, intervals):
         for interval in intervals:
-            assert interval.bbv_total() == pytest.approx(
+            assert bbv_total(interval) == pytest.approx(
                 interval.instructions
             )
 

@@ -17,6 +17,7 @@ from repro.core.weights import measure_interval_instructions
 from repro.profiling.bbv import collect_fli_bbvs
 from repro.profiling.callbranch import collect_call_branch_profile
 
+from tests.conftest import bbv_total
 from tests.oracles.engine import (
     ExecutionConsumer,
     ExecutionEngine,
@@ -211,6 +212,6 @@ class TestCrossBinaryInvariants:
         for interval in intervals[:-1]:
             assert interval.instructions >= 5_000
         for interval in intervals:
-            assert interval.bbv_total() == pytest.approx(
+            assert bbv_total(interval) == pytest.approx(
                 interval.instructions
             )

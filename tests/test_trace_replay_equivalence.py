@@ -136,6 +136,16 @@ class TestTraceStructure:
         assert scalar == replay
         assert all(i.instructions == 997 for i in replay[:-1])
 
+    @pytest.mark.parametrize("size", [37, 211])
+    def test_tiny_intervals(self, micro_binary_32u, size):
+        # Far more intervals than runs per interval: the replay groups
+        # (interval, block) pairs by sorting instead of counting.
+        scalar = scalar_fli_bbvs(micro_binary_32u, size)
+        replay = collect_fli_bbvs(micro_binary_32u, size)
+        assert scalar == replay
+        for s, r in zip(scalar, replay):
+            assert list(s.bbv) == list(r.bbv)
+
     def test_unreachable_boundary_raises_identically(
         self, micro_binary_list
     ):
