@@ -35,8 +35,8 @@ replaying the batch one reference at a time, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -83,6 +83,16 @@ class CacheStats:
     def miss_rate(self) -> float:
         total = self.accesses
         return self.misses / total if total else 0.0
+
+
+class CacheState(NamedTuple):
+    """One level's saved state (:meth:`SetAssociativeCache.save`)."""
+
+    tags: np.ndarray
+    dirty: np.ndarray
+    stamp: np.ndarray
+    clock: int
+    stats: CacheStats
 
 
 def _groups(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -144,6 +154,25 @@ class SetAssociativeCache:
             for way in np.argsort(self._stamp[index])[::-1]
             if tags[way] >= 0
         ]
+
+    def save(self) -> CacheState:
+        """A copy of the whole state: contents, clock and statistics."""
+        return CacheState(
+            self._tags.copy(),
+            self._dirty.copy(),
+            self._stamp.copy(),
+            self._clock,
+            replace(self.stats),
+        )
+
+    def load(self, state: CacheState) -> None:
+        """Make the state a copy of ``state`` (from :meth:`save` on a
+        cache of the same geometry)."""
+        self._tags = state.tags.copy()
+        self._dirty = state.dirty.copy()
+        self._stamp = state.stamp.copy()
+        self._clock = state.clock
+        self.stats = replace(state.stats)
 
     def reset(self) -> None:
         """Drop all contents and statistics (cold restart)."""

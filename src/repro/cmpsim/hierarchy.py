@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from repro.cmpsim.cache import (
     OP_ACCESS,
     OP_FILL,
     OP_PREFETCH,
+    CacheState,
     SetAssociativeCache,
 )
 from repro.cmpsim.config import MemoryConfig, TABLE1_CONFIG
@@ -72,6 +73,17 @@ class HierarchyStats:
     level_hits: Tuple[int, ...]
     level_misses: Tuple[int, ...]
     level_writebacks: Tuple[int, ...]
+    dram_reads: int
+    dram_writebacks: int
+    prefetches: int
+
+
+class HierarchyState(NamedTuple):
+    """A hierarchy's saved state (:meth:`MemoryHierarchy.save`): every
+    level's contents and statistics, then the DRAM and prefetch
+    counters."""
+
+    caches: Tuple[CacheState, ...]
     dram_reads: int
     dram_writebacks: int
     prefetches: int
@@ -200,6 +212,24 @@ class MemoryHierarchy:
             dram_writebacks=self.dram_writebacks,
             prefetches=self.prefetches,
         )
+
+    def save(self) -> HierarchyState:
+        """A copy of the whole state, statistics included."""
+        return HierarchyState(
+            tuple(cache.save() for cache in self.caches),
+            self.dram_reads,
+            self.dram_writebacks,
+            self.prefetches,
+        )
+
+    def load(self, state: HierarchyState) -> None:
+        """Make the state a copy of ``state`` (from :meth:`save` on a
+        hierarchy of the same configuration)."""
+        for cache, saved in zip(self.caches, state.caches):
+            cache.load(saved)
+        self.dram_reads = state.dram_reads
+        self.dram_writebacks = state.dram_writebacks
+        self.prefetches = state.prefetches
 
     def reset(self) -> None:
         """Cold caches and zeroed statistics."""

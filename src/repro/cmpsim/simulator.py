@@ -36,6 +36,21 @@ with ``np.add.accumulate`` and the trackers attribute whole windows of
 chunks at once, so every float is added in exactly the order the
 reference-at-a-time oracles (``tests/oracles``) add it.
 
+A region run stops where its last region ends: nothing after it can
+change an output, so the trailing fast-forward is only counted.
+
+A run's *plan* is its ``(lo, hi, mode)`` unit segments (mode detailed,
+warm or skip; :meth:`CMPSim.run_full` is one detailed segment). Binaries
+whose reference recipes (specs, per-unit templates, event sequence)
+digest alike generate the same references — the FP programs' 32- and
+64-bit twins do — so each replay leaves a *replay record*: every
+detailed reference's servicing level and the hierarchy's end state.
+A later run with the same memory config, recipe and plan generates no
+references: it takes its windows' servicing levels from the record,
+computes its own cycles from its own blocks, and loads the end state.
+The records live in a small in-process memo that
+:func:`~repro.execution.trace.clear_trace_memo` drops.
+
 VLI boundaries resolve up front too, through the same firing table,
 to run-wide chunk positions. A marker fires on its anchor block, which
 is a chunk of its own; inside an iteration span only the loop branch,
@@ -45,7 +60,9 @@ interval on a whole chunk, and :class:`VLITracker` never splits one.
 
 from __future__ import annotations
 
+import hashlib
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -62,7 +79,11 @@ import numpy as np
 
 from repro.cmpsim.config import MemoryConfig, TABLE1_CONFIG
 from repro.cmpsim.cpu import CPIModel
-from repro.cmpsim.hierarchy import HierarchyStats, MemoryHierarchy
+from repro.cmpsim.hierarchy import (
+    HierarchyState,
+    HierarchyStats,
+    MemoryHierarchy,
+)
 from repro.cmpsim.memory import (
     AddressStreamState,
     BulkAccessPattern,
@@ -78,6 +99,7 @@ from repro.execution.trace import (
     CompiledTrace,
     compiled_trace,
     firing_events,
+    register_memo,
 )
 from repro.programs.inputs import ProgramInput, REF_INPUT
 from repro.runtime.cache import ProfileCache
@@ -562,6 +584,39 @@ class _Tables:
         self.instr_per = trace.event_instr // np.maximum(self.units, 1)
         self.instr_end = trace.event_end
 
+    def recipe_digest(self) -> bytes:
+        """Digest of everything the reference stream depends on: the
+        specs, each unit's reference template and the event sequence.
+        Binaries with equal digests generate the same references."""
+        digest = hashlib.blake2b(
+            repr(self.pattern.specs).encode(), digest_size=20
+        )
+        for array in (self.ref_width, self.ref_spec, self.event_unit,
+                      self.units):
+            array = np.ascontiguousarray(array, dtype=np.int64)
+            digest.update(np.int64(array.shape[0]).tobytes())
+            digest.update(array.tobytes())
+        return digest.digest()
+
+
+class _ReplayRecord(NamedTuple):
+    """What one run's replay leaves behind, with nothing tied to its
+    binary: the servicing level of every detailed reference in order,
+    and the hierarchy's end state (statistics included)."""
+
+    levels: np.ndarray
+    state: HierarchyState
+
+
+#: Replay records by (memory config, recipe digest, plan, window
+#: sizes). A run whose key is here generates no references: it slices
+#: its detailed windows' servicing levels from the record and loads the
+#: end state. Four entries hold one program's standard targets; the
+#: FP programs' 32- and 64-bit twins share theirs.
+_RECORD_CAPACITY = 4
+_records: "OrderedDict[Tuple, _ReplayRecord]" = OrderedDict()
+register_memo(_records.clear)
+
 
 class _Replay:
     """One simulation's windows over a trace: reference generation,
@@ -579,6 +634,41 @@ class _Replay:
         self.hierarchy = hierarchy
         self.streams = AddressStreamState()
         self._penalty = np.array(cpi_model.penalties, dtype=np.int64)
+        self._key: Optional[Tuple] = None
+        self._record: Optional[_ReplayRecord] = None
+        self._served = 0  # detailed references served from the record
+        self._levels: List[np.ndarray] = []  # servicing levels replayed
+
+    def begin(self, plan: Tuple[Tuple[int, int, str], ...]) -> None:
+        """Start a run over ``plan``'s ``(lo, hi, mode)`` segments:
+        served from its replay record when one exists, else replayed
+        and recorded by :meth:`end`."""
+        self._key = (
+            self.hierarchy.config,
+            self.tables.recipe_digest(),
+            plan,
+            _FLUSH_REFS,
+            _FLUSH_CHUNKS,
+        )
+        self._record = _records.get(self._key)
+        if self._record is not None:
+            _records.move_to_end(self._key)
+            metrics.counter("cmpsim.replay_records_reused").inc()
+
+    def end(self) -> None:
+        """Finish the run: a served run takes the record's end state, a
+        replayed one stores its record."""
+        if self._record is not None:
+            self.hierarchy.load(self._record.state)
+            return
+        levels = (
+            np.concatenate(self._levels)
+            if self._levels
+            else np.empty(0, dtype=np.uint8)
+        )
+        _records[self._key] = _ReplayRecord(levels, self.hierarchy.save())
+        if len(_records) > _RECORD_CAPACITY:
+            _records.popitem(last=False)
 
     def firing_units(
         self, table: MarkerTable, coords: Sequence[ExecutionCoordinate]
@@ -658,28 +748,26 @@ class _Replay:
         t = self.tables
         units, counts = self._pieces(lo, hi)
         chunk = _tiled(t.chunk_off[units], t.chunk_width[units], counts)
-        refs = self._refs(units, counts)
+        n_refs = int(np.dot(t.ref_width[units], counts))
         metrics.counter("cmpsim.detailed_flushes").inc()
         # Window sizes expose the batching behavior: shrinking windows
         # (or chunk-guard cuts) mean replay is degrading toward scalar.
-        metrics.histogram("cmpsim.flush_refs").observe(refs.shape[0])
+        metrics.histogram("cmpsim.flush_refs").observe(n_refs)
         metrics.histogram("cmpsim.flush_items").observe(units.shape[0])
         cycles = t.chunk_base[chunk]
         dram = np.zeros(chunk.shape[0], dtype=np.float64)
         n_dram = 0
-        if refs.shape[0]:
-            serviced = self.hierarchy.access_many(
-                *t.pattern.generate(self.streams, refs)
-            )
+        if n_refs:
+            serviced = self._serviced(units, counts, n_refs)
             width = t.chunk_refs[chunk]
             ends = np.cumsum(width)
-            penalty = np.zeros(refs.shape[0] + 1, dtype=np.int64)
+            penalty = np.zeros(n_refs + 1, dtype=np.int64)
             np.cumsum(self._penalty[serviced], out=penalty[1:])
             cycles = cycles + (penalty[ends] - penalty[ends - width])
             is_dram = serviced == 3
             n_dram = int(np.count_nonzero(is_dram))
             if tracked and n_dram:
-                hits = np.zeros(refs.shape[0] + 1, dtype=np.int64)
+                hits = np.zeros(n_refs + 1, dtype=np.int64)
                 np.cumsum(is_dram, out=hits[1:])
                 dram = (hits[ends] - hits[ends - width]).astype(np.float64)
         chunks = None
@@ -689,10 +777,31 @@ class _Replay:
                 cycles=cycles,
                 dram=dram,
             )
-        return cycles, chunks, refs.shape[0], n_dram
+        return cycles, chunks, n_refs, n_dram
+
+    def _serviced(
+        self, units: np.ndarray, counts: np.ndarray, n_refs: int
+    ) -> np.ndarray:
+        """The servicing level (uint8) of each of the window's
+        ``n_refs`` references: the record's next ones, else replayed
+        through the hierarchy and recorded."""
+        if self._record is not None:
+            start = self._served
+            self._served += n_refs
+            return self._record.levels[start : self._served]
+        serviced = self.hierarchy.access_many(
+            *self.tables.pattern.generate(
+                self.streams, self._refs(units, counts)
+            )
+        ).astype(np.uint8)
+        self._levels.append(serviced)
+        return serviced
 
     def warm(self, lo: int, hi: int) -> None:
-        """Functionally warm the caches with ``[lo, hi)``'s references."""
+        """Functionally warm the caches with ``[lo, hi)``'s references
+        (nothing when served: the record holds the end state)."""
+        if self._record is not None:
+            return
         refs = self._refs(*self._pieces(lo, hi))
         if refs.shape[0]:
             self.hierarchy.warm_many(
@@ -701,7 +810,10 @@ class _Replay:
 
     def skip(self, lo: int, hi: int) -> None:
         """Advance the address streams past ``[lo, hi)`` in closed form
-        (the cursor, LCG and write recurrences all commute)."""
+        (the cursor, LCG and write recurrences all commute); nothing
+        when served, since a served run generates no references."""
+        if self._record is not None:
+            return
         t = self.tables
         units, counts = self._pieces(lo, hi)
         execs = np.zeros(t.ref_width.shape[0], dtype=np.int64)
@@ -745,6 +857,10 @@ def _region_events(
                 "only the last region may run to program exit"
             )
     return events, active
+
+
+#: Segment modes of a run's plan.
+_DETAILED, _WARM, _SKIP = "detailed", "warm", "skip"
 
 
 def _simulate_segment(
@@ -843,6 +959,7 @@ class CMPSim:
                     if unit >= 0 else -1
                     for unit in units
                 ])
+        replay.begin(((0, t.total_units, _DETAILED),))
         cycles = 0.0
         memory_refs = 0
         for lo, hi in replay.windows(0, t.total_units):
@@ -853,6 +970,7 @@ class CMPSim:
             memory_refs += refs
             for tracker in trackers:
                 tracker.attribute(chunks)
+        replay.end()
         for tracker in trackers:
             tracker.finish()
         stats = SimulationStats(
@@ -883,7 +1001,9 @@ class CMPSim:
         boundary whose firing comes before its predecessor's never
         fires. The boundaries cut the run into segments, each wholly
         inside one region (detailed, cycles folded from zero) or wholly
-        fast-forwarded (warmed or skipped).
+        fast-forwarded (warmed or skipped). Simulation stops where the
+        last region ends; the instructions after it only count as
+        fast-forwarded.
         """
         if not regions:
             raise SimulationError("run_regions needs at least one region")
@@ -904,19 +1024,32 @@ class CMPSim:
                 )
             previous = unit
             cuts.append((unit, label if starting else None))
-        fast_forward = 0
+        segments: List[Tuple[int, int, Optional[int]]] = []
         start = 0
         for index, (unit, following) in enumerate(cuts):
             if index + 1 < len(cuts) and cuts[index + 1][0] == unit:
                 continue  # one firing: its last boundary decides
             if following != active:
-                fast_forward += _simulate_segment(
-                    replay, start, unit, active, warm, results
-                )
+                segments.append((start, unit, active))
                 start, active = unit, following
-        fast_forward += _simulate_segment(
-            replay, start, replay.tables.total_units, active, warm, results
-        )
+        total = replay.tables.total_units
+        # Nothing after the last region can change an output, so the
+        # trailing fast-forward is counted, never simulated.
+        fast_forward = 0
+        if active is None:
+            fast_forward = replay.instructions(start, total)
+        else:
+            segments.append((start, total, active))
+        fast_mode = _WARM if warm else _SKIP
+        replay.begin(tuple(
+            (lo, hi, fast_mode if label is None else _DETAILED)
+            for lo, hi, label in segments
+        ))
+        for lo, hi, label in segments:
+            fast_forward += _simulate_segment(
+                replay, lo, hi, label, warm, results
+            )
+        replay.end()
         return RegionResult(
             regions=results,
             fast_forward_instructions=fast_forward,

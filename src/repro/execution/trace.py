@@ -36,7 +36,7 @@ from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -514,10 +514,31 @@ _memo: "OrderedDict[Tuple[int, ProgramInput], Tuple[Binary, CompiledTrace]]"
 _memo = OrderedDict()
 
 
+#: Clear functions of memos that later layers derive from traces; see
+#: :func:`register_memo`.
+_derived_memos: List[Callable[[], None]] = []
+
+
+def register_memo(clear: Callable[[], None]) -> None:
+    """Have :func:`clear_trace_memo` also call ``clear``, which drops a
+    memo derived from traces. (A layer above registers its memo on
+    import; this module cannot import it without a cycle.)"""
+    _derived_memos.append(clear)
+
+
 def clear_trace_memo() -> None:
-    """Drop the in-process trace memos (tests and benchmarks)."""
+    """Drop every in-process simulation memo (tests and benchmarks):
+
+    * the compiled traces, by binary and input;
+    * the marker firing tables, by trace and marker table;
+    * :mod:`repro.cmpsim.simulator`'s replay records (servicing levels
+      and end cache state per reference stream and run plan), once that
+      module is imported.
+    """
     _memo.clear()
     _firings_memo.clear()
+    for clear in _derived_memos:
+        clear()
 
 
 def compiled_trace(

@@ -31,7 +31,8 @@ class BlockVector(Mapping[int, float]):
     ``blocks`` (int64) holds each block once, in first-attribution
     order; ``amounts`` (float64) holds its instructions. Equality is
     mapping equality, so a vector compares equal to the ``dict`` with
-    the same items. It pickles as the two raw buffers.
+    the same items. It pickles as the two raw buffers, the ids in the
+    narrowest integer dtype that holds them (they load back as int64).
     """
 
     __slots__ = ("blocks", "amounts", "_dict")
@@ -74,12 +75,24 @@ class BlockVector(Mapping[int, float]):
         return f"BlockVector({self.as_dict()!r})"
 
     def __reduce__(self):
-        return _block_vector, (self.blocks.tobytes(), self.amounts.tobytes())
+        blocks = self.blocks
+        if blocks.shape[0]:
+            # One pass: a negative id reads as at least 2**63 here.
+            top = int(blocks.view(np.uint64).max())
+            if top < 1 << 32:
+                blocks = blocks.astype(np.min_scalar_type(top))
+        return _block_vector, (
+            blocks.tobytes(), self.amounts.tobytes(), blocks.dtype.str
+        )
 
 
-def _block_vector(blocks: bytes, amounts: bytes) -> BlockVector:
+def _block_vector(
+    blocks: bytes, amounts: bytes, dtype: str = "<i8"
+) -> BlockVector:
+    """Unpickle a vector whose ids were written in ``dtype``, the
+    narrowest that holds them (pickles without it hold int64 ids)."""
     return BlockVector(
-        np.frombuffer(blocks, dtype=np.int64),
+        np.frombuffer(blocks, dtype=dtype).astype(np.int64),
         np.frombuffer(amounts, dtype=np.float64),
     )
 

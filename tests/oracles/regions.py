@@ -6,12 +6,15 @@ functionally warmed one through :meth:`OracleHierarchy.warm_access`,
 and every block execution checks for a region boundary.
 ``CMPSim.run_regions`` batches the same work through the hierarchy's
 batch engine and must match this oracle exactly — the
-:class:`RegionResult` (float cycles included) and the final cache
-state.
+:class:`RegionResult` (float cycles included) and the cache state where
+the last region ends, which is where ``run_regions`` stops simulating.
+The oracle itself walks the whole execution, so its result also pins
+the trailing fast-forward count.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cmpsim.cpu import CPIModel
@@ -66,6 +69,9 @@ class _RegionConsumer(ExecutionConsumer):
         self._marker_counts: Dict[int, int] = {}
         self.results: Dict[int, IntervalStats] = {}
         self.fast_forward_instructions = 0
+        #: The hierarchy as the last region left it (a copy taken when
+        #: the last boundary ends a region, else the live one).
+        self.observed: Optional[OracleHierarchy] = None
 
         self._events: List[Tuple[ExecutionCoordinate, bool, int]] = []
         self._active: Optional[int] = None
@@ -98,6 +104,12 @@ class _RegionConsumer(ExecutionConsumer):
                 return
             self._active = label if starting else None
             self._next_event += 1
+        if (
+            self.observed is None
+            and self._next_event == len(self._events)
+            and self._active is None
+        ):
+            self.observed = copy.deepcopy(self._hierarchy)
 
     def _exec_block(self, block_id: int) -> None:
         block = self._binary.blocks[block_id]
@@ -155,6 +167,8 @@ class _RegionConsumer(ExecutionConsumer):
             raise SimulationError(
                 f"{self._binary.name}: region boundary {coord} never fired"
             )
+        if self.observed is None:
+            self.observed = self._hierarchy
 
 
 def scalar_run_regions(
@@ -164,7 +178,8 @@ def scalar_run_regions(
     warm: bool = True,
 ) -> Tuple[RegionResult, OracleHierarchy]:
     """``sim.run_regions`` one reference at a time; also returns the
-    hierarchy so callers can compare its final cache state."""
+    hierarchy as the last region left it (the final one when the last
+    region runs to program exit), so callers can compare cache state."""
     if not regions:
         raise SimulationError("run_regions needs at least one region")
     hierarchy = OracleHierarchy(sim._config)
@@ -177,4 +192,4 @@ def scalar_run_regions(
         fast_forward_instructions=consumer.fast_forward_instructions,
         hierarchy=hierarchy.snapshot(),
     )
-    return result, hierarchy
+    return result, consumer.observed

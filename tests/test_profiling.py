@@ -1,12 +1,15 @@
 """Tests for repro.profiling: intervals, FLI BBVs, call/branch profile."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.compilation.binary import BlockKind
 from repro.errors import ProfilingError
 from repro.profiling.bbv import collect_fli_bbvs
 from repro.profiling.callbranch import collect_call_branch_profile
-from repro.profiling.intervals import Interval
+from repro.profiling.intervals import BlockVector, Interval, _block_vector
 
 from tests.conftest import MICRO_INTERVAL, bbv_total
 from tests.oracles.engine import run_binary
@@ -23,6 +26,32 @@ class TestInterval:
         assert interval.bbv == {1: 6.0, 2: 4.0}
         assert list(interval.bbv.items()) == [(1, 6.0), (2, 4.0)]
         assert bbv_total(interval) == 10.0
+
+
+class TestBlockVectorPickle:
+    def test_ids_pickle_narrow_and_load_as_int64(self):
+        vector = BlockVector.from_mapping({302: 6.0, 4: 4.0, 17: 1.5})
+        _, (blocks, _, dtype) = vector.__reduce__()
+        assert (len(blocks), np.dtype(dtype)) == (6, np.uint16)
+        loaded = pickle.loads(pickle.dumps(vector))
+        assert loaded == vector
+        assert list(loaded) == [302, 4, 17]
+        assert loaded.blocks.dtype == np.int64
+
+    def test_empty_and_negative_ids_round_trip(self):
+        for mapping in ({}, {-3: 1.0, 2**40: 2.0}):
+            vector = BlockVector.from_mapping(mapping)
+            assert pickle.loads(pickle.dumps(vector)) == mapping
+
+    def test_int64_pickles_stay_readable(self):
+        """Pickles written before ids were narrowed hold int64 ids and
+        no dtype."""
+        vector = _block_vector(
+            np.array([302, 4], dtype=np.int64).tobytes(),
+            np.array([6.0, 4.0]).tobytes(),
+        )
+        assert vector == {302: 6.0, 4: 4.0}
+        assert vector.blocks.dtype == np.int64
 
 
 class TestFLICollection:

@@ -5,7 +5,9 @@ batch engine (``access_many`` inside regions, ``warm_many`` or closed-
 form cursor advances outside). It must be bit-identical to the scalar
 reference-at-a-time consumer in :mod:`tests.oracles.regions`: the same
 :class:`RegionResult` — every float spelled the same, the fast-forward
-count and the hierarchy statistics — and the same final cache state.
+count and the hierarchy statistics — and the same cache state where
+the last region ends (``run_regions`` simulates nothing after it; the
+oracle snapshots its state there).
 """
 
 from contextlib import contextmanager
@@ -23,6 +25,8 @@ from repro.compilation.targets import STANDARD_TARGETS, TARGET_32O, TARGET_32U
 from repro.core.matching import find_mappable_points
 from repro.core.vli import collect_vli_bbvs
 from repro.errors import SimulationError
+from repro.execution.trace import clear_trace_memo
+from repro.observability import metrics
 from repro.profiling.callbranch import collect_call_branch_profile
 from repro.programs.inputs import REF_INPUT, ProgramInput
 from repro.programs.suite import build_benchmark
@@ -82,15 +86,13 @@ def region_rows(result):
 
 
 def assert_matches_oracle(sim, regions, table, warm):
-    expected, oracle_hierarchy = scalar_run_regions(sim, regions, table, warm)
+    expected, observed = scalar_run_regions(sim, regions, table, warm)
     got = sim.run_regions(regions, table, warm=warm)
     assert region_rows(got) == region_rows(expected)
     assert got.fast_forward_instructions == expected.fast_forward_instructions
     assert got.hierarchy == expected.hierarchy
     assert got == expected
-    assert cache_state(_RecordingHierarchy.last) == cache_state(
-        oracle_hierarchy
-    )
+    assert cache_state(_RecordingHierarchy.last) == cache_state(observed)
 
 
 def marker_set_of(binaries, program_input=REF_INPUT):
@@ -154,6 +156,39 @@ class TestMicroBinaries:
             micro_markers.table_for(binary.name),
             warm,
         )
+
+
+class TestNothingAfterLastRegion:
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+    def test_no_reference_after_the_last_region_is_replayed(
+        self, micro_binary_32u, micro_markers, micro_vlis, warm
+    ):
+        """Warm runs replay every reference up to the last region's
+        end, cold runs the regions' own; none past the last end."""
+        regions = [
+            RegionSpec(label, micro_vlis[index].start_coord,
+                       micro_vlis[index].end_coord)
+            for label, index in enumerate([1, 3])
+        ]
+        table = micro_markers.table_for(micro_binary_32u.name)
+        sim = CMPSim(micro_binary_32u)
+        replay = sim._replay(MemoryHierarchy(TABLE1_CONFIG))
+        t = replay.tables
+        coords = [c for region in regions for c in (region.start, region.end)]
+        refs_at = [
+            replay._at(t.refs_end, t.refs_per, unit)
+            for unit in replay.firing_units(table, coords)
+        ]
+        assert refs_at[-1] < int(t.refs_end[-1])
+        expected = (
+            refs_at[-1] if warm
+            else sum(refs_at[1::2]) - sum(refs_at[0::2])
+        )
+        clear_trace_memo()
+        with metrics.scoped_registry() as registry:
+            sim.run_regions(regions, table, warm=warm)
+        counters = registry.snapshot()["counters"]
+        assert counters["cmpsim.hierarchy_batch_refs"] == expected
 
 
 # ----------------------------------------------------------------------
