@@ -46,7 +46,6 @@ from repro.cmpsim.simulator import (
 )
 from repro.core.markers import ExecutionCoordinate, MarkerTable
 from repro.programs.inputs import ProgramInput, REF_INPUT
-from repro.runtime.cache import ProfileCache
 from repro.runtime.config import active_cache
 
 #: ProfileCache kind under which detailed-simulation results live.
@@ -135,7 +134,6 @@ def cached_full_run(
     fli_interval_size: Optional[int] = None,
     vli_table: Optional[MarkerTable] = None,
     vli_boundaries: Optional[Sequence[ExecutionCoordinate]] = None,
-    cache: Optional[ProfileCache] = None,
 ) -> TrackedRun:
     """A full detailed run with FLI/VLI trackers, cached by content."""
 
@@ -155,7 +153,7 @@ def cached_full_run(
         )
         if vli is not None:
             trackers.append(vli)
-        result = CMPSim(binary, memory, program_input, cache=cache).run_full(
+        result = CMPSim(binary, memory, program_input).run_full(
             trackers=tuple(trackers)
         )
         return TrackedRun(
@@ -164,8 +162,7 @@ def cached_full_run(
             vli_intervals=tuple(vli.intervals) if vli is not None else (),
         )
 
-    if cache is None:
-        cache = active_cache()
+    cache = active_cache()
     if cache is None:
         return compute()
     key = full_run_key(
@@ -187,7 +184,6 @@ def cached_region_run(
     *,
     memory: MemoryConfig = TABLE1_CONFIG,
     program_input: ProgramInput = REF_INPUT,
-    cache: Optional[ProfileCache] = None,
 ) -> RegionResult:
     """PinPoints-style region simulation with per-region reuse.
 
@@ -200,9 +196,8 @@ def cached_region_run(
     fresh pass, which the bit-identity tests enforce.
     """
     region_list = list(regions)
-    if cache is None:
-        cache = active_cache()
-    sim = CMPSim(binary, memory, program_input, cache=cache)
+    cache = active_cache()
+    sim = CMPSim(binary, memory, program_input)
     if cache is None or not region_list:
         return sim.run_regions(region_list, table, warm=warm)
     keys, tail_key = region_run_keys(

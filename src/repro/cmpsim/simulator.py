@@ -102,7 +102,6 @@ from repro.execution.trace import (
     register_memo,
 )
 from repro.programs.inputs import ProgramInput, REF_INPUT
-from repro.runtime.cache import ProfileCache
 
 
 @dataclass
@@ -895,25 +894,17 @@ def _simulate_segment(
 
 
 class CMPSim:
-    """The simulator facade for one binary.
-
-    ``cache`` is the profile cache the compiled trace is looked up in
-    (default: the runtime's active cache). A pool worker passes its
-    task's handle so the lookup lands in the tally it ships back.
-    """
+    """The simulator facade for one binary."""
 
     def __init__(
         self,
         binary: Binary,
         config: MemoryConfig = TABLE1_CONFIG,
         program_input: ProgramInput = REF_INPUT,
-        *,
-        cache: Optional[ProfileCache] = None,
     ) -> None:
         self._binary = binary
         self._config = config
         self._input = program_input
-        self._cache = cache
         self._cpi_model = CPIModel.from_config(config)
 
     @property
@@ -923,7 +914,7 @@ class CMPSim:
     def _replay(self, hierarchy: MemoryHierarchy) -> _Replay:
         return _Replay(
             self._binary,
-            compiled_trace(self._binary, self._input, cache=self._cache),
+            compiled_trace(self._binary, self._input),
             hierarchy,
             self._cpi_model,
         )

@@ -29,8 +29,6 @@ from repro.profiling.bbv import collect_fli_bbvs
 from repro.profiling.callbranch import collect_call_branch_profile
 from repro.profiling.intervals import Interval
 from repro.programs.inputs import ProgramInput, REF_INPUT
-from repro.runtime.cache import ProfileCache, cache_from_root, merge_stats
-from repro.runtime.config import active_cache
 from repro.runtime.parallel import parallel_map
 from repro.simpoint.simpoint import SimPointConfig, SimPointResult, run_simpoint
 
@@ -83,23 +81,17 @@ class CrossBinaryResult:
 
 
 def _callbranch_task(task):
-    """Worker: call-branch profile for one binary (cache-aware)."""
-    binary, program_input, cache_root = task
-    cache = cache_from_root(cache_root)
-    profile = collect_call_branch_profile(
-        binary, program_input, cache=cache
-    )
-    return profile, (cache.stats if cache is not None else None)
+    """Worker: call-branch profile for one binary."""
+    binary, program_input = task
+    return collect_call_branch_profile(binary, program_input)
 
 
 def _measure_task(task):
     """Worker: per-interval instruction counts for one binary."""
-    binary, marker_set, boundaries, program_input, cache_root = task
-    cache = cache_from_root(cache_root)
-    counts = measure_interval_instructions(
-        binary, marker_set, boundaries, program_input, cache=cache
+    binary, marker_set, boundaries, program_input = task
+    return measure_interval_instructions(
+        binary, marker_set, boundaries, program_input
     )
-    return counts, (cache.stats if cache is not None else None)
 
 
 def run_cross_binary_simpoint(
@@ -107,7 +99,6 @@ def run_cross_binary_simpoint(
     config: CrossBinaryConfig = CrossBinaryConfig(),
     *,
     jobs: Optional[int] = None,
-    cache: Optional[ProfileCache] = None,
 ) -> CrossBinaryResult:
     """Run the full Cross Binary SimPoint pipeline.
 
@@ -133,24 +124,14 @@ def run_cross_binary_simpoint(
             f"binaries come from different programs: {sorted(programs)}"
         )
 
-    cache = cache if cache is not None else active_cache()
-    cache_root = cache.root if cache is not None else None
-
     # Step 1: call-and-branch profile for each binary (fan-out).
     with trace.span("profile", binaries=len(binaries)):
         profile_results = parallel_map(
             _callbranch_task,
-            [
-                (binary, config.program_input, cache_root)
-                for binary in binaries
-            ],
+            [(binary, config.program_input) for binary in binaries],
             jobs=jobs,
         )
-    merge_stats(cache, [stats for _, stats in profile_results])
-    profiles = [
-        (binary, profile)
-        for binary, (profile, _) in zip(binaries, profile_results)
-    ]
+    profiles = list(zip(binaries, profile_results))
     # Step 2: mappable points that exist in all binaries.
     with trace.span("match"):
         marker_set, match_report = find_mappable_points(
@@ -176,14 +157,12 @@ def run_cross_binary_simpoint(
     with trace.span("vli_profile", primary=primary.name):
         intervals = collect_vli_bbvs(
             primary, marker_set, config.interval_size,
-            config.program_input, cache=cache,
+            config.program_input,
         )
     metrics.counter("pipeline.intervals_profiled").inc(len(intervals))
     # Step 4: SimPoint on the primary binary's VLI BBVs.
     with trace.span("simpoint", intervals=len(intervals)):
-        simpoint_result = run_simpoint(
-            intervals, config.simpoint, cache=cache
-        )
+        simpoint_result = run_simpoint(intervals, config.simpoint)
     # Step 5: map simulation points to all binaries (definitional).
     with trace.span("map_points"):
         mapped_points = map_simulation_points(intervals, simpoint_result)
@@ -193,16 +172,14 @@ def run_cross_binary_simpoint(
         measure_results = parallel_map(
             _measure_task,
             [
-                (binary, marker_set, boundaries, config.program_input,
-                 cache_root)
+                (binary, marker_set, boundaries, config.program_input)
                 for binary in binaries
             ],
             jobs=jobs,
         )
-    merge_stats(cache, [stats for _, stats in measure_results])
     interval_instructions: Dict[str, Tuple[int, ...]] = {}
     weights: Dict[str, Dict[int, float]] = {}
-    for binary, (counts, _) in zip(binaries, measure_results):
+    for binary, counts in zip(binaries, measure_results):
         interval_instructions[binary.name] = tuple(counts)
         weights[binary.name] = phase_weights(counts, simpoint_result.labels)
     return CrossBinaryResult(
@@ -223,32 +200,19 @@ def run_per_binary_simpoint(
     interval_size: int = 100_000,
     config: Optional[SimPointConfig] = None,
     program_input: ProgramInput = REF_INPUT,
-    *,
-    cache: Optional[ProfileCache] = None,
 ) -> Tuple[List[Interval], SimPointResult]:
     """The paper's baseline: FLI SimPoint on one binary in isolation."""
     with trace.span("fli_profile", binary=binary.name):
-        intervals = collect_fli_bbvs(
-            binary, interval_size, program_input, cache=cache
-        )
+        intervals = collect_fli_bbvs(binary, interval_size, program_input)
     metrics.counter("pipeline.intervals_profiled").inc(len(intervals))
     with trace.span("fli_simpoint", binary=binary.name):
-        result = run_simpoint(
-            intervals, config or SimPointConfig(), cache=cache
-        )
+        result = run_simpoint(intervals, config or SimPointConfig())
     return intervals, result
 
 
 def _per_binary_task(task):
-    """Worker: the FLI baseline for one binary (cache-aware)."""
-    binary, interval_size, config, program_input, cache_root = task
-    cache = cache_from_root(cache_root)
-    intervals, result = run_per_binary_simpoint(
-        binary, interval_size, config, program_input, cache=cache
-    )
-    return (intervals, result), (
-        cache.stats if cache is not None else None
-    )
+    """Worker: the FLI baseline for one binary."""
+    return run_per_binary_simpoint(*task)
 
 
 def run_per_binary_simpoints(
@@ -258,7 +222,6 @@ def run_per_binary_simpoints(
     program_input: ProgramInput = REF_INPUT,
     *,
     jobs: Optional[int] = None,
-    cache: Optional[ProfileCache] = None,
 ) -> Dict[str, Tuple[List[Interval], SimPointResult]]:
     """The FLI baseline over several binaries, fanned out over workers.
 
@@ -266,18 +229,14 @@ def run_per_binary_simpoints(
     preserve insertion order); identical to calling
     :func:`run_per_binary_simpoint` on each binary serially.
     """
-    cache = cache if cache is not None else active_cache()
-    cache_root = cache.root if cache is not None else None
     results = parallel_map(
         _per_binary_task,
         [
-            (binary, interval_size, config, program_input, cache_root)
+            (binary, interval_size, config, program_input)
             for binary in binaries
         ],
         jobs=jobs,
     )
-    merge_stats(cache, [stats for _, stats in results])
     return {
-        binary.name: payload
-        for binary, (payload, _) in zip(binaries, results)
+        binary.name: payload for binary, payload in zip(binaries, results)
     }

@@ -15,13 +15,12 @@ reduces to integer arithmetic over whole iterations.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.compilation.binary import Binary
 from repro.core.markers import MarkerSet
 from repro.profiling.intervals import Interval
 from repro.programs.inputs import ProgramInput, REF_INPUT
-from repro.runtime.cache import ProfileCache
 from repro.runtime.config import active_cache
 
 
@@ -30,25 +29,23 @@ def collect_vli_bbvs(
     marker_set: MarkerSet,
     target_size: int,
     program_input: ProgramInput = REF_INPUT,
-    *,
-    cache: Optional[ProfileCache] = None,
 ) -> List[Interval]:
     """Profile a binary into mappable variable-length intervals.
 
     The intervals are replayed from the compiled execution trace
-    (:func:`repro.execution.trace.replay_vli`). With a cache (explicit
-    or the process-wide one), the profile is memoized by ``(binary,
-    input, this binary's marker table, target size)`` fingerprint —
+    (:func:`repro.execution.trace.replay_vli`). With an active cache,
+    the profile is memoized by ``(binary, input, this binary's marker
+    table, target size)`` fingerprint —
     only the table matters, since VLI cutting never consults the other
     binaries' anchors.
     """
     table = marker_set.table_for(binary.name)
-    cache = cache if cache is not None else active_cache()
+    cache = active_cache()
 
     def compute() -> List[Interval]:
         from repro.execution.trace import compiled_trace, replay_vli
 
-        trace = compiled_trace(binary, program_input, cache=cache)
+        trace = compiled_trace(binary, program_input)
         return replay_vli(trace, binary, table, target_size)
 
     if cache is None:

@@ -17,7 +17,6 @@ from repro.compilation.binary import Binary
 from repro.core.markers import ExecutionCoordinate, MarkerSet
 from repro.errors import MappingError
 from repro.programs.inputs import ProgramInput, REF_INPUT
-from repro.runtime.cache import ProfileCache
 from repro.runtime.config import active_cache
 
 
@@ -26,19 +25,16 @@ def measure_interval_instructions(
     marker_set: MarkerSet,
     boundaries: Sequence[ExecutionCoordinate],
     program_input: ProgramInput = REF_INPUT,
-    *,
-    cache: Optional[ProfileCache] = None,
 ) -> List[int]:
     """Instructions per mapped interval for one binary (functional run).
 
     The counts are replayed from the compiled execution trace as a
     segment sum between boundary firing positions
-    (:func:`repro.execution.trace.replay_interval_counts`). With a
-    cache (explicit or the process-wide one), they are memoized by
-    ``(binary, input, this binary's marker table, the boundary
-    coordinates)`` fingerprint.
+    (:func:`repro.execution.trace.replay_interval_counts`). With an
+    active cache, they are memoized by ``(binary, input, this binary's
+    marker table, the boundary coordinates)`` fingerprint.
     """
-    cache = cache if cache is not None else active_cache()
+    cache = active_cache()
 
     def compute() -> List[int]:
         from repro.execution.trace import (
@@ -46,7 +42,7 @@ def measure_interval_instructions(
             replay_interval_counts,
         )
 
-        trace = compiled_trace(binary, program_input, cache=cache)
+        trace = compiled_trace(binary, program_input)
         return replay_interval_counts(trace, binary, marker_set, boundaries)
 
     if cache is None:

@@ -7,9 +7,7 @@ to flat numpy arrays — a run-length-encoded stream of block runs,
 iteration-span records, and procedure-entry markers — produced by
 structural template expansion (:func:`compile_trace`, the
 reproduction's one instrumented pass per binary and input, where the
-paper runs Pin) and memoized both in-process and through the on-disk
-:class:`~repro.runtime.cache.ProfileCache` (kind ``"trace"``, keyed by
-the binary/input content fingerprint).
+paper runs Pin) and memoized in-process (:func:`compiled_trace`).
 
 The replay functions in this module consume those arrays in bulk:
 
@@ -46,8 +44,6 @@ from repro.errors import ExecutionError, MappingError, ProfilingError
 from repro.observability import metrics
 from repro.profiling.intervals import BlockVector, Interval
 from repro.programs.inputs import ProgramInput, REF_INPUT
-from repro.runtime.cache import ProfileCache
-from repro.runtime.config import active_cache
 
 
 def _record_replay(kind: str, trace: "CompiledTrace") -> None:
@@ -542,33 +538,21 @@ def clear_trace_memo() -> None:
 
 
 def compiled_trace(
-    binary: Binary,
-    program_input: ProgramInput = REF_INPUT,
-    *,
-    cache: Optional[ProfileCache] = None,
+    binary: Binary, program_input: ProgramInput = REF_INPUT
 ) -> CompiledTrace:
-    """The trace for ``(binary, input)``, memoized at two levels.
+    """The trace for ``(binary, input)``, memoized in-process.
 
-    In-process, the trace is keyed by binary object identity (verified
-    against the memoized binary); across
-    processes it goes through the profile cache (explicit or the
-    process-wide one) under kind ``"trace"`` with the binary/input
-    content fingerprint as key.
+    The memo is keyed by binary object identity (verified against the
+    memoized binary). Traces are not written to the profile cache:
+    compiling one costs about a millisecond, while its pickle is
+    larger than every profile derived from it together.
     """
     key = (id(binary), program_input)
     memoized = _memo.get(key)
     if memoized is not None and memoized[0] is binary:
         _memo.move_to_end(key)
         return memoized[1]
-    cache = cache if cache is not None else active_cache()
-    if cache is None:
-        trace = compile_trace(binary, program_input)
-    else:
-        trace = cache.get_or_compute(
-            "trace",
-            (binary, program_input),
-            lambda: compile_trace(binary, program_input),
-        )
+    trace = compile_trace(binary, program_input)
     _memo[key] = (binary, trace)
     if len(_memo) > _MEMO_CAPACITY:
         _memo.popitem(last=False)

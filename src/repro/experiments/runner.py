@@ -47,12 +47,7 @@ from repro.profiling.bbv import collect_fli_bbvs
 from repro.profiling.intervals import Interval
 from repro.programs.inputs import ProgramInput, REF_INPUT
 from repro.programs.suite import build_benchmark
-from repro.runtime.cache import cache_from_root, merge_stats, no_cache_kinds
-from repro.runtime.config import (
-    active_cache,
-    resolve_jobs,
-    resolve_match_confidence,
-)
+from repro.runtime.config import resolve_jobs, resolve_match_confidence
 from repro.runtime.parallel import parallel_map
 from repro.simpoint.simpoint import SimPointConfig, SimPointResult, run_simpoint
 
@@ -215,12 +210,11 @@ def _vli_estimate(
 
 def _outcome_task(task):
     """Worker: one binary's full measurement (profile + detailed sim)."""
-    target, binary, cross, config, cache_root = task
-    cache = cache_from_root(cache_root)
+    target, binary, cross, config = task
     fli_profile = collect_fli_bbvs(
-        binary, config.interval_size, config.program_input, cache=cache
+        binary, config.interval_size, config.program_input
     )
-    fli_simpoint = run_simpoint(fli_profile, config.simpoint, cache=cache)
+    fli_simpoint = run_simpoint(fli_profile, config.simpoint)
 
     # The detailed simulation — the dominant repeated cost of a sweep —
     # is keyed by content and reused across runs whenever a cache is
@@ -233,7 +227,6 @@ def _outcome_task(task):
         fli_interval_size=config.interval_size,
         vli_table=cross.marker_set.table_for(binary.name),
         vli_boundaries=cross.boundaries,
-        cache=cache,
     )
     stats = tracked.stats
 
@@ -252,7 +245,7 @@ def _outcome_task(task):
         ),
         vli_weights=cross.weights_for(binary.name),
     )
-    return outcome, (cache.stats if cache is not None else None)
+    return outcome
 
 
 def _annotate_session(run: BenchmarkRun) -> None:
@@ -394,20 +387,17 @@ def run_benchmark(
         )
 
     with trace.span("outcomes", benchmark=name):
-        cache = active_cache()
-        cache_root = cache.root if cache is not None else None
         results = parallel_map(
             _outcome_task,
             [
-                (target, binaries[target], cross, config, cache_root)
+                (target, binaries[target], cross, config)
                 for target in config.targets
             ],
             jobs=jobs,
         )
-        merge_stats(cache, [stats for _, stats in results])
         outcomes: Dict[str, BinaryOutcome] = {
             target.label: outcome
-            for target, (outcome, _) in zip(config.targets, results)
+            for target, outcome in zip(config.targets, results)
         }
 
     run = BenchmarkRun(
@@ -420,25 +410,9 @@ def run_benchmark(
 
 def _benchmark_task(task):
     """Worker: one benchmark's full experiment (nested fan-out is
-    suppressed inside workers, so this runs serially there).
-
-    The task's cache handle becomes the active cache; the match
-    threshold and disabled cache kinds the worker inherited stay.
-    """
-    name, config, cache_root = task
-    cache = cache_from_root(cache_root)
-    if cache is not None:
-        from repro.runtime.config import runtime_session
-
-        with runtime_session(
-            cache=cache,
-            match_confidence=resolve_match_confidence(),
-            no_cache_kinds=no_cache_kinds(),
-        ):
-            run = run_benchmark(name, config)
-    else:
-        run = run_benchmark(name, config)
-    return run, (cache.stats if cache is not None else None)
+    suppressed inside workers, so this runs serially there)."""
+    name, config = task
+    return run_benchmark(name, config)
 
 
 def run_suite(
@@ -466,15 +440,12 @@ def run_suite(
         if progress:
             for name in pending:
                 print(f"[repro] running {name} ...", flush=True)
-        cache = active_cache()
-        cache_root = cache.root if cache is not None else None
         results = parallel_map(
             _benchmark_task,
-            [(name, config, cache_root) for name in pending],
+            [(name, config) for name in pending],
             jobs=jobs,
         )
-        merge_stats(cache, [stats for _, stats in results])
-        for run, _ in results:
+        for run in results:
             remember_run(run)
             runs[run.name] = run
     else:

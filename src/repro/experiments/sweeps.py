@@ -39,8 +39,7 @@ from repro.experiments.runner import (
     remember_run,
     run_benchmark,
 )
-from repro.runtime.cache import cache_from_root, merge_stats
-from repro.runtime.config import active_cache, resolve_jobs
+from repro.runtime.config import resolve_jobs
 from repro.runtime.parallel import parallel_map
 from repro.simpoint.early import run_early_simpoint
 from repro.simpoint.simpoint import SimPointConfig, SimPointResult, run_simpoint
@@ -85,19 +84,15 @@ def sweep_interval_sizes(
         "sweep_interval_sizes", benchmark=benchmark, settings=len(sizes)
     ):
         if resolve_jobs(jobs) > 1 and len(sizes) > 1:
-            cache = active_cache()
-            cache_root = cache.root if cache is not None else None
             task_results = parallel_map(
                 _benchmark_task,
                 [
-                    (benchmark, replace(base_config, interval_size=size),
-                     cache_root)
+                    (benchmark, replace(base_config, interval_size=size))
                     for size in sizes
                 ],
                 jobs=jobs,
             )
-            merge_stats(cache, [stats for _, stats in task_results])
-            for size, (run, _) in zip(sizes, task_results):
+            for size, run in zip(sizes, task_results):
                 remember_run(run)
                 runs_by_size[size] = run
         for size in sizes:
@@ -176,10 +171,8 @@ class MaxKSweepPoint:
 
 def _recluster_task(task):
     """Worker: re-cluster one profile under one configuration."""
-    intervals, config, cache_root = task
-    cache = cache_from_root(cache_root)
-    result = run_simpoint(list(intervals), config, cache=cache)
-    return result, (cache.stats if cache is not None else None)
+    intervals, config = task
+    return run_simpoint(list(intervals), config)
 
 
 def sweep_max_k(
@@ -198,19 +191,14 @@ def sweep_max_k(
         raise SimulationError("no budgets given")
     results: Dict[int, MaxKSweepPoint] = {}
     with trace.span("sweep_max_k", settings=len(budgets)):
-        cache = active_cache()
-        cache_root = cache.root if cache is not None else None
-        task_results = parallel_map(
+        simpoint_results = parallel_map(
             _recluster_task,
             [
-                (run.cross.intervals, SimPointConfig(max_k=budget),
-                 cache_root)
+                (run.cross.intervals, SimPointConfig(max_k=budget))
                 for budget in budgets
             ],
             jobs=jobs,
         )
-        merge_stats(cache, [stats for _, stats in task_results])
-        simpoint_results = [result for result, _ in task_results]
     for budget, simpoint_result in zip(budgets, simpoint_results):
         results[budget] = MaxKSweepPoint(
             max_k=budget,

@@ -13,12 +13,11 @@ PinPoints profiles.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.compilation.binary import Binary
 from repro.profiling.intervals import Interval
 from repro.programs.inputs import ProgramInput, REF_INPUT
-from repro.runtime.cache import ProfileCache
 from repro.runtime.config import active_cache
 
 
@@ -26,22 +25,19 @@ def collect_fli_bbvs(
     binary: Binary,
     interval_size: int,
     program_input: ProgramInput = REF_INPUT,
-    *,
-    cache: Optional[ProfileCache] = None,
 ) -> List[Interval]:
     """Profile a binary into fixed-length-interval BBVs.
 
     The profile is replayed from the compiled execution trace
-    (:func:`repro.execution.trace.replay_fli`). With a cache (explicit
-    or the process-wide one), it is memoized by ``(binary, input,
-    interval size)`` fingerprint.
+    (:func:`repro.execution.trace.replay_fli`). With an active cache,
+    it is memoized by ``(binary, input, interval size)`` fingerprint.
     """
-    cache = cache if cache is not None else active_cache()
+    cache = active_cache()
 
     def compute() -> List[Interval]:
         from repro.execution.trace import compiled_trace, replay_fli
 
-        trace = compiled_trace(binary, program_input, cache=cache)
+        trace = compiled_trace(binary, program_input)
         return replay_fli(trace, interval_size)
 
     if cache is None:

@@ -22,7 +22,6 @@ from typing import Mapping, Optional, Tuple
 from repro.compilation.binary import Binary
 from repro.programs.inputs import ProgramInput, REF_INPUT
 from repro.programs.ir import SourceLocation
-from repro.runtime.cache import ProfileCache
 from repro.runtime.config import active_cache
 
 
@@ -64,22 +63,19 @@ class CallBranchProfile:
 def collect_call_branch_profile(
     binary: Binary,
     program_input: ProgramInput = REF_INPUT,
-    *,
-    cache: Optional[ProfileCache] = None,
 ) -> CallBranchProfile:
     """The call-and-branch profile of one binary run.
 
     The profile is reduced from the compiled execution trace
-    (:func:`repro.execution.trace.replay_call_branch`). With a cache
-    (explicit or the process-wide one), it is memoized by ``(binary,
-    input)`` content fingerprint.
+    (:func:`repro.execution.trace.replay_call_branch`). With an active
+    cache, it is memoized by ``(binary, input)`` content fingerprint.
     """
-    cache = cache if cache is not None else active_cache()
+    cache = active_cache()
 
     def compute() -> CallBranchProfile:
         from repro.execution.trace import compiled_trace, replay_call_branch
 
-        trace = compiled_trace(binary, program_input, cache=cache)
+        trace = compiled_trace(binary, program_input)
         return replay_call_branch(trace, binary)
 
     if cache is None:

@@ -32,13 +32,11 @@ from repro.runtime.cache import (
     CACHE_KINDS,
     CacheStats,
     ProfileCache,
-    cache_from_root,
 )
 from repro.runtime.config import (
     active_cache,
     resolve_jobs,
     runtime_session,
-    set_cache,
     set_jobs,
 )
 from repro.runtime.fingerprint import fingerprint
@@ -50,11 +48,9 @@ __all__ = [
     "CacheStats",
     "ProfileCache",
     "active_cache",
-    "cache_from_root",
     "fingerprint",
     "parallel_map",
     "resolve_jobs",
     "runtime_session",
-    "set_cache",
     "set_jobs",
 ]

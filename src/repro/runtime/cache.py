@@ -16,9 +16,10 @@ processes can share one cache directory; a corrupt or unreadable entry
 is treated as a miss and rewritten (an entry whose bytes fail to
 unpickle, whatever the exception, is evicted and counted as stale).
 :class:`CacheStats` counts hits, misses, stale evictions, and bytes
-moved — both in aggregate and per entry kind — and worker-process
-deltas can be merged back into the parent's stats; the per-kind rows
-are the run's one reuse receipt.
+moved — both in aggregate and per entry kind — and
+:func:`~repro.runtime.parallel.parallel_map` merges each pool task's
+handle back into the parent's stats; the per-kind rows are the run's
+one reuse receipt.
 
 Every kind the pipeline stores is listed in :data:`CACHE_KINDS`. Any of
 them can be switched off while the rest keep working: the disabled set
@@ -59,11 +60,9 @@ from repro.runtime.fingerprint import fingerprint
 # different layout.
 CACHE_FORMAT_VERSION = 4
 
-#: Every entry kind the pipeline stores, in pipeline order: compiled
-#: traces, the four profiles, detailed-simulation results, and chosen
-#: clusterings.
+#: Every entry kind the pipeline stores, in pipeline order: the four
+#: profiles, detailed-simulation results, and chosen clusterings.
 CACHE_KINDS = (
-    "trace",
     "callbranch",
     "fli",
     "vli",
@@ -291,26 +290,3 @@ class ProfileCache:
         self.stats.for_kind(kind).bytes_written += len(payload)
         metrics.counter("cache.bytes_written").inc(len(payload))
 
-
-def merge_stats(
-    cache: Optional[ProfileCache],
-    deltas: Sequence[Optional[CacheStats]],
-) -> None:
-    """Fold worker-handle statistics back into the parent's cache."""
-    if cache is None:
-        return
-    for delta in deltas:
-        if delta is not None:
-            cache.stats.merge(delta)
-
-
-def cache_from_root(
-    root: Optional[Union[str, Path]]
-) -> Optional[ProfileCache]:
-    """A fresh handle on a cache directory, or ``None`` for no cache.
-
-    Worker processes use this to reopen the parent's cache from its
-    root path (handles themselves hold per-process statistics and are
-    deliberately not shared).
-    """
-    return ProfileCache(root) if root is not None else None

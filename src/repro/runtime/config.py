@@ -9,7 +9,7 @@ Resolution order for the job count (first match wins):
    ``--jobs`` flag lands here);
 4. serial (``1``) — library calls never fan out unless asked to.
 
-The active cache is ``None`` (disabled) unless :func:`set_cache`
+The active cache is ``None`` (disabled) unless :func:`runtime_session`
 installed one or ``REPRO_CACHE_DIR`` names a directory;
 ``REPRO_NO_CACHE=1`` disables the environment fallback. Single kinds
 are switched off through :func:`runtime_session`'s ``no_cache_kinds``
@@ -103,14 +103,10 @@ def resolve_match_confidence(threshold: Optional[float] = None) -> float:
     return value
 
 
-def set_cache(cache: Optional[ProfileCache]) -> None:
-    """Install the process-wide cache (``None`` disables caching)."""
-    global _cache
-    _cache = cache
-
-
 def active_cache() -> Optional[ProfileCache]:
-    """The cache profile collectors consult when none is passed."""
+    """The cache every producer (profilers, simulation and clustering
+    reuse) consults."""
+    global _cache
     if _cache is not _UNSET:
         return _cache  # type: ignore[return-value]
     if os.environ.get("REPRO_NO_CACHE"):
@@ -118,7 +114,7 @@ def active_cache() -> Optional[ProfileCache]:
     root = os.environ.get("REPRO_CACHE_DIR")
     if root:
         # Install it so statistics accumulate across calls.
-        set_cache(ProfileCache(root))
+        _cache = ProfileCache(root)
         return _cache  # type: ignore[return-value]
     return None
 

@@ -12,12 +12,17 @@ three guarantees:
 * **exception transparency** — an exception raised by ``fn`` for any
   item propagates to the caller, as in the serial loop.
 
-It is also the pipeline's cross-process metrics seam: each pool task
-runs inside a scoped :mod:`repro.observability.metrics` registry whose
-snapshot ships back with the result and is merged into the parent, and
-every task's latency lands in the ``parallel.task_seconds`` histogram.
-Observability never changes results — payloads are unwrapped before
-they are returned.
+It is also the pipeline's one cross-process seam for the runtime
+session and its metrics. Each pool task runs inside the parent's
+session — a fresh handle on the parent's cache directory (no cache if
+the parent has none), the parent's match threshold and its disabled
+cache kinds — and inside a scoped :mod:`repro.observability.metrics`
+registry. The handle's :class:`~repro.runtime.cache.CacheStats` and the
+registry's snapshot ship back with the result and are merged into the
+parent's cache and registry; every task's latency lands in the
+``parallel.task_seconds`` histogram. Serial runs use the active cache
+directly. Observability never changes results — payloads are unwrapped
+before they are returned.
 
 Worker functions must be module-level (picklable); keyword arguments
 can be bound with :func:`functools.partial`.
@@ -32,7 +37,13 @@ from typing import Callable, Iterable, List, Optional, TypeVar
 
 from repro.errors import ReproError
 from repro.observability import metrics, trace
-from repro.runtime.config import resolve_jobs
+from repro.runtime.cache import ProfileCache, no_cache_kinds
+from repro.runtime.config import (
+    active_cache,
+    resolve_jobs,
+    resolve_match_confidence,
+    runtime_session,
+)
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -47,19 +58,29 @@ def _mark_worker() -> None:
     _in_worker = True
 
 
-def _observed_call(fn, indexed_item):
-    """Worker shim: run one task inside a scoped metrics registry.
+def _observed_call(fn, session, indexed_item):
+    """Worker shim: run one task inside the parent's runtime session
+    and a scoped metrics registry.
 
-    Returns ``(index, result, metrics_delta, seconds)`` so the parent
-    can fold the task's metrics and latency into its own registry *in
-    task-index order*. Per-task scoping matters because pool workers
-    are reused: absolute worker totals would double-count across tasks.
+    ``session`` is ``(cache root or None, match threshold, disabled
+    kinds)``. Returns ``(index, result, metrics_delta, cache_stats,
+    seconds)`` so the parent can fold the task's metrics, cache
+    statistics and latency into its own *in task-index order*.
+    Per-task scoping matters because pool workers are reused: absolute
+    worker totals would double-count across tasks.
     """
     index, item = indexed_item
+    root, match_confidence, kinds = session
+    cache = ProfileCache(root) if root is not None else None
     start = time.perf_counter()
-    with metrics.scoped_registry() as local:
+    with runtime_session(
+        cache=cache, match_confidence=match_confidence, no_cache_kinds=kinds
+    ), metrics.scoped_registry() as local:
         result = fn(item)
-    return index, result, local.snapshot(), time.perf_counter() - start
+    stats = cache.stats if cache is not None else None
+    return (
+        index, result, local.snapshot(), stats, time.perf_counter() - start
+    )
 
 
 def _serial_map(fn: Callable[[_T], _R], work: List[_T]) -> List[_R]:
@@ -77,18 +98,29 @@ def parallel_map(
     items: Iterable[_T],
     jobs: Optional[int] = None,
 ) -> List[_R]:
-    """Apply ``fn`` to every item, fanning out over ``jobs`` processes."""
+    """Apply ``fn`` to every item, fanning out over ``jobs`` processes.
+
+    Pool workers run each task in the caller's runtime session (see the
+    module docstring), so ``fn`` reaches the profile cache through
+    :func:`~repro.runtime.config.active_cache` on either path.
+    """
     work = list(items)
     n_jobs = min(resolve_jobs(jobs), len(work))
     if n_jobs <= 1 or _in_worker:
         return _serial_map(fn, work)
+    cache = active_cache()
+    session = (
+        cache.root if cache is not None else None,
+        resolve_match_confidence(),
+        no_cache_kinds(),
+    )
     futures: List[concurrent.futures.Future] = []
     try:
         with trace.span("parallel_map", items=len(work), jobs=n_jobs):
             with concurrent.futures.ProcessPoolExecutor(
                 max_workers=n_jobs, initializer=_mark_worker
             ) as pool:
-                call = functools.partial(_observed_call, fn)
+                call = functools.partial(_observed_call, fn, session)
                 try:
                     for indexed in enumerate(work):
                         futures.append(pool.submit(call, indexed))
@@ -139,8 +171,10 @@ def parallel_map(
     observed.sort(key=lambda entry: entry[0])
     latencies = metrics.histogram("parallel.task_seconds")
     results: List[_R] = []
-    for _index, result, delta, seconds in observed:
+    for _index, result, delta, stats, seconds in observed:
         metrics.merge(delta)
+        if cache is not None:
+            cache.stats.merge(stats)
         latencies.observe(seconds)
         results.append(result)
     return results

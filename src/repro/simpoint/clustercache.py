@@ -27,12 +27,11 @@ row.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.errors import ClusteringError
-from repro.runtime.cache import ProfileCache
 from repro.runtime.config import active_cache
 from repro.simpoint.select import (
     ClusteringChoice,
@@ -95,7 +94,6 @@ def cached_choose_clustering(
     max_iter: int = 100,
     seed: int = 0,
     k_search: str = "exhaustive",
-    cache: Optional[ProfileCache] = None,
 ) -> ClusteringChoice:
     """The BIC-chosen clustering for one projected profile, cached.
 
@@ -126,8 +124,7 @@ def cached_choose_clustering(
             seed=seed,
         )
 
-    if cache is None:
-        cache = active_cache()
+    cache = active_cache()
     if cache is None:
         return compute()
     key = clustering_key(

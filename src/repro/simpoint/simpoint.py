@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.errors import ClusteringError
 from repro.profiling.intervals import Interval
-from repro.runtime.cache import ProfileCache
 from repro.simpoint.clustercache import cached_choose_clustering
 from repro.simpoint.projection import DEFAULT_DIMENSIONS, project
 from repro.simpoint.select import pick_simulation_points
@@ -102,14 +101,12 @@ class SimPointResult:
 def run_simpoint(
     intervals: Sequence[Interval],
     config: SimPointConfig = SimPointConfig(),
-    *,
-    cache: "ProfileCache | None" = None,
 ) -> SimPointResult:
     """Run the full SimPoint pipeline over profiled intervals.
 
-    ``cache`` enables content-keyed clustering reuse (default: the
-    runtime's active cache); a reused clustering is bit-identical to a
-    recomputed one.
+    With an active cache, the chosen clustering is reused by content
+    (:func:`~repro.simpoint.clustercache.cached_choose_clustering`); a
+    reused clustering is bit-identical to a recomputed one.
     """
     vector_set = build_vector_set(intervals)
     projected = project(
@@ -124,7 +121,6 @@ def run_simpoint(
         max_iter=config.max_iter,
         seed=config.kmeans_seed,
         k_search=config.k_search,
-        cache=cache,
     )
     picks = pick_simulation_points(
         projected, vector_set.weights, choice.result

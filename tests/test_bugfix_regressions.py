@@ -512,36 +512,33 @@ class TestRuntimeSessionValidation:
         assert "benchmark" not in proc.stdout  # nothing ran
 
 
+def _worker_settings(key):
+    """Pool task: the runtime settings the task sees; it also stores
+    one cache entry, so its lookup must reach the caller's stats."""
+    from repro.runtime.cache import no_cache_kinds
+    from repro.runtime.config import active_cache, resolve_match_confidence
+
+    cache = active_cache()
+    cache.get_or_compute("probe", (key,), lambda: key)
+    return str(cache.root), resolve_match_confidence(), no_cache_kinds()
+
+
 class TestSweepWorkerSettings:
-    def test_worker_keeps_inherited_settings(self, tmp_path, monkeypatch):
-        from repro.experiments import runner
-        from repro.runtime import runtime_session
+    def test_worker_keeps_inherited_settings(self, tmp_path):
+        from repro.observability import metrics
+        from repro.runtime import ProfileCache, parallel_map, runtime_session
         from repro.runtime.cache import no_cache_kinds
-        from repro.runtime.config import (
-            active_cache,
-            resolve_match_confidence,
-        )
 
-        seen = {}
-
-        def run_benchmark(name, config):
-            seen.update(
-                cache=active_cache(),
-                confidence=resolve_match_confidence(),
-                kinds=no_cache_kinds(),
-            )
-            return name
-
-        monkeypatch.setattr(runner, "run_benchmark", run_benchmark)
+        cache = ProfileCache(tmp_path)
         with runtime_session(
-            match_confidence=0.7, no_cache_kinds=["simresult"]
-        ):
-            run, stats = runner._benchmark_task(("art", None, tmp_path))
+            jobs=2, cache=cache, match_confidence=0.7,
+            no_cache_kinds=["simresult"],
+        ), metrics.scoped_registry() as local:
+            seen = parallel_map(_worker_settings, ["a", "b"])
             assert no_cache_kinds() == {"simresult"}
-        assert run == "art"
-        assert seen["cache"].stats is stats
-        assert seen["confidence"] == 0.7
-        assert seen["kinds"] == {"simresult"}
+        assert "parallel.pool_fallback" not in local.snapshot()["counters"]
+        assert seen == [(str(tmp_path), 0.7, {"simresult"})] * 2
+        assert cache.stats.for_kind("probe").misses == 2
 
 
 class TestTraceMemoReleasesBinaries:

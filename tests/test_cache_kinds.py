@@ -6,7 +6,8 @@ switches any of them off, the manifest's ``cache.kinds`` rows are the
 only per-kind receipt, and ``repro ledger check --min-hit-rate
 KIND=RATE`` gates on them. These tests pin the validation of kind
 names and gate tokens, that every kind the pipeline records is a
-known one, and that the kind rows include worker-process lookups.
+known one, that the kind rows include worker-process lookups, and that
+a pooled run leaves the same receipt as a serial one.
 """
 
 import json
@@ -15,6 +16,7 @@ import re
 import pytest
 
 from repro.cli import _resolve_runtime, build_parser, main
+from repro.core.pipeline import run_per_binary_simpoints
 from repro.errors import CacheError
 from repro.execution.trace import clear_trace_memo
 from repro.experiments.runner import (
@@ -23,7 +25,7 @@ from repro.experiments.runner import (
     run_benchmark,
 )
 from repro.experiments.sweeps import sweep_interval_sizes
-from repro.observability import observe
+from repro.observability import metrics, observe
 from repro.observability.manifest import build_manifest
 from repro.runtime import (
     CACHE_KINDS,
@@ -33,6 +35,8 @@ from repro.runtime import (
 )
 from repro.runtime.cache import check_cache_kinds, no_cache_kinds
 from repro.simpoint.simpoint import SimPointConfig
+
+from tests.conftest import MICRO_INTERVAL
 
 
 class TestKindNames:
@@ -69,7 +73,7 @@ class TestKindNames:
 
 
 class TestCliTokens:
-    @pytest.mark.parametrize("kind", ["sim", "Clustering", ""])
+    @pytest.mark.parametrize("kind", ["sim", "Clustering", "", "trace"])
     def test_no_cache_kind_rejects_unknown_kind(self, kind, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["--no-cache-kind", kind, "list"])
@@ -201,21 +205,47 @@ def test_kind_rows_include_worker_lookups(tmp_path):
     assert rows == [(0, simulations), (simulations, 0)]
 
 
+def _receipt(stats):
+    return {
+        kind: (row.hits, row.misses, row.bytes_written)
+        for kind, row in stats.by_kind.items()
+    }
+
+
 @pytest.mark.slow
-def test_trace_row_includes_simulator_lookups(tmp_path):
-    """With every profile cached but simulation results disabled, the
-    --jobs 2 workers' first trace lookups come from the simulator. It
-    looks the trace up in the task's cache handle, so ``kinds.trace``
-    equals the ``cache.trace.*`` counters the workers ship back."""
-    rows = []
-    for disabled in ((), ("simresult",)):
+def test_serial_and_pooled_runs_leave_the_same_receipt(tmp_path):
+    """A cold ``--jobs 1`` and a cold ``--jobs 2`` run of one benchmark
+    give the same outcomes, the same per-kind cache rows and the same
+    entry files: the pool only moves where each lookup happens."""
+    results = []
+    for jobs in (1, 2):
+        root = tmp_path / f"jobs{jobs}"
+        cache = ProfileCache(root)
         clear_cache()
-        clear_trace_memo()
-        with runtime_session(jobs=2, cache=ProfileCache(tmp_path / "c"),
-                             no_cache_kinds=disabled):
-            with observe(trace_out=tmp_path / "run" / "trace.json") as session:
-                run_benchmark("art", _FAST_CONFIG, jobs=2)
+        with runtime_session(jobs=jobs, cache=cache), \
+                metrics.scoped_registry() as local:
+            run = run_benchmark("art", _FAST_CONFIG, jobs=jobs)
         clear_cache()
-        rows.append(_assert_row_matches_counters(session.manifest, "trace"))
-    # Warm, only the simulator needs each of the four traces.
-    assert sum(rows[1]) == len(_FAST_CONFIG.targets)
+        entries = {
+            str(path.relative_to(root)) for path in root.rglob("*.pkl")
+        }
+        results.append((run.outcomes, _receipt(cache.stats), entries))
+    assert "parallel.pool_fallback" not in local.snapshot()["counters"]
+    (serial_outcomes, serial_rows, serial_entries), pooled = results
+    assert pooled[0] == serial_outcomes
+    assert pooled[1] == serial_rows
+    assert pooled[2] == serial_entries
+    assert serial_entries
+
+
+def test_no_parent_cache_means_no_worker_cache(micro_binary_list,
+                                               tmp_path, monkeypatch):
+    """A caller without a cache gives its pool workers none either,
+    whatever ``REPRO_CACHE_DIR`` says."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    with runtime_session(jobs=2, cache=None), \
+            metrics.scoped_registry() as local:
+        run_per_binary_simpoints(micro_binary_list, MICRO_INTERVAL)
+    assert "parallel.pool_fallback" not in local.snapshot()["counters"]
+    assert list(tmp_path.iterdir()) == []

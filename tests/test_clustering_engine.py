@@ -258,11 +258,10 @@ class TestCachedChooseClustering:
         kwargs = dict(max_k=4, n_init=2, seed=3)
         direct = choose_clustering(points, weights, **kwargs)
         cache = ProfileCache(tmp_path)
-        with metrics.scoped_registry() as local:
-            cold = cached_choose_clustering(points, weights, cache=cache,
-                                            **kwargs)
-            warm = cached_choose_clustering(points, weights, cache=cache,
-                                            **kwargs)
+        with runtime_session(cache=cache), \
+                metrics.scoped_registry() as local:
+            cold = cached_choose_clustering(points, weights, **kwargs)
+            warm = cached_choose_clustering(points, weights, **kwargs)
         assert pickle.dumps(direct) == pickle.dumps(cold)
         assert pickle.dumps(direct) == pickle.dumps(warm)
         row = cache.stats.by_kind[CLUSTERING_KIND]
@@ -273,10 +272,10 @@ class TestCachedChooseClustering:
 
     def test_invalid_k_search_rejected(self, tmp_path):
         points, weights = self._points()
-        with pytest.raises(ClusteringError, match="k_search"):
+        with runtime_session(cache=ProfileCache(tmp_path)), \
+                pytest.raises(ClusteringError, match="k_search"):
             cached_choose_clustering(
-                points, weights, max_k=3, k_search="linear",
-                cache=ProfileCache(tmp_path),
+                points, weights, max_k=3, k_search="linear"
             )
 
     def test_escape_hatches_disable_reuse(self, tmp_path, monkeypatch,
@@ -288,20 +287,23 @@ class TestCachedChooseClustering:
 
         points, weights = self._points()
         cache = ProfileCache(tmp_path)
-        kwargs = dict(max_k=3, n_init=2, cache=cache)
+        kwargs = dict(max_k=3, n_init=2)
         args = build_parser().parse_args(
             ["--no-cache", "--no-cache-kind", CLUSTERING_KIND, "list"]
         )
         # The CLI flag, through the session the CLI installs.
-        with runtime_session(**_resolve_runtime(args)):
+        with runtime_session(**{**_resolve_runtime(args), "cache": cache}):
             cached_choose_clustering(points, weights, **kwargs)
         # The session parameter itself, with a profiling kind too.
-        with runtime_session(no_cache_kinds=[CLUSTERING_KIND, "fli"]):
+        with runtime_session(
+            cache=cache, no_cache_kinds=[CLUSTERING_KIND, "fli"]
+        ):
             cached_choose_clustering(points, weights, **kwargs)
-            collect_fli_bbvs(micro_binary_32u, MICRO_INTERVAL, cache=cache)
+            collect_fli_bbvs(micro_binary_32u, MICRO_INTERVAL)
         # The environment variable.
         monkeypatch.setenv("REPRO_NO_CACHE_KIND", CLUSTERING_KIND)
-        cached_choose_clustering(points, weights, **kwargs)
+        with runtime_session(cache=cache):
+            cached_choose_clustering(points, weights, **kwargs)
         assert CLUSTERING_KIND not in cache.stats.by_kind
         assert "fli" not in cache.stats.by_kind
         # Disabled kinds are neither counted nor written.
@@ -309,7 +311,8 @@ class TestCachedChooseClustering:
         assert not (tmp_path / "fli").exists()
         monkeypatch.delenv("REPRO_NO_CACHE_KIND")
         # And with every kind enabled, reuse resumes.
-        cached_choose_clustering(points, weights, **kwargs)
+        with runtime_session(cache=cache):
+            cached_choose_clustering(points, weights, **kwargs)
         assert cache.stats.by_kind[CLUSTERING_KIND].misses == 1
 
     def test_run_simpoint_reuses_warm_clusterings(self, tmp_path):
@@ -328,9 +331,10 @@ class TestCachedChooseClustering:
         config = SimPointConfig(max_k=4, n_init=2)
         direct = run_simpoint(intervals, config)
         cache = ProfileCache(tmp_path)
-        with metrics.scoped_registry() as local:
-            cold = run_simpoint(intervals, config, cache=cache)
-            warm = run_simpoint(intervals, config, cache=cache)
+        with runtime_session(cache=cache), \
+                metrics.scoped_registry() as local:
+            cold = run_simpoint(intervals, config)
+            warm = run_simpoint(intervals, config)
         assert cold == direct == warm
         counters = local.snapshot()["counters"]
         assert counters["cache.clustering.misses"] == 1

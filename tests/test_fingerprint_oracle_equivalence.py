@@ -181,7 +181,7 @@ class TestRunKeys:
     def test_every_cold_art_key_matches_oracle(self, art_cold):
         _, recorded, _ = art_cold
         kinds = {kind for kind, _, _ in recorded}
-        assert {"trace", "callbranch", "fli", "vli", "simresult",
+        assert {"callbranch", "fli", "vli", "simresult",
                 "clustering"} <= kinds
         for kind, material, digest in recorded:
             assert digest == oracle_fingerprint(

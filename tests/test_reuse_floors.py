@@ -124,14 +124,13 @@ def _pickled(choices):
 def _timed_clustering(points, weights, cache=None):
     """Re-cluster under every budget: (choices, seconds, tally)."""
     start = time.perf_counter()
-    choices = [
-        cached_choose_clustering(
-            points, weights, max_k=budget, cache=cache
-        )
-        if cache is not None
-        else choose_clustering(points, weights, max_k=budget)
-        for budget in CLUSTER_BUDGETS
-    ]
+    with runtime_session(cache=cache):
+        choices = [
+            cached_choose_clustering(points, weights, max_k=budget)
+            if cache is not None
+            else choose_clustering(points, weights, max_k=budget)
+            for budget in CLUSTER_BUDGETS
+        ]
     elapsed = time.perf_counter() - start
     return choices, elapsed, _tally(cache, CLUSTERING_KIND)
 

@@ -21,10 +21,15 @@ from repro.observability import metrics
 from repro.profiling.bbv import collect_fli_bbvs
 from repro.profiling.callbranch import collect_call_branch_profile
 from repro.programs.inputs import ProgramInput, REF_INPUT, TEST_INPUT
-from repro.runtime import ProfileCache, fingerprint, runtime_session
-from repro.runtime.cache import cache_from_root, merge_stats
+from repro.runtime import (
+    CacheStats,
+    ProfileCache,
+    fingerprint,
+    runtime_session,
+)
 from repro.runtime.config import active_cache, resolve_jobs
 from repro.runtime.fingerprint import FingerprintError
+from repro.runtime.parallel import _observed_call
 from repro.simpoint.simpoint import SimPointConfig
 
 from tests.conftest import MICRO_INTERVAL
@@ -104,7 +109,7 @@ class TestProfileCache:
         value = cache.get_or_compute("kind", ("key",), lambda: "recomputed")
         assert value == "recomputed"
         # And the rewritten entry is usable again.
-        fresh = cache_from_root(tmp_path)
+        fresh = ProfileCache(tmp_path)
         assert fresh.get_or_compute(
             "kind", ("key",), lambda: "unused"
         ) == "recomputed"
@@ -148,7 +153,7 @@ class TestProfileCache:
         )
         assert digested == ["kind"]
         assert cache.stats.hits == int(warm)
-        assert cache_from_root(tmp_path).lookup("kind", ("key",)) == (
+        assert ProfileCache(tmp_path).lookup("kind", ("key",)) == (
             True, "value"
         )
 
@@ -170,7 +175,7 @@ class TestProfileCache:
         assert value == "recomputed"
         assert local.snapshot()["counters"]["cache.stale_evictions"] == 1
         # The stale bytes are gone; a fresh handle hits the rewrite.
-        fresh = cache_from_root(tmp_path)
+        fresh = ProfileCache(tmp_path)
         assert fresh.get_or_compute(
             "kind", ("key",), lambda: "unused"
         ) == "recomputed"
@@ -206,7 +211,7 @@ class TestProfileCache:
     def test_shared_root_across_handles(self, tmp_path):
         writer = ProfileCache(tmp_path)
         writer.get_or_compute("kind", ("key",), lambda: [1, 2, 3])
-        reader = cache_from_root(tmp_path)
+        reader = ProfileCache(tmp_path)
         assert reader.get_or_compute(
             "kind", ("key",), lambda: "unused"
         ) == [1, 2, 3]
@@ -216,12 +221,24 @@ class TestProfileCache:
         parent = ProfileCache(tmp_path)
         worker = ProfileCache(tmp_path)
         worker.get_or_compute("kind", ("key",), lambda: "x")
-        merge_stats(parent, [worker.stats, None])
+        parent.stats.merge(worker.stats)
+        parent.stats.merge(CacheStats())  # an idle handle adds nothing
         assert parent.stats.misses == 1
-        merge_stats(None, [worker.stats])  # no-op without a cache
+        assert parent.stats.bytes_written == worker.stats.bytes_written
 
-    def test_cache_from_root_none(self):
-        assert cache_from_root(None) is None
+    def test_cache_from_root_none(self, tmp_path, monkeypatch):
+        """A pool task given no cache root runs without a cache and
+        ships no statistics back, even with ``REPRO_CACHE_DIR`` set;
+        given a root, it gets a fresh handle on that directory."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        for root, expected in ((None, None), (tmp_path, str(tmp_path))):
+            index, seen, _, stats, _ = _observed_call(
+                _active_cache_root, (root, 1.0, frozenset()), (0, "item")
+            )
+            assert (index, seen) == (0, expected)
+            assert (stats is None) == (root is None)
+        assert not (tmp_path / "env").exists()
 
     def test_per_kind_counters(self, tmp_path):
         cache = ProfileCache(tmp_path)
@@ -250,7 +267,7 @@ class TestProfileCache:
         worker = ProfileCache(tmp_path)
         worker.get_or_compute("alpha", ("a",), lambda: "unused")  # hit
         worker.get_or_compute("beta", ("b",), lambda: "b")
-        merge_stats(parent, [worker.stats])
+        parent.stats.merge(worker.stats)
         alpha = parent.stats.by_kind["alpha"]
         assert (alpha.hits, alpha.misses) == (1, 1)
         assert parent.stats.by_kind["beta"].misses == 1
@@ -372,24 +389,18 @@ class TestCachedProfiles:
                                           tmp_path):
         cache = ProfileCache(tmp_path)
         direct = collect_call_branch_profile(micro_binary_32u)
-        cold = collect_call_branch_profile(
-            micro_binary_32u, cache=cache
-        )
-        warm = collect_call_branch_profile(
-            micro_binary_32u, cache=cache
-        )
+        with runtime_session(cache=cache):
+            cold = collect_call_branch_profile(micro_binary_32u)
+            warm = collect_call_branch_profile(micro_binary_32u)
         assert direct == cold == warm
         assert cache.stats.hits == 1 and cache.stats.misses == 1
 
     def test_fli_profile_roundtrip(self, micro_binary_32u, tmp_path):
         cache = ProfileCache(tmp_path)
         direct = collect_fli_bbvs(micro_binary_32u, MICRO_INTERVAL)
-        cold = collect_fli_bbvs(
-            micro_binary_32u, MICRO_INTERVAL, cache=cache
-        )
-        warm = collect_fli_bbvs(
-            micro_binary_32u, MICRO_INTERVAL, cache=cache
-        )
+        with runtime_session(cache=cache):
+            cold = collect_fli_bbvs(micro_binary_32u, MICRO_INTERVAL)
+            warm = collect_fli_bbvs(micro_binary_32u, MICRO_INTERVAL)
         assert direct == cold == warm
 
     def test_global_cache_used_when_installed(self, micro_binary_32u,
@@ -402,10 +413,9 @@ class TestCachedProfiles:
 
     def test_interval_size_changes_key(self, micro_binary_32u, tmp_path):
         cache = ProfileCache(tmp_path)
-        collect_fli_bbvs(micro_binary_32u, MICRO_INTERVAL, cache=cache)
-        collect_fli_bbvs(
-            micro_binary_32u, MICRO_INTERVAL * 2, cache=cache
-        )
+        with runtime_session(cache=cache):
+            collect_fli_bbvs(micro_binary_32u, MICRO_INTERVAL)
+            collect_fli_bbvs(micro_binary_32u, MICRO_INTERVAL * 2)
         assert cache.stats.misses == 2 and cache.stats.hits == 0
 
 
@@ -429,17 +439,15 @@ class TestCrossPipelineCaching:
         # collection cannot land inside the few-millisecond warm run.
         gc.collect()
         start = time.perf_counter()
-        cold = run_cross_binary_simpoint(
-            micro_binary_list, config, cache=cache
-        )
+        with runtime_session(cache=cache):
+            cold = run_cross_binary_simpoint(micro_binary_list, config)
         cold_elapsed = time.perf_counter() - start
         assert cache.stats.misses > 0 and cache.stats.hits == 0
 
         gc.collect()
         start = time.perf_counter()
-        warm = run_cross_binary_simpoint(
-            micro_binary_list, config, cache=cache
-        )
+        with runtime_session(cache=cache):
+            warm = run_cross_binary_simpoint(micro_binary_list, config)
         warm_elapsed = time.perf_counter() - start
         assert cache.stats.hits == cache.stats.misses
 
@@ -471,13 +479,20 @@ class TestCrossPipelineCaching:
     def test_input_scale_invalidates(self, micro_binary_list, tmp_path):
         cache = ProfileCache(tmp_path)
         config = CrossBinaryConfig(interval_size=MICRO_INTERVAL)
-        run_cross_binary_simpoint(micro_binary_list, config, cache=cache)
         scaled = dataclasses.replace(
             config, program_input=ProgramInput(name="half", scale=0.5)
         )
-        before = cache.stats.misses
-        run_cross_binary_simpoint(micro_binary_list, scaled, cache=cache)
+        with runtime_session(cache=cache):
+            run_cross_binary_simpoint(micro_binary_list, config)
+            before = cache.stats.misses
+            run_cross_binary_simpoint(micro_binary_list, scaled)
         assert cache.stats.misses > before
+
+
+def _active_cache_root(_item):
+    """Pool task: the root of the cache the task sees, or ``None``."""
+    cache = active_cache()
+    return None if cache is None else str(cache.root)
 
 
 # -- multiprocessing stress: one shared cache key ---------------------
@@ -487,7 +502,7 @@ _FORK = multiprocessing.get_context("fork")
 
 def _hammer_cache_key(root, barrier_dir, index):
     """One writer process: everyone races get_or_compute on ONE key."""
-    cache = cache_from_root(root)
+    cache = ProfileCache(root)
     value = cache.get_or_compute(
         "stress", ("shared-key",), lambda: {"payload": list(range(200))}
     )
@@ -520,7 +535,7 @@ class TestConcurrencyStress:
         assert all(worker.exitcode == 0 for worker in workers)
         assert len(list(tmp_path.glob("done-*"))) == 6
         # The stale entry was evicted and rewritten with a good value.
-        fresh = cache_from_root(root)
+        fresh = ProfileCache(root)
         assert fresh.get_or_compute(
             "stress", ("shared-key",), lambda: "unused"
         ) == {"payload": list(range(200))}

@@ -177,9 +177,10 @@ class TestCachedFullRun:
         with runtime_session(cache=None):
             direct = cached_full_run(binary, **kwargs)
         cache = ProfileCache(tmp_path)
-        with metrics.scoped_registry() as local:
-            cold = cached_full_run(binary, cache=cache, **kwargs)
-            warm = cached_full_run(binary, cache=cache, **kwargs)
+        with runtime_session(cache=cache), \
+                metrics.scoped_registry() as local:
+            cold = cached_full_run(binary, **kwargs)
+            warm = cached_full_run(binary, **kwargs)
         assert isinstance(direct, TrackedRun)
         assert pickle.dumps(direct) == pickle.dumps(cold)
         assert pickle.dumps(direct) == pickle.dumps(warm)
@@ -194,21 +195,22 @@ class TestCachedFullRun:
         from repro.cli import _resolve_runtime, build_parser
 
         cache = ProfileCache(tmp_path)
-        kwargs = dict(fli_interval_size=MICRO_INTERVAL, cache=cache)
+        kwargs = dict(fli_interval_size=MICRO_INTERVAL)
         args = build_parser().parse_args(
             ["list", "--no-cache", "--no-cache-kind", SIMRESULT_KIND]
         )
         # The CLI flag, through the session the CLI installs.
-        with runtime_session(**_resolve_runtime(args)):
+        with runtime_session(**{**_resolve_runtime(args), "cache": cache}):
             cached_full_run(micro_binary_32u, **kwargs)
         # The session parameter itself.
-        with runtime_session(no_cache_kinds=[SIMRESULT_KIND]):
+        with runtime_session(cache=cache, no_cache_kinds=[SIMRESULT_KIND]):
             cached_full_run(micro_binary_32u, **kwargs)
         # The environment variable, among other kinds.
         monkeypatch.setenv("REPRO_NO_CACHE_KIND", f"fli,{SIMRESULT_KIND}")
-        cached_full_run(micro_binary_32u, **kwargs)
-        # A disabled profiling kind is switched off the same way.
-        collect_fli_bbvs(micro_binary_32u, MICRO_INTERVAL, cache=cache)
+        with runtime_session(cache=cache):
+            cached_full_run(micro_binary_32u, **kwargs)
+            # A disabled profiling kind is switched off the same way.
+            collect_fli_bbvs(micro_binary_32u, MICRO_INTERVAL)
         assert SIMRESULT_KIND not in cache.stats.by_kind
         assert "fli" not in cache.stats.by_kind
         # Disabled kinds are neither counted nor written.
@@ -216,9 +218,10 @@ class TestCachedFullRun:
         assert not (tmp_path / "fli").exists()
         monkeypatch.delenv("REPRO_NO_CACHE_KIND")
         # And with every kind enabled, reuse resumes.
-        cached_full_run(micro_binary_32u, **kwargs)
-        assert cache.stats.by_kind[SIMRESULT_KIND].misses == 1
-        collect_fli_bbvs(micro_binary_32u, MICRO_INTERVAL, cache=cache)
+        with runtime_session(cache=cache):
+            cached_full_run(micro_binary_32u, **kwargs)
+            assert cache.stats.by_kind[SIMRESULT_KIND].misses == 1
+            collect_fli_bbvs(micro_binary_32u, MICRO_INTERVAL)
         assert cache.stats.by_kind["fli"].misses == 1
 
 
@@ -229,15 +232,17 @@ class TestCachedRegionRun:
         regions = _regions(intervals)
         direct = CMPSim(binary).run_regions(regions, table, warm=True)
         cache = ProfileCache(tmp_path)
-        cold = cached_region_run(binary, regions, table, cache=cache)
+        with runtime_session(cache=cache):
+            cold = cached_region_run(binary, regions, table)
         assert pickle.dumps(cold) == pickle.dumps(direct)
 
         def _bomb(self, *args, **kwargs):
             raise AssertionError("warm region run re-simulated")
 
         monkeypatch.setattr(CMPSim, "run_regions", _bomb)
-        with metrics.scoped_registry() as local:
-            warm = cached_region_run(binary, regions, table, cache=cache)
+        with runtime_session(cache=cache), \
+                metrics.scoped_registry() as local:
+            warm = cached_region_run(binary, regions, table)
         assert pickle.dumps(warm) == pickle.dumps(direct)
         counters = local.snapshot()["counters"]
         # One probe per region plus the run-tail probe.
@@ -249,22 +254,25 @@ class TestCachedRegionRun:
         binary, table, intervals = marked
         regions = _regions(intervals)
         cache = ProfileCache(tmp_path)
-        cached_region_run(binary, regions, table, cache=cache)
+        with runtime_session(cache=cache):
+            cached_region_run(binary, regions, table)
         moved = [
             regions[0],
             RegionSpec(label=1, start=intervals[2].start_coord,
                        end=intervals[3].end_coord),
         ]
         direct = CMPSim(binary).run_regions(moved, table, warm=True)
-        with metrics.scoped_registry() as local:
-            result = cached_region_run(binary, moved, table, cache=cache)
+        with runtime_session(cache=cache), \
+                metrics.scoped_registry() as local:
+            result = cached_region_run(binary, moved, table)
         assert pickle.dumps(result) == pickle.dumps(direct)
         counters = local.snapshot()["counters"]
         assert counters["cache.simresult.hits"] == 1  # region 0's prefix
         # The edited region and the run tail (its key covers the list).
         assert counters["cache.simresult.misses"] == 2
         # And the refilled entries serve the edited list in full.
-        fresh = cached_region_run(binary, moved, table, cache=cache)
+        with runtime_session(cache=cache):
+            fresh = cached_region_run(binary, moved, table)
         assert pickle.dumps(fresh) == pickle.dumps(direct)
 
     def test_invalid_region_lists_still_raise(self, marked, tmp_path):
@@ -275,10 +283,10 @@ class TestCachedRegionRun:
             RegionSpec(label=1, start=None,
                        end=intervals[3].end_coord),
         ]
-        cache = ProfileCache(tmp_path)
-        for _ in range(2):  # the failure must not poison the cache
-            with pytest.raises(SimulationError, match="first region"):
-                cached_region_run(binary, bad, table, cache=cache)
+        with runtime_session(cache=ProfileCache(tmp_path)):
+            for _ in range(2):  # the failure must not poison the cache
+                with pytest.raises(SimulationError, match="first region"):
+                    cached_region_run(binary, bad, table)
 
 
 class TestSweepReuse:

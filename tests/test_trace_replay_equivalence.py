@@ -33,7 +33,7 @@ from repro.profiling.bbv import collect_fli_bbvs
 from repro.profiling.callbranch import collect_call_branch_profile
 from repro.programs.inputs import REF_INPUT, TEST_INPUT
 from repro.programs.suite import benchmark_names, build_benchmark
-from repro.runtime.cache import ProfileCache
+from repro.runtime import ProfileCache, runtime_session
 
 from tests.oracles.engine import run_binary
 from tests.oracles.profiling import (
@@ -196,14 +196,17 @@ class TestTraceCaching:
         assert third is not first
         assert third.total_instructions == first.total_instructions
 
-    def test_disk_cache_roundtrip(self, micro_binary_32u, tmp_path):
+    def test_trace_stays_out_of_the_profile_cache(self, micro_binary_32u,
+                                                  tmp_path):
+        """Traces are recompiled per process, never looked up on disk."""
         cache = ProfileCache(tmp_path)
         clear_trace_memo()
-        cold = compiled_trace(micro_binary_32u, REF_INPUT, cache=cache)
-        assert cache.stats.misses == 1
-        clear_trace_memo()
-        warm = compiled_trace(micro_binary_32u, REF_INPUT, cache=cache)
-        assert cache.stats.hits == 1
+        with runtime_session(cache=cache):
+            cold = compiled_trace(micro_binary_32u, REF_INPUT)
+            clear_trace_memo()
+            warm = compiled_trace(micro_binary_32u, REF_INPUT)
+        assert cache.stats.lookups == 0
+        assert list(tmp_path.iterdir()) == []
         assert warm is not cold
         assert (warm.kinds == cold.kinds).all()
         assert (warm.attr_end == cold.attr_end).all()
@@ -215,8 +218,9 @@ class TestTraceCaching:
         # The cached value is the oracle's value, and the warm lookup
         # serves it back without recomputing.
         cache = ProfileCache(tmp_path)
-        cold = collect_fli_bbvs(micro_binary_32u, INTERVAL, cache=cache)
-        warm = collect_fli_bbvs(micro_binary_32u, INTERVAL, cache=cache)
+        with runtime_session(cache=cache):
+            cold = collect_fli_bbvs(micro_binary_32u, INTERVAL)
+            warm = collect_fli_bbvs(micro_binary_32u, INTERVAL)
         assert cold == warm == scalar_fli_bbvs(micro_binary_32u, INTERVAL)
         assert cache.stats.hits == 1
 
