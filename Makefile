@@ -28,5 +28,5 @@ examples:
 	$(PYTHON) examples/design_space_exploration.py
 
 clean:
-	rm -rf .pytest_cache .hypothesis build dist *.egg-info pinpoints.out
+	rm -rf .pytest_cache .hypothesis build dist *.egg-info src/*.egg-info pinpoints.out
 	find . -name __pycache__ -type d -exec rm -rf {} +

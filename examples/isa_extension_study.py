@@ -51,7 +51,7 @@ def main() -> None:
               "regions are simulated in both binaries.")
     else:
         print("=> on this benchmark both methods happen to be close; "
-              "the suite-wide averages (benchmarks/) show the gap.")
+              "the suite-wide averages (repro figures) show the gap.")
 
 
 if __name__ == "__main__":

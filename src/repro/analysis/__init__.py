@@ -23,11 +23,6 @@ from repro.analysis.estimate import (
 )
 from repro.analysis.phases import PhaseRow, phase_table
 from repro.analysis.speedup import SpeedupComparison, speedup_comparison
-from repro.analysis.systematic import (
-    SystematicSample,
-    compare_sampling_budgets,
-    systematic_sample,
-)
 from repro.analysis.timeline import phase_strip, render_phase_timeline
 
 __all__ = [
@@ -46,7 +41,4 @@ __all__ = [
     "speedup_comparison",
     "phase_strip",
     "render_phase_timeline",
-    "SystematicSample",
-    "compare_sampling_budgets",
-    "systematic_sample",
 ]

@@ -2,7 +2,7 @@
 
 ``compile_program`` runs the optimizer at O2 and lowers the result;
 ``compile_standard_binaries`` produces the paper's four binaries for a
-program. Pass toggles are exposed for the ablation benchmarks (e.g.
+program. Pass toggles are exposed for ablation studies (e.g.
 disabling inlining to measure its effect on mappable coverage).
 """
 

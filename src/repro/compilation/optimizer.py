@@ -293,7 +293,7 @@ def optimize_ir(
 ) -> Tuple[Program, OptimizationReport]:
     """Run the O2 passes over a finalized program.
 
-    The pass toggles exist for the ablation benchmarks; the compiler
+    The pass toggles exist for ablation studies; the compiler
     always runs all four at O2. Returns the transformed program plus an
     :class:`OptimizationReport` of what changed.
     """

@@ -729,15 +729,12 @@ def _fuzzy_match_loops(
 
 def find_mappable_points(
     profiled_binaries: Sequence[Tuple[Binary, CallBranchProfile]],
-    enable_signature_recovery: bool = True,
     match_confidence: Optional[float] = None,
 ) -> Tuple[MarkerSet, MatchReport]:
     """Find the mappable points shared by all binaries.
 
     ``profiled_binaries`` pairs each binary with its call-and-branch
     profile (all collected with the same input).
-    ``enable_signature_recovery`` toggles the paper's Section 3.3
-    inlining heuristic (the ablation benchmark turns it off).
     ``match_confidence`` is the fuzzy-fallback acceptance threshold,
     resolved through :func:`repro.runtime.config.
     resolve_match_confidence` when not given explicitly; at the
@@ -762,12 +759,9 @@ def find_mappable_points(
         views, details
     )
     line_matches, consumed, line_dropped = _match_loops_by_line(views, details)
-    if enable_signature_recovery:
-        sig_matches, recovered, sig_dropped = _recover_by_signature(
-            views, consumed, details
-        )
-    else:
-        sig_matches, recovered, sig_dropped = [], 0, 0
+    sig_matches, recovered, sig_dropped = _recover_by_signature(
+        views, consumed, details
+    )
 
     fuzzy_matched_procs: Dict[str, Set[str]] = {name: set() for name in names}
     if threshold < 1.0:

@@ -41,7 +41,8 @@ class CrossBinaryConfig:
     the *primary* binary (the paper uses 100M on full SPEC runs; our
     scaled default is 100K — see DESIGN.md). ``primary_index`` selects
     the primary binary; the paper notes the choice is arbitrary but
-    affects mapped interval sizes (our ablation benchmark measures it).
+    affects mapped interval sizes (``tests/test_core_pipeline.py``
+    measures it).
     ``match_confidence`` is the fuzzy-matcher acceptance threshold;
     ``None`` defers to ``REPRO_MATCH_CONFIDENCE`` / the process default
     (see :func:`repro.runtime.config.resolve_match_confidence`), and
@@ -52,7 +53,6 @@ class CrossBinaryConfig:
     simpoint: SimPointConfig = field(default_factory=SimPointConfig)
     program_input: ProgramInput = REF_INPUT
     primary_index: int = 0
-    enable_signature_recovery: bool = True
     match_confidence: Optional[float] = None
 
 
@@ -136,7 +136,6 @@ def run_cross_binary_simpoint(
     with trace.span("match"):
         marker_set, match_report = find_mappable_points(
             profiles,
-            enable_signature_recovery=config.enable_signature_recovery,
             match_confidence=config.match_confidence,
         )
     metrics.counter("pipeline.mappable_points").inc(marker_set.n_points)

@@ -35,7 +35,6 @@ from repro.experiments.runner import (
     run_suite,
 )
 from repro.experiments.sweeps import (
-    sweep_early_tolerance,
     sweep_interval_sizes,
     sweep_max_k,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "ExperimentConfig",
     "run_benchmark",
     "run_suite",
-    "sweep_early_tolerance",
     "sweep_interval_sizes",
     "sweep_max_k",
     "PhaseComparison",

@@ -67,7 +67,6 @@ class ExperimentConfig:
     program_input: ProgramInput = REF_INPUT
     targets: Tuple[Target, ...] = STANDARD_TARGETS
     primary_index: int = 0
-    enable_signature_recovery: bool = True
     match_confidence: Optional[float] = None
 
     def cache_key(self) -> Tuple:
@@ -80,7 +79,6 @@ class ExperimentConfig:
             self.program_input,
             self.targets,
             self.primary_index,
-            self.enable_signature_recovery,
             resolve_match_confidence(self.match_confidence),
         )
 
@@ -380,7 +378,6 @@ def run_benchmark(
                 simpoint=config.simpoint,
                 program_input=config.program_input,
                 primary_index=config.primary_index,
-                enable_signature_recovery=config.enable_signature_recovery,
                 match_confidence=config.match_confidence,
             ),
             jobs=jobs,

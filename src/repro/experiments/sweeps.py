@@ -1,16 +1,15 @@
 """Parameter-sweep utilities.
 
-The ablation studies (interval size, cluster budget, early-point
-tolerance) are useful beyond the benchmark harness — anyone adopting
-the library will want to sweep these knobs on their own workloads.
-This module provides them as first-class functions over the experiment
-runner's cached results.
+The ablation studies (interval size, cluster budget) are useful to
+anyone adopting the library, who will want to sweep these knobs on
+their own workloads. This module provides them as first-class
+functions over the experiment runner's cached results.
 
-Design note: sweeps that only change *clustering* parameters (maxK,
-early tolerance) re-cluster the primary profile and re-derive
-estimates from the cached detailed-simulation statistics, so they cost
-milliseconds; sweeps that change the *interval structure* (interval
-size) must re-run the full experiment per setting. Those full
+Design note: sweeps that only change *clustering* parameters (maxK)
+re-cluster the primary profile and re-derive estimates from the
+cached detailed-simulation statistics, so they cost milliseconds;
+sweeps that change the *interval structure* (interval size) must
+re-run the full experiment per setting. Those full
 experiments consult the content-keyed sim-result cache
 (:mod:`repro.cmpsim.simcache`) through the runner, so a re-run sweep
 only re-simulates cells whose inputs actually changed, and a warm
@@ -41,7 +40,6 @@ from repro.experiments.runner import (
 )
 from repro.runtime.config import resolve_jobs
 from repro.runtime.parallel import parallel_map
-from repro.simpoint.early import run_early_simpoint
 from repro.simpoint.simpoint import SimPointConfig, SimPointResult, run_simpoint
 
 
@@ -208,37 +206,4 @@ def sweep_max_k(
                 run, simpoint_result
             ),
         )
-    return results
-
-
-@dataclass(frozen=True)
-class EarlySweepPoint:
-    """One early-tolerance setting's outcomes."""
-
-    tolerance: float
-    last_point_index: int
-    cpi_error: float
-
-
-def sweep_early_tolerance(
-    run: BenchmarkRun,
-    tolerances: Sequence[float],
-) -> Dict[float, EarlySweepPoint]:
-    """Early-point tolerance sweep over a cached run's VLI profile."""
-    if not tolerances:
-        raise SimulationError("no tolerances given")
-    intervals = list(run.cross.intervals)
-    results: Dict[float, EarlySweepPoint] = {}
-    with trace.span("sweep_early_tolerance", settings=len(tolerances)):
-        for tolerance in tolerances:
-            # Every tolerance reuses one cached clustering (the key is
-            # tolerance-independent); only the first call clusters.
-            early = run_early_simpoint(
-                intervals, SimPointConfig(), tolerance=tolerance
-            )
-            results[tolerance] = EarlySweepPoint(
-                tolerance=tolerance,
-                last_point_index=early.last_point_index,
-                cpi_error=_reestimate_vli(run, early.result),
-            )
     return results

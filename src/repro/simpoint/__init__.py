@@ -25,11 +25,6 @@ from repro.simpoint.clustercache import (
     cached_choose_clustering,
     clustering_key,
 )
-from repro.simpoint.early import (
-    EarlySimPointResult,
-    pick_early_simulation_points,
-    run_early_simpoint,
-)
 from repro.simpoint.kmeans import KMeansResult, weighted_kmeans
 from repro.simpoint.projection import project, projection_matrix
 from repro.simpoint.select import (
@@ -50,9 +45,6 @@ __all__ = [
     "CLUSTERING_KIND",
     "cached_choose_clustering",
     "clustering_key",
-    "EarlySimPointResult",
-    "pick_early_simulation_points",
-    "run_early_simpoint",
     "choose_clustering_binary_search",
     "KMeansResult",
     "weighted_kmeans",

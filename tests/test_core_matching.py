@@ -175,18 +175,6 @@ class TestMatchingValidation:
                 [(micro_binary_32u, profile), (micro_binary_32u, profile)]
             )
 
-    def test_signature_recovery_can_be_disabled(self, micro_binary_list):
-        profiles = [
-            (binary, collect_call_branch_profile(binary))
-            for binary in micro_binary_list
-        ]
-        with_recovery, report_on = find_mappable_points(profiles)
-        without, report_off = find_mappable_points(
-            profiles, enable_signature_recovery=False
-        )
-        assert report_off.loops_recovered_by_signature == 0
-        assert without.n_points < with_recovery.n_points
-
     def test_marker_ids_deterministic(self, micro_binary_list):
         profiles = [
             (binary, collect_call_branch_profile(binary))

@@ -74,7 +74,11 @@ class TestCrossBinaryPipeline:
                 point.weight
             )
 
-    def test_custom_primary_index(self, micro_binary_list):
+    def test_custom_primary_index(self, cross_result, micro_binary_list):
+        """Intervals are cut at the target size in *primary*
+        instructions (Section 3.2.4), so an unoptimized primary shrinks
+        the mapped intervals of the optimized binaries, and an optimized
+        primary expands those of the unoptimized ones."""
         result = run_cross_binary_simpoint(
             micro_binary_list,
             CrossBinaryConfig(
@@ -84,6 +88,20 @@ class TestCrossBinaryPipeline:
             ),
         )
         assert result.primary_name == micro_binary_list[1].name
+
+        def average_sizes(run):
+            return {
+                name.rsplit("/", 1)[1]: sum(counts) / len(counts)
+                for name, counts in run.interval_instructions.items()
+            }
+
+        sizes_u = average_sizes(cross_result)  # 32u primary
+        assert sizes_u["32o"] < 0.6 * sizes_u["32u"]
+        sizes_o = average_sizes(result)  # 32o primary
+        assert sizes_o["32u"] > 1.5 * sizes_o["32o"]
+        # The optimized primary executes fewer instructions, so the same
+        # target size yields fewer intervals.
+        assert len(result.intervals) < len(cross_result.intervals)
 
     def test_rejects_bad_primary_index(self, micro_binary_list):
         with pytest.raises(MatchingError, match="primary_index"):

@@ -134,10 +134,19 @@ class TestTables:
     def test_table1_matches_paper_text(self):
         rows = table1_configuration()
         levels = {row.level: row for row in rows}
-        assert levels["FLC(L1D)"].capacity == "32KB"
-        assert levels["MLC(L2D)"].associativity == "8-way"
-        assert levels["LLC(L3D)"].hit_latency == "35 cycles"
+        assert list(levels) == ["FLC(L1D)", "MLC(L2D)", "LLC(L3D)", "DRAM"]
+        l1, l2, l3 = (levels[name] for name in list(levels)[:3])
+        assert (l1.capacity, l1.associativity, l1.line_size,
+                l1.hit_latency) == ("32KB", "2-way", "64 bytes", "3 cycles")
+        assert (l2.capacity, l2.associativity, l2.hit_latency) == (
+            "512KB", "8-way", "14 cycles"
+        )
+        # The paper's 1 MB L3, rendered in KB like the other levels.
+        assert (l3.capacity, l3.associativity, l3.hit_latency) == (
+            "1024KB", "16-way", "35 cycles"
+        )
         assert levels["DRAM"].hit_latency == "250 cycles"
+        assert [level.policy for level in (l1, l2, l3)] == ["WriteBack"] * 3
 
     def test_phase_comparison_shapes(self, art_run):
         comparison = phase_comparison("art", "32u", "64u", run=art_run)

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import SimulationError
 from repro.experiments.runner import ExperimentConfig, run_benchmark
 from repro.experiments.sweeps import (
-    sweep_early_tolerance,
     sweep_interval_sizes,
     sweep_max_k,
 )
@@ -32,24 +31,6 @@ class TestMaxKSweep:
     def test_rejects_empty(self, art_run):
         with pytest.raises(SimulationError):
             sweep_max_k(art_run, ())
-
-
-class TestEarlySweep:
-    def test_monotone_earliness(self, art_run):
-        results = sweep_early_tolerance(art_run, (0.0, 1.0, 1e9))
-        indices = [
-            results[t].last_point_index for t in (0.0, 1.0, 1e9)
-        ]
-        assert indices[0] >= indices[1] >= indices[2]
-
-    def test_errors_stay_bounded(self, art_run):
-        results = sweep_early_tolerance(art_run, (0.0, 1e9))
-        for point in results.values():
-            assert point.cpi_error <= 0.5
-
-    def test_rejects_empty(self, art_run):
-        with pytest.raises(SimulationError):
-            sweep_early_tolerance(art_run, ())
 
 
 class TestIntervalSizeSweep:

@@ -167,10 +167,34 @@ class TestPublicAPI:
         assert repro.__version__ == "1.0.0"
 
     def test_all_exports_resolve(self):
+        """Every name in ``repro.__all__`` and in each subpackage's
+        ``__all__`` resolves, so a removed name left in an export list
+        fails here."""
+        import importlib
+        import pkgutil
+
         import repro
 
-        for name in repro.__all__:
-            assert getattr(repro, name) is not None
+        packages = ["repro"] + [
+            f"repro.{info.name}"
+            for info in pkgutil.iter_modules(repro.__path__)
+            if info.ispkg
+        ]
+        exporting = []
+        unresolved = []
+        for package_name in packages:
+            package = importlib.import_module(package_name)
+            if not hasattr(package, "__all__"):
+                continue
+            exporting.append(package_name)
+            unresolved += [
+                f"{package_name}.{name}"
+                for name in package.__all__
+                if getattr(package, name, None) is None
+            ]
+        assert {"repro", "repro.analysis", "repro.core",
+                "repro.experiments", "repro.simpoint"} <= set(exporting)
+        assert unresolved == []
 
     def test_readme_example_runs(self, micro_binary_list):
         """The snippet advertised in the package docstring works."""

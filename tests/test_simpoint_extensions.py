@@ -1,15 +1,10 @@
-"""Tests for SimPoint extensions: early points and binary-search k."""
+"""Tests for SimPoint extensions: binary-search k."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ClusteringError
 from repro.profiling.intervals import Interval
-from repro.simpoint.early import (
-    pick_early_simulation_points,
-    run_early_simpoint,
-)
-from repro.simpoint.kmeans import weighted_kmeans
 from repro.simpoint.select import (
     choose_clustering,
     choose_clustering_binary_search,
@@ -18,9 +13,7 @@ from repro.simpoint.simpoint import SimPointConfig, run_simpoint
 
 
 def _phase_intervals(n_per_phase=10, phases=3, drift=0.02, seed=9):
-    """Phases whose members drift slightly, so distances are not tied:
-    the centroid-nearest member sits mid-phase, the earliest does not.
-    """
+    """Phases whose members drift slightly, so distances are not tied."""
     rng = np.random.default_rng(seed)
     intervals = []
     index = 0
@@ -39,66 +32,6 @@ def _phase_intervals(n_per_phase=10, phases=3, drift=0.02, seed=9):
             )
             index += 1
     return intervals
-
-
-class TestEarlySimulationPoints:
-    def test_rejects_negative_tolerance(self):
-        points = np.zeros((4, 2))
-        result = weighted_kmeans(points, 1)
-        with pytest.raises(ClusteringError):
-            pick_early_simulation_points(
-                points, np.ones(4), result, tolerance=-0.1
-            )
-
-    def test_earliness_never_worse_than_classic(self):
-        early = run_early_simpoint(
-            _phase_intervals(), SimPointConfig(max_k=6), tolerance=0.5
-        )
-        assert early.last_point_index <= early.classic_last_point_index
-        assert early.earliness_gain >= 0
-
-    def test_large_tolerance_picks_earliest_member(self):
-        intervals = _phase_intervals()
-        early = run_early_simpoint(
-            intervals, SimPointConfig(max_k=6), tolerance=1e9
-        )
-        labels = early.result.labels
-        for point in early.result.points:
-            first_member = labels.index(point.cluster)
-            assert point.interval_index == first_member
-
-    def test_clustering_identical_to_classic(self):
-        intervals = _phase_intervals()
-        classic = run_simpoint(intervals, SimPointConfig(max_k=6))
-        early = run_early_simpoint(
-            intervals, SimPointConfig(max_k=6), tolerance=0.5
-        )
-        assert early.result.labels == classic.labels
-        assert early.result.k == classic.k
-        # Weights are a property of the clustering, not the choice.
-        classic_weights = {p.cluster: p.weight for p in classic.points}
-        early_weights = {p.cluster: p.weight
-                         for p in early.result.points}
-        assert early_weights == pytest.approx(classic_weights)
-
-    def test_representative_is_member(self):
-        intervals = _phase_intervals()
-        early = run_early_simpoint(
-            intervals, SimPointConfig(max_k=6), tolerance=0.3
-        )
-        for point in early.result.points:
-            assert early.result.labels[point.interval_index] == point.cluster
-
-    def test_tolerance_monotone_in_earliness(self):
-        intervals = _phase_intervals()
-        last = None
-        for tolerance in (0.0, 0.5, 2.0, 1e6):
-            early = run_early_simpoint(
-                intervals, SimPointConfig(max_k=6), tolerance=tolerance
-            )
-            if last is not None:
-                assert early.last_point_index <= last
-            last = early.last_point_index
 
 
 class TestBinarySearchK:
