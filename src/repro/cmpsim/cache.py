@@ -16,7 +16,9 @@ hierarchy can write it back to the next level.
 :meth:`SetAssociativeCache.access_many` replays a batch of demand
 accesses in submission order; the private ``_replay`` additionally
 understands fill and prefetch operations — the per-level op streams
-:meth:`repro.cmpsim.hierarchy.MemoryHierarchy.access_many` builds.
+:meth:`repro.cmpsim.hierarchy.MemoryHierarchy.access_many` builds — and
+an optional per-op ``counted`` mask: statistics count only the marked
+ops, while state changes alike for all of them.
 
 Every batch runs through one of two engines, both of which group the
 batch by set index with a stable sort (each set's substream keeps its
@@ -102,6 +104,14 @@ def _groups(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     np.not_equal(keys[1:], keys[:-1], out=head[1:])
     starts = head.nonzero()[0]
     return starts, np.concatenate((starts[1:], (keys.size,))) - starts
+
+
+def n_counted(counted: Optional[np.ndarray], positions: np.ndarray) -> int:
+    """How many of the ops at ``positions`` count (``counted=None``:
+    every op)."""
+    if counted is None:
+        return int(positions.size)
+    return int(np.count_nonzero(counted[positions]))
 
 
 def _sorted_victims(
@@ -205,17 +215,26 @@ class SetAssociativeCache:
         lines: np.ndarray,
         flags: np.ndarray,
         kinds: Optional[np.ndarray],
+        counted: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, Victims]:
-        """Replay a mixed op stream (``kinds=None`` means all demand)."""
+        """Replay a mixed op stream (``kinds=None`` means all demand).
+
+        Statistics count only the ops ``counted`` marks (``None``: all
+        of them); a dirty victim counts with the op that evicts it.
+        State and outputs do not depend on the mask.
+        """
         if lines.size == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, (empty, empty)
         if kinds is None and self._assoc == 2:
-            return self._replay_demand_2way(lines, flags)
-        return self._replay_lanes(lines, flags, kinds)
+            return self._replay_demand_2way(lines, flags, counted)
+        return self._replay_lanes(lines, flags, kinds, counted)
 
     def _replay_demand_2way(
-        self, lines: np.ndarray, flags: np.ndarray
+        self,
+        lines: np.ndarray,
+        flags: np.ndarray,
+        counted: Optional[np.ndarray],
     ) -> Tuple[np.ndarray, Victims]:
         """Closed-form replay for pure-demand batches at 2-way.
 
@@ -241,6 +260,7 @@ class SetAssociativeCache:
         s_lines = lines[order]
         s_flags = flags[order]
         s_pos = order
+        s_counted = None if counted is None else counted[order]
 
         # Run collapse (see _replay_lanes): followers are guaranteed
         # MRU hits; heads carry the run's OR-ed flag for state.
@@ -254,7 +274,11 @@ class SetAssociativeCache:
         else:
             head_idx = np.flatnonzero(keep)
             eff = np.logical_or.reduceat(s_flags, head_idx)
-            foll_flags = s_flags[~keep]
+            follower = ~keep
+            if s_counted is not None:
+                follower &= s_counted
+                s_counted = s_counted[head_idx]
+            foll_flags = s_flags[follower]
             foll_write_hits = int(foll_flags.sum())
             foll_read_hits = foll_flags.size - foll_write_hits
             s_sets = s_sets[head_idx]
@@ -357,15 +381,18 @@ class SetAssociativeCache:
         self._clock = clock + 2
 
         victims = _sorted_victims(victim_pos_parts, victim_line_parts)
-        hits_total = int(hit.sum())
-        write_hits = int((hit & s_flags).sum())
-        write_misses = int((~hit & s_flags).sum())
+        c_hit, c_flags = hit, s_flags
+        if s_counted is not None:
+            c_hit, c_flags = hit[s_counted], s_flags[s_counted]
+        hits_total = int(c_hit.sum())
+        write_hits = int((c_hit & c_flags).sum())
+        write_misses = int((~c_hit & c_flags).sum())
         stats = self.stats
         stats.read_hits += hits_total - write_hits + foll_read_hits
         stats.write_hits += write_hits + foll_write_hits
-        stats.read_misses += m - hits_total - write_misses
+        stats.read_misses += c_hit.size - hits_total - write_misses
         stats.write_misses += write_misses
-        stats.writebacks_out += int(victims[0].size)
+        stats.writebacks_out += n_counted(counted, victims[0])
 
         miss = s_pos[~hit]
         miss.sort()
@@ -376,6 +403,7 @@ class SetAssociativeCache:
         lines: np.ndarray,
         flags: np.ndarray,
         kinds: Optional[np.ndarray],
+        counted: Optional[np.ndarray],
     ) -> Tuple[np.ndarray, Victims]:
         """Set-grouped vectorized replay.
 
@@ -436,6 +464,8 @@ class SetAssociativeCache:
                 follower = ~head
                 if kinds is not None:
                     follower &= kinds[order] == OP_ACCESS
+                if counted is not None:
+                    follower &= counted[order]
                 foll_flags = s_flags[follower]
                 foll_write_hits = int(foll_flags.sum())
                 foll_read_hits = foll_flags.size - foll_write_hits
@@ -540,17 +570,22 @@ class SetAssociativeCache:
             demand = seq_kind == OP_ACCESS
             demand_hit = hit & demand
             demand_miss = demand & ~hit
-        n_hits = int(np.count_nonzero(demand_hit))
-        write_hits = int(np.count_nonzero(demand_hit & seq_flag))
-        n_misses = int(np.count_nonzero(demand_miss))
-        write_misses = int(np.count_nonzero(demand_miss & seq_flag))
+        c_hit, c_miss = demand_hit, demand_miss
+        if counted is not None:
+            seq_counted = counted[pos]
+            c_hit = demand_hit & seq_counted
+            c_miss = demand_miss & seq_counted
+        n_hits = int(np.count_nonzero(c_hit))
+        write_hits = int(np.count_nonzero(c_hit & seq_flag))
+        n_misses = int(np.count_nonzero(c_miss))
+        write_misses = int(np.count_nonzero(c_miss & seq_flag))
 
         stats = self.stats
         stats.read_hits += n_hits - write_hits + foll_read_hits
         stats.write_hits += write_hits + foll_write_hits
         stats.read_misses += n_misses - write_misses
         stats.write_misses += write_misses
-        stats.writebacks_out += int(victim_pos.size)
+        stats.writebacks_out += n_counted(counted, victim_pos)
 
         miss_at = np.zeros(n, dtype=np.bool_)
         miss_at[pos] = demand_miss

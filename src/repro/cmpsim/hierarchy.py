@@ -25,15 +25,20 @@ whole chain. Prefetch ops propagate through every outer level
 unconditionally (a prefetch installs a line at each outer level that
 lacks it) and are dropped at DRAM.
 
-:meth:`MemoryHierarchy.warm_many` is functional warming: the same
-replay with every statistic saved before and restored after, so there
-is one replay engine whether or not a batch counts.
+A batch may mix counted and uncounted references (``counted``, one flag
+per reference): functional warming is the same replay with the flag
+off. Every op inherits the flag of the reference that caused it — an L1
+miss's continuation and its prefetch take the missing reference's, a
+dirty victim's fill takes the evicting op's — and every statistic
+(hits, misses, writebacks, DRAM reads and writebacks, prefetches)
+counts only flagged ops. State never depends on the flags, so there is
+one replay engine whether or not a reference counts.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -44,6 +49,7 @@ from repro.cmpsim.cache import (
     OP_PREFETCH,
     CacheState,
     SetAssociativeCache,
+    n_counted,
 )
 from repro.cmpsim.config import MemoryConfig, TABLE1_CONFIG
 from repro.observability import metrics
@@ -102,15 +108,26 @@ class MemoryHierarchy:
         self.prefetches = 0
         self._prefetch_enabled = config.next_line_prefetch
 
-    def access_many(self, lines: np.ndarray, writes: np.ndarray) -> np.ndarray:
+    def access_many(
+        self,
+        lines: np.ndarray,
+        writes: np.ndarray,
+        counted: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Replay a batch of demand accesses; returns servicing levels.
 
-        Bit-identical in state and statistics to accessing the
-        references one at a time, in order; the returned int64 array
-        holds each reference's servicing level (0-3).
+        ``counted`` (one bool per reference, ``None``: all true) marks
+        the references whose statistics count; the others only warm.
+        Bit-identical in state and statistics to accessing the counted
+        references and functionally warming with the rest, one at a
+        time, in order; the returned int64 array holds each reference's
+        servicing level (0-3).
         """
         op_lines = np.asarray(lines, dtype=np.int64)
         op_flags = np.asarray(writes, dtype=np.bool_)
+        op_counted = (
+            None if counted is None else np.asarray(counted, dtype=np.bool_)
+        )
         n = op_lines.size
         metrics.counter("cmpsim.hierarchy_batch_refs").inc(n)
         serviced = np.zeros(n, dtype=np.int64)
@@ -121,17 +138,17 @@ class MemoryHierarchy:
             if op_lines.size == 0:
                 break
             miss, (v_pos, v_line) = cache._replay(
-                op_lines, op_flags, op_kinds
+                op_lines, op_flags, op_kinds, op_counted
             )
             if miss.size:
                 serviced[op_refs[miss]] = depth + 1
             if depth + 1 == n_levels:
-                self.dram_reads += int(miss.size)
-                self.dram_writebacks += int(v_pos.size)
+                self.dram_reads += n_counted(op_counted, miss)
+                self.dram_writebacks += n_counted(op_counted, v_pos)
                 break
             if depth == 0:
                 if self._prefetch_enabled and miss.size:
-                    self.prefetches += int(miss.size)
+                    self.prefetches += n_counted(op_counted, miss)
                     pf_keys = miss
                     pf_lines = op_lines[miss] + 1
                 else:
@@ -147,6 +164,8 @@ class MemoryHierarchy:
                 op_flags = op_flags[miss]
                 op_refs = op_refs[miss]
                 op_kinds = None
+                if op_counted is not None:
+                    op_counted = op_counted[miss]
                 continue
             n_v = v_pos.size
             n_m = miss.size
@@ -184,20 +203,11 @@ class MemoryHierarchy:
                     np.full(n_p, -1, dtype=np.int64),
                 ]
             )[order]
+            if op_counted is not None:
+                op_counted = np.concatenate(
+                    [op_counted[v_pos], op_counted[miss], op_counted[pf_keys]]
+                )[order]
         return serviced
-
-    def warm_many(self, lines: np.ndarray, writes: np.ndarray) -> None:
-        """Functionally warm with a whole batch of references.
-
-        Bit-identical in state to :meth:`access_many` on the same
-        batch; every statistic is left exactly as it was.
-        """
-        saved = [replace(cache.stats) for cache in self.caches]
-        counters = (self.dram_reads, self.dram_writebacks, self.prefetches)
-        self.access_many(lines, writes)
-        for cache, stats in zip(self.caches, saved):
-            cache.stats = stats
-        self.dram_reads, self.dram_writebacks, self.prefetches = counters
 
     def snapshot(self) -> HierarchyStats:
         """Freeze the current statistics into a :class:`HierarchyStats`."""

@@ -19,21 +19,26 @@ kinds of run are supported:
 Both measure execution in *units*: one execution of a block run or one
 iteration of an iteration span (procedure-entry events carry none).
 The trace's event arrays are cut into flush *windows* — unit ranges
-holding about ``_FLUSH_REFS`` references — and a region run also cuts
-at every region boundary, resolved up front from the trace's marker
-firing table. Each window generates all its references with one
-closed-form :meth:`~repro.cmpsim.memory.BulkAccessPattern.generate`
-call and replays them through
-:meth:`~repro.cmpsim.hierarchy.MemoryHierarchy.access_many` (detailed)
-or the state-only
-:meth:`~repro.cmpsim.hierarchy.MemoryHierarchy.warm_many` (warm
-fast-forward); cold fast-forward generates nothing (address cursors
-jump ahead with :func:`~repro.cmpsim.memory.advance_stream`).
+holding about ``_FLUSH_REFS`` references. Each window generates all its
+references with one closed-form
+:meth:`~repro.cmpsim.memory.BulkAccessPattern.generate` call and
+replays them with one
+:meth:`~repro.cmpsim.hierarchy.MemoryHierarchy.access_many` call.
 
-A detailed window yields one *chunk* per block execution, in event
-order, as parallel arrays (:class:`Chunks`). Cycles fold left to right
-with ``np.add.accumulate`` and the trackers attribute whole windows of
-chunks at once, so every float is added in exactly the order the
+Region boundaries resolve up front, from the trace's marker firing
+table, to unit positions. A warm region run ignores them when it cuts
+windows: a window may hold fast-forward and region references
+together, and ``access_many``'s ``counted`` mask marks the region
+references, so only they count in the statistics while the rest warm
+the caches functionally. A cold region run replays each region in its
+own windows and generates nothing in between (address cursors jump
+ahead with :func:`~repro.cmpsim.memory.advance_stream`).
+
+A window's detailed part yields one *chunk* per block execution, in
+event order, as parallel arrays (:class:`Chunks`). Cycles fold left to
+right with ``np.add.accumulate`` — a region's across its parts, window
+after window — and the trackers attribute whole windows of chunks at
+once, so every float is added in exactly the order the
 reference-at-a-time oracles (``tests/oracles``) add it.
 
 A region run stops where its last region ends: nothing after it can
@@ -46,8 +51,9 @@ digest alike generate the same references — the FP programs' 32- and
 64-bit twins do — so each replay leaves a *replay record*: every
 detailed reference's servicing level and the hierarchy's end state.
 A later run with the same memory config, recipe and plan generates no
-references: it takes its windows' servicing levels from the record,
-computes its own cycles from its own blocks, and loads the end state.
+references: it takes its windows' servicing levels from the record
+(skipping the windows without a detailed part), computes its own
+cycles from its own blocks, and loads the end state.
 The records live in a small in-process memo that
 :func:`~repro.execution.trace.clear_trace_memo` drops.
 
@@ -481,7 +487,7 @@ def regions_from_mapped_points(points) -> List[RegionSpec]:
 #: A window closes once it holds this many references — large enough
 #: that every cache level's replay runs vectorized, small enough to keep
 #: the working set in cache. Long iteration spans are cut between
-#: iterations.
+#: iterations; region boundaries cut no warm run's windows.
 _FLUSH_REFS = 65536
 
 #: Memory guard: a window also closes at this many chunks (block
@@ -740,24 +746,65 @@ class _Replay:
         ]
 
     def detailed(
-        self, lo: int, hi: int, tracked: bool
-    ) -> Tuple[np.ndarray, Optional[Chunks], int, int]:
-        """Simulate ``[lo, hi)`` in detail: ``(chunk cycles, chunks or
-        None, references, DRAM accesses)``."""
+        self,
+        lo: int,
+        hi: int,
+        tracked: bool,
+        parts: Optional[Sequence[Tuple[int, int]]] = None,
+    ) -> List[Tuple[np.ndarray, Optional[Chunks], int, int]]:
+        """Simulate window ``[lo, hi)``: ``parts`` (ascending, disjoint
+        unit ranges; default the whole window) in detail, the rest
+        only warming the caches. Returns per part ``(chunk cycles,
+        chunks or None, references, DRAM accesses)``."""
         t = self.tables
         units, counts = self._pieces(lo, hi)
-        chunk = _tiled(t.chunk_off[units], t.chunk_width[units], counts)
         n_refs = int(np.dot(t.ref_width[units], counts))
-        metrics.counter("cmpsim.detailed_flushes").inc()
         # Window sizes expose the batching behavior: shrinking windows
         # (or chunk-guard cuts) mean replay is degrading toward scalar.
         metrics.histogram("cmpsim.flush_refs").observe(n_refs)
         metrics.histogram("cmpsim.flush_items").observe(units.shape[0])
+        if parts is None:
+            pieces = [(units, counts, n_refs)]
+            counted = None
+        else:
+            pieces = []
+            counted = np.zeros(n_refs, dtype=np.bool_)
+            base = self._at(t.refs_end, t.refs_per, lo)
+            for start, end in parts:
+                part_units, part_counts = self._pieces(start, end)
+                first = self._at(t.refs_end, t.refs_per, start) - base
+                size = int(np.dot(t.ref_width[part_units], part_counts))
+                counted[first : first + size] = True
+                pieces.append((part_units, part_counts, size))
+        if pieces:
+            metrics.counter("cmpsim.detailed_flushes").inc()
+        serviced = self._serviced(units, counts, n_refs, counted)
+        out = []
+        first = 0
+        for part_units, part_counts, size in pieces:
+            out.append(self._account(
+                part_units, part_counts, serviced[first : first + size],
+                tracked,
+            ))
+            first += size
+        return out
+
+    def _account(
+        self,
+        units: np.ndarray,
+        counts: np.ndarray,
+        serviced: np.ndarray,
+        tracked: bool,
+    ) -> Tuple[np.ndarray, Optional[Chunks], int, int]:
+        """Cycles and DRAM accesses of a detailed unit range from its
+        references' servicing levels."""
+        t = self.tables
+        chunk = _tiled(t.chunk_off[units], t.chunk_width[units], counts)
+        n_refs = serviced.shape[0]
         cycles = t.chunk_base[chunk]
         dram = np.zeros(chunk.shape[0], dtype=np.float64)
         n_dram = 0
         if n_refs:
-            serviced = self._serviced(units, counts, n_refs)
             width = t.chunk_refs[chunk]
             ends = np.cumsum(width)
             penalty = np.zeros(n_refs + 1, dtype=np.int64)
@@ -779,33 +826,39 @@ class _Replay:
         return cycles, chunks, n_refs, n_dram
 
     def _serviced(
-        self, units: np.ndarray, counts: np.ndarray, n_refs: int
+        self,
+        units: np.ndarray,
+        counts: np.ndarray,
+        n_refs: int,
+        counted: Optional[np.ndarray],
     ) -> np.ndarray:
-        """The servicing level (uint8) of each of the window's
-        ``n_refs`` references: the record's next ones, else replayed
-        through the hierarchy and recorded."""
+        """The servicing levels (uint8) of the counted ones among the
+        window's ``n_refs`` references (``counted=None``: all of them),
+        in order: the record's next ones, else replayed through the
+        hierarchy, the rest only warming, and recorded."""
         if self._record is not None:
             start = self._served
-            self._served += n_refs
+            self._served += (
+                n_refs if counted is None else int(np.count_nonzero(counted))
+            )
             return self._record.levels[start : self._served]
+        if not n_refs:
+            return np.empty(0, dtype=np.uint8)
         serviced = self.hierarchy.access_many(
             *self.tables.pattern.generate(
                 self.streams, self._refs(units, counts)
-            )
+            ),
+            counted,
         ).astype(np.uint8)
+        if counted is not None:
+            serviced = serviced[counted]
         self._levels.append(serviced)
         return serviced
 
-    def warm(self, lo: int, hi: int) -> None:
-        """Functionally warm the caches with ``[lo, hi)``'s references
-        (nothing when served: the record holds the end state)."""
-        if self._record is not None:
-            return
-        refs = self._refs(*self._pieces(lo, hi))
-        if refs.shape[0]:
-            self.hierarchy.warm_many(
-                *self.tables.pattern.generate(self.streams, refs)
-            )
+    @property
+    def served(self) -> bool:
+        """Whether this run is served from a replay record."""
+        return self._record is not None
 
     def skip(self, lo: int, hi: int) -> None:
         """Advance the address streams past ``[lo, hi)`` in closed form
@@ -862,21 +915,24 @@ def _region_events(
 _DETAILED, _WARM, _SKIP = "detailed", "warm", "skip"
 
 
-def _simulate_segment(
+def _simulate_cold(
     replay: _Replay,
-    lo: int,
-    hi: int,
-    label: Optional[int],
-    warm: bool,
+    segments: Sequence[Tuple[int, int, Optional[int]]],
     results: Dict[int, IntervalStats],
 ) -> int:
-    """Simulate units ``[lo, hi)`` inside region ``label`` (``None``:
-    fast-forward); returns the fast-forwarded instructions."""
-    if label is not None:
+    """Simulate each region's segment in its own windows and skip the
+    rest; returns the fast-forwarded instructions."""
+    fast_forward = 0
+    for lo, hi, label in segments:
+        if label is None:
+            if hi > lo:
+                replay.skip(lo, hi)
+            fast_forward += replay.instructions(lo, hi)
+            continue
         cycles = 0.0
         dram = 0
         for start, end in replay.windows(lo, hi):
-            chunk_cycles, _, _, hits = replay.detailed(start, end, False)
+            chunk_cycles, _, _, hits = replay.detailed(start, end, False)[0]
             cycles = _fold(cycles, chunk_cycles)
             dram += hits
         results[label] = IntervalStats(
@@ -884,13 +940,55 @@ def _simulate_segment(
             cycles=cycles,
             dram_accesses=float(dram),
         )
-        return 0
-    if warm:
-        for start, end in replay.windows(lo, hi):
-            replay.warm(start, end)
-    elif hi > lo:
-        replay.skip(lo, hi)
-    return replay.instructions(lo, hi)
+    return fast_forward
+
+
+def _simulate_warm(
+    replay: _Replay,
+    segments: Sequence[Tuple[int, int, Optional[int]]],
+    results: Dict[int, IntervalStats],
+) -> int:
+    """Replay every unit up to the last segment's end in flush windows
+    that ignore region boundaries, counting only the regions'
+    references; returns the fast-forwarded instructions.
+
+    A window's regions are its detailed parts. Each region folds the
+    cycles of its parts' chunks left to right, window after window. A
+    run served from its record skips the windows without a region.
+    """
+    regions = [(lo, hi, label) for lo, hi, label in segments
+               if label is not None and hi > lo]
+    cycles = {label: 0.0 for _, _, label in regions}
+    dram = dict.fromkeys(cycles, 0)
+    first = 0  # the first region not yet passed
+    end = segments[-1][1] if segments else 0
+    for start, stop in replay.windows(0, end):
+        while first < len(regions) and regions[first][1] <= start:
+            first += 1
+        inside = []
+        for lo, hi, label in regions[first:]:
+            if lo >= stop:
+                break
+            inside.append((max(lo, start), min(hi, stop), label))
+        if not inside and replay.served:
+            continue
+        parts = replay.detailed(
+            start, stop, False, [(lo, hi) for lo, hi, _ in inside]
+        )
+        for (_, _, label), (chunk_cycles, _, _, hits) in zip(inside, parts):
+            cycles[label] = _fold(cycles[label], chunk_cycles)
+            dram[label] += hits
+    fast_forward = 0
+    for lo, hi, label in segments:
+        if label is None:
+            fast_forward += replay.instructions(lo, hi)
+        elif label in cycles:
+            results[label] = IntervalStats(
+                instructions=replay.instructions(lo, hi),
+                cycles=cycles[label],
+                dram_accesses=float(dram[label]),
+            )
+    return fast_forward
 
 
 class CMPSim:
@@ -956,7 +1054,7 @@ class CMPSim:
         for lo, hi in replay.windows(0, t.total_units):
             chunk_cycles, chunks, refs, _ = replay.detailed(
                 lo, hi, bool(trackers)
-            )
+            )[0]
             cycles = _fold(cycles, chunk_cycles)
             memory_refs += refs
             for tracker in trackers:
@@ -992,9 +1090,9 @@ class CMPSim:
         boundary whose firing comes before its predecessor's never
         fires. The boundaries cut the run into segments, each wholly
         inside one region (detailed, cycles folded from zero) or wholly
-        fast-forwarded (warmed or skipped). Simulation stops where the
-        last region ends; the instructions after it only count as
-        fast-forwarded.
+        fast-forwarded (warmed or skipped); a warm run's windows cut
+        across segments. Simulation stops where the last region ends; the
+        instructions after it only count as fast-forwarded.
         """
         if not regions:
             raise SimulationError("run_regions needs at least one region")
@@ -1036,10 +1134,8 @@ class CMPSim:
             (lo, hi, fast_mode if label is None else _DETAILED)
             for lo, hi, label in segments
         ))
-        for lo, hi, label in segments:
-            fast_forward += _simulate_segment(
-                replay, lo, hi, label, warm, results
-            )
+        simulate = _simulate_warm if warm else _simulate_cold
+        fast_forward += simulate(replay, segments, results)
         replay.end()
         return RegionResult(
             regions=results,

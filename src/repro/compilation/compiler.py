@@ -2,8 +2,7 @@
 
 ``compile_program`` runs the optimizer at O2 and lowers the result;
 ``compile_standard_binaries`` produces the paper's four binaries for a
-program. Pass toggles are exposed for ablation studies (e.g.
-disabling inlining to measure its effect on mappable coverage).
+program.
 """
 
 from __future__ import annotations
@@ -18,12 +17,7 @@ from repro.programs.ir import Program, finalize_program
 
 
 def compile_program(
-    program: Program,
-    target: Target,
-    inline: bool = True,
-    split: bool = True,
-    unroll: bool = True,
-    code_motion: bool = True,
+    program: Program, target: Target
 ) -> Tuple[Binary, Optional[OptimizationReport]]:
     """Compile a program for one target.
 
@@ -33,34 +27,13 @@ def compile_program(
     program = finalize_program(program)
     report: Optional[OptimizationReport] = None
     if target.optimized:
-        program, report = optimize_ir(
-            program,
-            inline=inline,
-            split=split,
-            unroll=unroll,
-            code_motion=code_motion,
-        )
+        program, report = optimize_ir(program)
     return lower_program(program, target), report
 
 
 def compile_standard_binaries(
     program: Program,
     targets: Tuple[Target, ...] = STANDARD_TARGETS,
-    inline: bool = True,
-    split: bool = True,
-    unroll: bool = True,
-    code_motion: bool = True,
 ) -> Dict[Target, Binary]:
     """Compile the paper's four standard binaries (or a custom set)."""
-    binaries: Dict[Target, Binary] = {}
-    for target in targets:
-        binary, _ = compile_program(
-            program,
-            target,
-            inline=inline,
-            split=split,
-            unroll=unroll,
-            code_motion=code_motion,
-        )
-        binaries[target] = binary
-    return binaries
+    return {target: compile_program(program, target)[0] for target in targets}

@@ -52,7 +52,9 @@ class OneRefHierarchy(MemoryHierarchy):
         )
 
     def warm_access(self, line: int, write: bool) -> None:
-        self.warm_many(_one(line, np.int64), _one(write, np.bool_))
+        self.access_many(
+            _one(line, np.int64), _one(write, np.bool_), _one(False, np.bool_)
+        )
 
 
 #: The oracle and production, for tests that run one script on both.

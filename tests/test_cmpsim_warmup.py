@@ -1,8 +1,8 @@
 """Functional-warmup correctness: state without statistics.
 
 Functional warming — the oracle's ``warm_access`` one reference at a
-time, production's ``MemoryHierarchy.warm_many`` on batches of any
-size, including one reference — must perform exactly the state
+time, production's ``MemoryHierarchy.access_many`` with every reference
+uncounted on batches of any size, including one reference — must perform exactly the state
 transitions of a demand access — probes, fills, writebacks, next-line
 prefetches — while leaving every statistic untouched. The seed
 implementation simply called ``access()``, so warm fast-forward traffic
@@ -51,7 +51,7 @@ WORKLOAD = [((line * 131) % 9973, line % 3 == 0) for line in range(5000)]
 
 def warm_scalar(hierarchy, workload):
     """One reference at a time: the oracle's ``warm_access``, or
-    production's ``warm_many`` on one-reference batches."""
+    production's uncounted ``access_many`` on one-reference batches."""
     for line, write in workload:
         hierarchy.warm_access(line, write)
 
@@ -60,22 +60,25 @@ warm_scalar.hierarchies = HIERARCHIES
 
 
 def warm_batches(size):
-    """``warm_many`` in batches of ``size`` references: L1 runs the
-    2-way closed form and the outer levels the lanes."""
+    """Uncounted ``access_many`` in batches of ``size`` references: L1
+    runs the 2-way closed form and the outer levels the lanes."""
 
     def warm(hierarchy, workload):
         for begin in range(0, len(workload), size):
             chunk = workload[begin : begin + size]
-            hierarchy.warm_many(
+            hierarchy.access_many(
                 np.array([line for line, _ in chunk], dtype=np.int64),
                 np.array([write for _, write in chunk], dtype=np.bool_),
+                counted=np.zeros(len(chunk), dtype=np.bool_),
             )
 
     warm.hierarchies = (MemoryHierarchy,)
     return warm
 
 
-#: (id, config, warmer): ``warm_access`` cases are named by config alone.
+#: (id, config, warmer): ``warm_access`` cases are named by config
+#: alone, batched uncounted ``access_many`` cases ``warm_many`` and the
+#: batch size.
 WARMERS = [
     (config_id + suffix, config, warmer)
     for suffix, warmer in [

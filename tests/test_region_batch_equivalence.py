@@ -1,8 +1,10 @@
 """Batched region simulation versus the scalar oracle.
 
 ``CMPSim.run_regions`` replays region windows through the hierarchy's
-batch engine (``access_many`` inside regions, ``warm_many`` or closed-
-form cursor advances outside). It must be bit-identical to the scalar
+batch engine: warm runs replay every reference up to the last region's
+end in flush windows that ignore region boundaries, counting only the
+regions' references; cold runs replay the regions' own windows and
+advance the address cursors in closed form outside. It must be bit-identical to the scalar
 reference-at-a-time consumer in :mod:`tests.oracles.regions`: the same
 :class:`RegionResult` — every float spelled the same, the fast-forward
 count and the hierarchy statistics — and the same cache state where
@@ -189,6 +191,42 @@ class TestNothingAfterLastRegion:
             sim.run_regions(regions, table, warm=warm)
         counters = registry.snapshot()["counters"]
         assert counters["cmpsim.hierarchy_batch_refs"] == expected
+
+
+class TestWindowsIgnoreRegionBoundaries:
+    @pytest.mark.parametrize("flush_refs", [None, 7], ids=["default", "tiny"])
+    @pytest.mark.parametrize("target", STANDARD_TARGETS, ids=str)
+    def test_one_batch_per_flush_window(
+        self, micro_binaries, micro_markers, micro_regions, target,
+        flush_refs,
+    ):
+        """A warm run calls ``access_many`` once per flush window of
+        units ``[0, end)``, however many region boundaries fall inside
+        them; a run served from its record calls it never."""
+        binary = micro_binaries[target]
+        table = micro_markers.table_for(binary.name)
+        sim = CMPSim(binary)
+        calls = []
+        original = MemoryHierarchy.access_many
+
+        def counting(self, *args, **kwargs):
+            calls.append(len(args[0]))
+            return original(self, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            if flush_refs is not None:
+                patch.setattr(simulator, "_FLUSH_REFS", flush_refs)
+            patch.setattr(_RecordingHierarchy, "access_many", counting)
+            replay = sim._replay(MemoryHierarchy(TABLE1_CONFIG))
+            assert micro_regions[-1].end is None  # so end is the exit
+            windows = list(replay.windows(0, replay.tables.total_units))
+            clear_trace_memo()
+            sim.run_regions(micro_regions, table, warm=True)
+            assert len(calls) == len(windows)
+            assert all(calls)  # no empty batch was replayed
+            calls.clear()
+            sim.run_regions(micro_regions, table, warm=True)
+            assert calls == []
 
 
 # ----------------------------------------------------------------------
