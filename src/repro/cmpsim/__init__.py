@@ -28,7 +28,6 @@ from repro.cmpsim.memory import (
     BulkAccessPattern,
     advance_stream,
     bulk_pattern,
-    generate_refs,
     generate_refs_bulk,
 )
 from repro.cmpsim.cpu import CPIModel
@@ -64,7 +63,6 @@ __all__ = [
     "BulkAccessPattern",
     "advance_stream",
     "bulk_pattern",
-    "generate_refs",
     "generate_refs_bulk",
     "CPIModel",
     "CMPSim",

@@ -20,7 +20,7 @@ import math
 from typing import Dict, List, Sequence, Tuple
 
 from repro.cmpsim.cpu import CPIModel
-from repro.cmpsim.memory import AddressStreamState, generate_refs
+from repro.cmpsim.memory import AddressStreamState
 from repro.cmpsim.simulator import (
     CMPSim,
     FullRunResult,
@@ -37,6 +37,7 @@ from tests.oracles.engine import (
     iteration_profile,
 )
 from tests.oracles.hierarchy import OracleHierarchy
+from tests.oracles.refs import generate_refs
 
 
 class ScalarFLITracker:

@@ -18,11 +18,7 @@ import copy
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cmpsim.cpu import CPIModel
-from repro.cmpsim.memory import (
-    AddressStreamState,
-    advance_stream,
-    generate_refs,
-)
+from repro.cmpsim.memory import AddressStreamState, advance_stream
 from repro.cmpsim.simulator import (
     CMPSim,
     IntervalStats,
@@ -39,6 +35,7 @@ from tests.oracles.engine import (
     iteration_profile,
 )
 from tests.oracles.hierarchy import OracleHierarchy
+from tests.oracles.refs import generate_refs
 
 
 class _RegionConsumer(ExecutionConsumer):

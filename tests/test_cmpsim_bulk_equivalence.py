@@ -33,7 +33,6 @@ from repro.cmpsim.hierarchy import MemoryHierarchy
 from repro.cmpsim.memory import (
     AddressStreamState,
     bulk_pattern,
-    generate_refs,
     generate_refs_bulk,
 )
 import repro.cmpsim.simulator as simulator
@@ -53,6 +52,7 @@ from tests.oracles.full import (
     scalar_run_full,
 )
 from tests.oracles.hierarchy import OracleCache, OracleHierarchy
+from tests.oracles.refs import generate_refs
 
 
 def stream_state(state):

@@ -5,14 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cmpsim.cpu import CPIModel
 from repro.cmpsim.config import CacheLevelConfig, MemoryConfig, TABLE1_CONFIG
-from repro.cmpsim.memory import (
-    AddressStreamState,
-    advance_stream,
-    generate_refs,
-)
+from repro.cmpsim.memory import AddressStreamState, advance_stream
 from repro.compilation.binary import AccessSpec
 from repro.errors import SimulationError
 from repro.programs.behaviors import AccessKind
+
+from tests.oracles.refs import generate_refs
 
 
 def _spec(kind, footprint=4096, refs=4, stride=64, read_fraction=0.75,
